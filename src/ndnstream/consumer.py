@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Protocol
 
 from .errors import (
@@ -108,11 +107,15 @@ class AbrController:
     def __init__(self, tiers: list[Representation], safety_factor: float = 0.95):
         if not tiers:
             raise ValueError("tier list must be non-empty")
-        if not 0 < safety_factor <= 1:
-            raise ValueError("safety factor must be in (0, 1]")
+        self.check_safety_factor(safety_factor)
         self.tiers = sorted(tiers, key=lambda r: r.min_bandwidth_bps)
         self.safety_factor = safety_factor
         self.current = 0
+
+    @staticmethod
+    def check_safety_factor(safety_factor: float) -> None:
+        if not 0 < safety_factor <= 1:
+            raise ValueError("safety factor must be in (0, 1]")
 
     def select(self, estimate_bps: float) -> Representation:
         budget = self.safety_factor * estimate_bps
@@ -303,13 +306,6 @@ class FileFetch:
         self.on_error(exc)
 
 
-class SessionState(Enum):
-    STARTUP = "startup"
-    PLAYING = "playing"
-    REBUFFERING = "rebuffering"
-    ENDED = "ended"
-
-
 @dataclass
 class FileRecord:
     """One completed (or aborted) file retrieval with its chunk timings."""
@@ -333,6 +329,13 @@ class SessionConfig:
     half_life_slow_s: float = 6.0
     startup_threshold_s: float = 2.0
     buffer_capacity_s: float = 30.0
+
+    def __post_init__(self) -> None:
+        # Each component checks its own ranges; building the ones a session
+        # makes from this config fails a bad value now, not mid-session.
+        BandwidthEstimator(self.half_life_fast_s, self.half_life_slow_s)
+        PlaybackBuffer(self.startup_threshold_s, self.buffer_capacity_s)
+        AbrController.check_safety_factor(self.safety_factor)
 
 
 def resource_name(prefix: Name, path: str) -> Name:
@@ -418,7 +421,6 @@ class PlayerSession:
         )
         self.abr: AbrController | None = None
 
-        self.state = SessionState.STARTUP
         self.quality_timeline: list[tuple[float, str]] = []
         self.rebuffer_events: list[tuple[float, float]] = []
         self.estimator_trace: list[tuple[float, float]] = []
@@ -454,7 +456,6 @@ class PlayerSession:
         if self._video_index >= len(self.video_ids):
             self._end_session()
             return
-        self.state = SessionState.STARTUP
         self._playing = False
         self._segments = []
         self._segment_index = 0
@@ -463,7 +464,6 @@ class PlayerSession:
         self._fetch(f"{video}/playlist.m3u8", "master-playlist", self._on_master)
 
     def _end_session(self) -> None:
-        self.state = SessionState.ENDED
         self.ended_at = self.transport.now()
         if self.on_finished is not None:
             self.on_finished()
@@ -549,7 +549,7 @@ class PlayerSession:
     # -- segment loop --------------------------------------------------------
 
     def _fetch_next_segment(self) -> None:
-        if self.state is SessionState.ENDED:
+        if self.ended_at is not None:
             return
         if self._segment_index >= len(self._segments):
             return  # remaining playback drains; video advances on empty
@@ -601,7 +601,6 @@ class PlayerSession:
                     self.rebuffer_events.append((self._rebuffer_start, now))
                     self._rebuffer_start = None
                 self._playing = True
-                self.state = SessionState.PLAYING
         if self._playing:
             self._schedule_empty_check()
 
@@ -623,7 +622,7 @@ class PlayerSession:
         self.transport.schedule(at, lambda: self._on_empty_check(epoch))
 
     def _on_empty_check(self, epoch: int) -> None:
-        if epoch != self._drain_epoch or not self._playing or self.state is SessionState.ENDED:
+        if epoch != self._drain_epoch or not self._playing or self.ended_at is not None:
             return
         self._sync_playback()
         if self.buffer.level_s > 1e-9:
@@ -634,15 +633,4 @@ class PlayerSession:
         if self._segments and self._segment_index >= len(self._segments):
             self._next_video()
             return
-        self.state = SessionState.REBUFFERING
         self._rebuffer_start = self.transport.now()
-
-    # -- incoming packets -------------------------------------------------------
-
-    def handle_data(self, data: Data, from_cache: bool) -> None:
-        if self.active_fetch is not None:
-            self.active_fetch.handle_data(data, from_cache)
-
-    def handle_nack(self, nack: Nack) -> None:
-        if self.active_fetch is not None:
-            self.active_fetch.handle_nack(nack)

@@ -41,10 +41,6 @@ class CapacityExceeded(NdnStreamError):
     """A content store cannot hold a requested prewarm set."""
 
 
-class UnknownConsumer(NdnStreamError):
-    """A consumer id is missing from the hub directory."""
-
-
 class AllProbesFailed(NdnStreamError):
     """Every gateway probe timed out."""
 

@@ -54,6 +54,10 @@ class BestRoute:
 class GatewayPrefetch:
     depth: int = 16
 
+    def __post_init__(self) -> None:
+        if self.depth < 1:
+            raise ValueError("prefetch depth must be at least 1")
+
 
 Strategy = BestRoute | GatewayPrefetch
 
@@ -73,18 +77,15 @@ class FibEntry:
 
 @dataclass
 class PitEntry:
-    name: Name
     downstream: set[int]
     seen_nonces: set[int]
     expiry: float
-    upstream_sent_at: float
 
 
 @dataclass
 class _CsEntry:
     data: Data
     size: int
-    last_access: float
     inserted: float
 
 
@@ -119,7 +120,6 @@ class ContentStore:
             if self._stale(entry, now):
                 self._drop(interest.name)
                 return None
-            entry.last_access = now
             self.entries.move_to_end(interest.name)
             return entry.data
         best_name: Name | None = None
@@ -140,10 +140,8 @@ class ContentStore:
             self._drop(full_name)
         if best_name is None:
             return None
-        entry = self.entries[best_name]
-        entry.last_access = now
         self.entries.move_to_end(best_name)
-        return entry.data
+        return self.entries[best_name].data
 
     def insert(self, data: Data, now: float) -> list[Name]:
         """Store a packet, evicting least-recently-accessed entries as needed.
@@ -157,7 +155,7 @@ class ContentStore:
         full_name = data.name.full()
         if full_name in self.entries:
             self._drop(full_name)
-        self.entries[full_name] = _CsEntry(data, size, now, now)
+        self.entries[full_name] = _CsEntry(data, size, now)
         self.used_bytes += size
         evicted: list[Name] = []
         while self.used_bytes > self.capacity_bytes:
@@ -261,7 +259,6 @@ class ForwarderNode:
             upstream = self._next_hop(interest.name, exclude=from_face)
             if upstream is None:
                 return []
-            existing.upstream_sent_at = now
             self.stats.interests_out += 1
             return [SendInterest(upstream, interest)]
 
@@ -270,11 +267,9 @@ class ForwarderNode:
             self.stats.nacks_out += 1
             return [SendNack(from_face, Nack(interest.name, NackReason.NO_ROUTE))]
         self.pit[interest.name] = PitEntry(
-            name=interest.name,
             downstream={from_face},
             seen_nonces={interest.nonce},
             expiry=now + interest.lifetime_ms / 1000.0,
-            upstream_sent_at=now,
         )
         self.stats.interests_out += 1
         return [SendInterest(upstream, interest)]
@@ -336,11 +331,9 @@ class ForwarderNode:
             if upstream is None:
                 continue
             self.pit[interest.name] = PitEntry(
-                name=interest.name,
                 downstream={INTERNAL_FACE},
                 seen_nonces={interest.nonce},
                 expiry=now + interest.lifetime_ms / 1000.0,
-                upstream_sent_at=now,
             )
             self.stats.interests_out += 1
             self.stats.prefetch_sent += 1

@@ -66,9 +66,6 @@ class Name:
         extra = tuple(c.encode() if isinstance(c, str) else c for c in components)
         return Name(self.components + extra)
 
-    def is_prefix_of(self, other: "Name") -> bool:
-        return name_is_prefix_of(self, other)
-
 
 ROOT = Name()
 
@@ -129,23 +126,3 @@ class VersionedChunkName:
     def __str__(self) -> str:
         return name_format(self.full())
 
-
-def parse_versioned(name: Name) -> VersionedChunkName | None:
-    """Split a full name into (base, version, chunk); None if not in that form."""
-    comps = name.components
-    if len(comps) < 2:
-        return None
-    v_comp, c_comp = comps[-2], comps[-1]
-    if not (v_comp.startswith(b"v=") and c_comp.startswith(b"c=")):
-        return None
-    try:
-        version = int(v_comp[2:])
-        chunk = int(c_comp[2:])
-    except ValueError:
-        return None
-    if version < 0 or chunk < 0:
-        return None
-    base = Name(comps[:-2])
-    if any(_is_marker(c) for c in base.components):
-        return None
-    return VersionedChunkName(base, version, chunk)

@@ -1,18 +1,16 @@
 """Deterministic discrete-event network emulator."""
 
 from .engine import EventEngine
-from .link import Link, ThrottleSchedule
+from .link import Link
 from .scenario import Scenario, load_scenario, parse_scenario, run_scenario
-from .topology import FchDirectory, NetworkSim
+from .topology import NetworkSim
 
 __all__ = [
     "EventEngine",
     "Link",
-    "ThrottleSchedule",
     "Scenario",
     "load_scenario",
     "parse_scenario",
     "run_scenario",
-    "FchDirectory",
     "NetworkSim",
 ]

@@ -5,18 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
-class ThrottleSchedule:
-    """Timed bandwidth changes for one link direction."""
-
-    points: list[tuple[float, float | None]]  # (at_s, bandwidth_bps or None=unlimited)
-
-    def __post_init__(self) -> None:
-        times = [t for t, _ in self.points]
-        if any(a >= b for a, b in zip(times, times[1:])):
-            raise ValueError("throttle timestamps must be strictly increasing")
-
-
 class _Direction:
     __slots__ = ("propagation_s", "bandwidth_bps", "queue_limit_bytes", "busy_until", "drops")
 
@@ -57,9 +45,6 @@ class Link:
 
     def direction(self, src: str, dst: str) -> _Direction:
         return self._dir[(src, dst)]
-
-    def other_end(self, node: str) -> str:
-        return self.b if node == self.a else self.a
 
     def set_bandwidth(self, src: str, dst: str, bandwidth_bps: float | None) -> None:
         self._dir[(src, dst)].bandwidth_bps = bandwidth_bps

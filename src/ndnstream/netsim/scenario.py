@@ -34,15 +34,18 @@ from __future__ import annotations
 import math
 import random
 import re
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
+from typing import Any
 
-from ..consumer import FetchEngine, PlayerSession, SessionConfig, SessionState
-from ..errors import CapacityExceeded, InvalidConfig, InvalidTopology
+from ..consumer import FetchEngine, PlayerSession, SessionConfig
+from ..errors import CapacityExceeded, InvalidConfig, InvalidTopology, MalformedName
 from ..forwarding import BestRoute, GatewayPrefetch, Strategy
 from ..metrics import CacheStats, MetricsReport, ServerSummary, SessionMetrics
 from ..names import Name, name_parse
-from ..packets import KeyMaterial
+from ..packets import DEFAULT_FRESHNESS_MS, KeyMaterial
 from ..producer import (
+    DEFAULT_CHUNK_SIZE,
     Representation,
     Repository,
     VideoCatalog,
@@ -50,7 +53,6 @@ from ..producer import (
     publish,
     representation_files,
 )
-from .link import ThrottleSchedule
 from .topology import ConsumerHost, ForwarderHost, NetworkSim, ProducerHost, derive_seed
 
 DEFAULT_HORIZON_S = 3600.0
@@ -90,8 +92,8 @@ class VideoSpec:
     prefix: str
     duration_s: float
     segment_s: float = 2.0
-    chunk_bytes: int = 8000
-    freshness_ms: int = 3_600_000
+    chunk_bytes: int = DEFAULT_CHUNK_SIZE
+    freshness_ms: int = DEFAULT_FRESHNESS_MS
     tiers: list[Representation] = field(default_factory=list)
 
 
@@ -101,14 +103,7 @@ class SessionSpec:
     consumer: str
     videos: list[str]
     start_s: float = 0.0
-    window: int = 8
-    rto_ms: float = 1000.0
-    max_retx: int = 3
-    safety: float = 0.95
-    est_fast_s: float = 2.0
-    est_slow_s: float = 6.0
-    startup_s: float = 2.0
-    capacity_s: float = 30.0
+    config: SessionConfig = field(default_factory=SessionConfig)
 
 
 @dataclass
@@ -169,15 +164,59 @@ def parse_size(text: str) -> int | None:
 def _parse_strategy(text: str) -> Strategy:
     if text == "best-route":
         return BestRoute()
-    if text.startswith("prefetch"):
-        depth = 16
-        if ":" in text:
-            depth = int(text.split(":", 1)[1])
-        return GatewayPrefetch(depth)
-    raise InvalidConfig(f"unknown strategy {text!r}")
+    if text == "prefetch":
+        return GatewayPrefetch()
+    kind, sep, depth = text.partition(":")
+    if kind == "prefetch" and sep:
+        return GatewayPrefetch(int(depth))
+    raise ValueError(f"unknown strategy {text!r}")
 
 
-def _kv(tokens: list[str], allowed: dict[str, str], where: str) -> dict[str, str]:
+def _parse_switch(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise ValueError(f"expected on or off, got {text!r}")
+    return text == "on"
+
+
+# Optional keys of each entry kind: scenario key -> (spec field, parser).
+# A key left out keeps the field's default, so every default is defined
+# once, on the spec or on the component it configures.
+_NODE_KEYS = {
+    "consumer": {},
+    "forwarder": {
+        "cs": ("cs_bytes", lambda text: parse_size(text) or 0),
+        "strategy": ("strategy", _parse_strategy),
+        "aggregate": ("aggregate", _parse_switch),
+    },
+    "producer": {"delay-ms": ("delay_ms", float)},
+}
+_LINK_KEYS = {
+    "prop-ms": ("prop_ms", float),
+    "bw": ("bw_bps", parse_bandwidth),
+    "queue": ("queue_bytes", parse_size),
+}
+_ROUTE_KEYS = {"cost": ("cost", int)}
+_VIDEO_KEYS = {
+    "segment-s": ("segment_s", float),
+    "chunk-bytes": ("chunk_bytes", int),
+    "freshness-ms": ("freshness_ms", int),
+}
+_SESSION_KEYS = {"start-s": ("start_s", float)}
+_ENGINE_KEYS = {
+    "window": ("window", int),
+    "rto-ms": ("rto_ms", float),
+    "max-retx": ("max_retx", int),
+}
+_PLAYER_KEYS = {
+    "safety": ("safety_factor", float),
+    "est-fast-s": ("half_life_fast_s", float),
+    "est-slow-s": ("half_life_slow_s", float),
+    "startup-s": ("startup_threshold_s", float),
+    "capacity-s": ("buffer_capacity_s", float),
+}
+
+
+def _kv(tokens: list[str], allowed: Collection[str], where: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for token in tokens:
         if "=" not in token:
@@ -187,6 +226,13 @@ def _kv(tokens: list[str], allowed: dict[str, str], where: str) -> dict[str, str
             raise InvalidConfig(f"{where}: unknown key {key!r}")
         values[key] = value
     return values
+
+
+def _fields(
+    kv: dict[str, str], keys: dict[str, tuple[str, Callable[[str], Any]]]
+) -> dict[str, Any]:
+    """Spec fields set by the optional keys present in ``kv``."""
+    return {name: parse(kv[key]) for key, (name, parse) in keys.items() if key in kv}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -215,167 +261,134 @@ def parse_scenario(text: str) -> Scenario:
                 raise InvalidConfig(f"{where}: unknown section {name!r}")
             section = name
             continue
-        tokens = line.split()
-        if section is None:
-            if tokens[0] == "scenario" and len(tokens) == 2:
-                scenario.scenario_id = tokens[1]
-            elif tokens[0] == "seed" and len(tokens) == 2:
-                scenario.seed = int(tokens[1])
-            elif tokens[0] == "horizon" and len(tokens) == 2:
-                scenario.horizon_s = float(tokens[1])
-            else:
-                raise InvalidConfig(f"{where}: unknown directive {tokens[0]!r}")
-        elif section == "nodes":
-            kind = tokens[0]
-            if kind not in ("consumer", "forwarder", "producer"):
-                raise InvalidConfig(f"{where}: unknown node kind {kind!r}")
-            if len(tokens) < 2:
-                raise InvalidConfig(f"{where}: node needs an id")
-            spec = NodeSpec(tokens[1], kind)
-            if kind == "forwarder":
-                kv = _kv(tokens[2:], {"cs": "", "strategy": "", "aggregate": ""}, where)
-                if "cs" in kv:
-                    spec.cs_bytes = parse_size(kv["cs"]) or 0
-                if "strategy" in kv:
-                    spec.strategy = _parse_strategy(kv["strategy"])
-                if "aggregate" in kv:
-                    spec.aggregate = kv["aggregate"] == "on"
-            elif kind == "producer":
-                kv = _kv(tokens[2:], {"delay-ms": ""}, where)
-                if "delay-ms" in kv:
-                    spec.delay_ms = float(kv["delay-ms"])
-            else:
-                _kv(tokens[2:], {}, where)
-            scenario.nodes.append(spec)
-        elif section == "links":
-            if len(tokens) < 2:
-                raise InvalidConfig(f"{where}: link needs two endpoints")
-            kv = _kv(tokens[2:], {"prop-ms": "", "bw": "", "queue": ""}, where)
-            scenario.links.append(
-                LinkSpec(
-                    tokens[0],
-                    tokens[1],
-                    prop_ms=float(kv.get("prop-ms", "0")),
-                    bw_bps=parse_bandwidth(kv["bw"]) if "bw" in kv else None,
-                    queue_bytes=parse_size(kv["queue"]) if "queue" in kv else None,
-                )
-            )
-        elif section == "routes":
-            if len(tokens) < 3:
-                raise InvalidConfig(f"{where}: route needs node, prefix, via")
-            kv = _kv(tokens[3:], {"cost": ""}, where)
-            scenario.routes.append(
-                RouteSpec(tokens[0], tokens[1], tokens[2], cost=int(kv.get("cost", "1")))
-            )
-        elif section == "videos":
-            if tokens[0] == "video":
-                kv = _kv(
-                    tokens[2:],
-                    {
-                        "server": "",
-                        "prefix": "",
-                        "duration-s": "",
-                        "segment-s": "",
-                        "chunk-bytes": "",
-                        "freshness-ms": "",
-                    },
-                    where,
-                )
-                for required in ("server", "prefix", "duration-s"):
-                    if required not in kv:
-                        raise InvalidConfig(f"{where}: video needs {required}")
-                spec = VideoSpec(
-                    video_id=tokens[1],
-                    server=kv["server"],
-                    prefix=kv["prefix"],
-                    duration_s=float(kv["duration-s"]),
-                    segment_s=float(kv.get("segment-s", "2")),
-                    chunk_bytes=int(kv.get("chunk-bytes", "8000")),
-                    freshness_ms=int(kv.get("freshness-ms", "3600000")),
-                )
-                videos[spec.video_id] = spec
-                scenario.videos.append(spec)
-            elif tokens[0] == "tier":
-                if len(tokens) < 3 or tokens[1] not in videos:
-                    raise InvalidConfig(f"{where}: tier needs a declared video id")
-                kv = _kv(tokens[3:], {"height": "", "min-bw": "", "media": ""}, where)
-                if "min-bw" not in kv:
-                    raise InvalidConfig(f"{where}: tier needs min-bw")
-                min_bw = int(parse_bandwidth(kv["min-bw"]) or 0)
-                media = int(parse_bandwidth(kv["media"]) or 0) if "media" in kv else min_bw
-                videos[tokens[1]].tiers.append(
-                    Representation(
-                        label=tokens[2],
-                        height=int(kv.get("height", "0")) or 1,
-                        min_bandwidth_bps=min_bw,
-                        media_bitrate_bps=media,
-                    )
-                )
-            else:
-                raise InvalidConfig(f"{where}: unknown videos entry {tokens[0]!r}")
-        elif section == "sessions":
-            if tokens[0] != "session" or len(tokens) < 2:
-                raise InvalidConfig(f"{where}: expected 'session <id> ...'")
-            kv = _kv(
-                tokens[2:],
-                {
-                    "consumer": "",
-                    "videos": "",
-                    "start-s": "",
-                    "window": "",
-                    "rto-ms": "",
-                    "max-retx": "",
-                    "safety": "",
-                    "est-fast-s": "",
-                    "est-slow-s": "",
-                    "startup-s": "",
-                    "capacity-s": "",
-                },
-                where,
-            )
-            for required in ("consumer", "videos"):
-                if required not in kv:
-                    raise InvalidConfig(f"{where}: session needs {required}")
-            scenario.sessions.append(
-                SessionSpec(
-                    session_id=tokens[1],
-                    consumer=kv["consumer"],
-                    videos=kv["videos"].split(","),
-                    start_s=float(kv.get("start-s", "0")),
-                    window=int(kv.get("window", "8")),
-                    rto_ms=float(kv.get("rto-ms", "1000")),
-                    max_retx=int(kv.get("max-retx", "3")),
-                    safety=float(kv.get("safety", "0.95")),
-                    est_fast_s=float(kv.get("est-fast-s", "2")),
-                    est_slow_s=float(kv.get("est-slow-s", "6")),
-                    startup_s=float(kv.get("startup-s", "2")),
-                    capacity_s=float(kv.get("capacity-s", "30")),
-                )
-            )
-        elif section == "fch":
-            scenario.fch[tokens[0]] = tokens[1:]
-        elif section == "prewarm":
-            if len(tokens) != 4:
-                raise InvalidConfig(f"{where}: prewarm needs node video tier fraction")
-            scenario.prewarm.append(
-                PrewarmSpec(tokens[0], tokens[1], tokens[2], float(tokens[3]))
-            )
-        elif section == "throttles":
-            if len(tokens) < 2:
-                raise InvalidConfig(f"{where}: throttle needs src dst")
-            kv = _kv(tokens[2:], {"at-s": "", "bw": ""}, where)
-            if "at-s" not in kv or "bw" not in kv:
-                raise InvalidConfig(f"{where}: throttle needs at-s and bw")
-            scenario.throttles.append(
-                ThrottleSpec(tokens[0], tokens[1], float(kv["at-s"]), parse_bandwidth(kv["bw"]))
-            )
-        elif section == "metrics":
-            if tokens[0] == "jitter" and len(tokens) == 2 and tokens[1] in ("mad", "var"):
-                scenario.jitter_mode = tokens[1]
-            else:
-                raise InvalidConfig(f"{where}: unknown metrics entry {line!r}")
+        try:
+            _parse_entry(scenario, videos, section, line, where)
+        except (ValueError, MalformedName) as exc:
+            raise InvalidConfig(f"{where}: {exc}") from exc
     _validate(scenario)
     return scenario
+
+
+def _parse_entry(
+    scenario: Scenario,
+    videos: dict[str, VideoSpec],
+    section: str | None,
+    line: str,
+    where: str,
+) -> None:
+    """Add one non-header line to the scenario. Malformed values raise
+    ValueError or MalformedName; the caller reports them by line."""
+    tokens = line.split()
+    if section is None:
+        if tokens[0] == "scenario" and len(tokens) == 2:
+            scenario.scenario_id = tokens[1]
+        elif tokens[0] == "seed" and len(tokens) == 2:
+            scenario.seed = int(tokens[1])
+        elif tokens[0] == "horizon" and len(tokens) == 2:
+            scenario.horizon_s = float(tokens[1])
+        else:
+            raise InvalidConfig(f"{where}: unknown directive {tokens[0]!r}")
+    elif section == "nodes":
+        kind = tokens[0]
+        if kind not in _NODE_KEYS:
+            raise InvalidConfig(f"{where}: unknown node kind {kind!r}")
+        if len(tokens) < 2:
+            raise InvalidConfig(f"{where}: node needs an id")
+        keys = _NODE_KEYS[kind]
+        kv = _kv(tokens[2:], keys, where)
+        scenario.nodes.append(NodeSpec(tokens[1], kind, **_fields(kv, keys)))
+    elif section == "links":
+        if len(tokens) < 2:
+            raise InvalidConfig(f"{where}: link needs two endpoints")
+        kv = _kv(tokens[2:], _LINK_KEYS, where)
+        scenario.links.append(LinkSpec(tokens[0], tokens[1], **_fields(kv, _LINK_KEYS)))
+    elif section == "routes":
+        if len(tokens) < 3:
+            raise InvalidConfig(f"{where}: route needs node, prefix, via")
+        kv = _kv(tokens[3:], _ROUTE_KEYS, where)
+        name_parse(tokens[1])
+        scenario.routes.append(
+            RouteSpec(tokens[0], tokens[1], tokens[2], **_fields(kv, _ROUTE_KEYS))
+        )
+    elif section == "videos":
+        if tokens[0] == "video":
+            kv = _kv(tokens[2:], {"server", "prefix", "duration-s", *_VIDEO_KEYS}, where)
+            for required in ("server", "prefix", "duration-s"):
+                if required not in kv:
+                    raise InvalidConfig(f"{where}: video needs {required}")
+            name_parse(kv["prefix"])
+            spec = VideoSpec(
+                video_id=tokens[1],
+                server=kv["server"],
+                prefix=kv["prefix"],
+                duration_s=float(kv["duration-s"]),
+                **_fields(kv, _VIDEO_KEYS),
+            )
+            videos[spec.video_id] = spec
+            scenario.videos.append(spec)
+        elif tokens[0] == "tier":
+            if len(tokens) < 3 or tokens[1] not in videos:
+                raise InvalidConfig(f"{where}: tier needs a declared video id")
+            kv = _kv(tokens[3:], {"height", "min-bw", "media"}, where)
+            if "min-bw" not in kv:
+                raise InvalidConfig(f"{where}: tier needs min-bw")
+            min_bw = int(parse_bandwidth(kv["min-bw"]) or 0)
+            media = int(parse_bandwidth(kv["media"]) or 0) if "media" in kv else min_bw
+            videos[tokens[1]].tiers.append(
+                Representation(
+                    label=tokens[2],
+                    height=int(kv.get("height", "0")) or 1,
+                    min_bandwidth_bps=min_bw,
+                    media_bitrate_bps=media,
+                )
+            )
+        else:
+            raise InvalidConfig(f"{where}: unknown videos entry {tokens[0]!r}")
+    elif section == "sessions":
+        if tokens[0] != "session" or len(tokens) < 2:
+            raise InvalidConfig(f"{where}: expected 'session <id> ...'")
+        kv = _kv(
+            tokens[2:],
+            {"consumer", "videos", *_SESSION_KEYS, *_ENGINE_KEYS, *_PLAYER_KEYS},
+            where,
+        )
+        for required in ("consumer", "videos"):
+            if required not in kv:
+                raise InvalidConfig(f"{where}: session needs {required}")
+        # SessionConfig and FetchEngine check their own ranges here, so a
+        # bad value fails validation instead of the run.
+        config = SessionConfig(
+            FetchEngine(**_fields(kv, _ENGINE_KEYS)), **_fields(kv, _PLAYER_KEYS)
+        )
+        scenario.sessions.append(
+            SessionSpec(
+                session_id=tokens[1],
+                consumer=kv["consumer"],
+                videos=kv["videos"].split(","),
+                config=config,
+                **_fields(kv, _SESSION_KEYS),
+            )
+        )
+    elif section == "fch":
+        scenario.fch[tokens[0]] = tokens[1:]
+    elif section == "prewarm":
+        if len(tokens) != 4:
+            raise InvalidConfig(f"{where}: prewarm needs node video tier fraction")
+        scenario.prewarm.append(PrewarmSpec(tokens[0], tokens[1], tokens[2], float(tokens[3])))
+    elif section == "throttles":
+        if len(tokens) < 2:
+            raise InvalidConfig(f"{where}: throttle needs src dst")
+        kv = _kv(tokens[2:], {"at-s", "bw"}, where)
+        if "at-s" not in kv or "bw" not in kv:
+            raise InvalidConfig(f"{where}: throttle needs at-s and bw")
+        scenario.throttles.append(
+            ThrottleSpec(tokens[0], tokens[1], float(kv["at-s"]), parse_bandwidth(kv["bw"]))
+        )
+    elif section == "metrics":
+        if tokens[0] == "jitter" and len(tokens) == 2 and tokens[1] in ("mad", "var"):
+            scenario.jitter_mode = tokens[1]
+        else:
+            raise InvalidConfig(f"{where}: unknown metrics entry {line!r}")
 
 
 def load_scenario(path) -> Scenario:
@@ -407,7 +420,6 @@ def _validate(scenario: Scenario) -> None:
             raise InvalidConfig(f"video {video.video_id!r} needs a producer server")
         if not video.tiers:
             raise InvalidConfig(f"video {video.video_id!r} has no tiers")
-        name_parse(video.prefix)
     for session in scenario.sessions:
         if session.consumer not in known or kinds[session.consumer] != "consumer":
             raise InvalidConfig(f"session {session.session_id!r} needs a consumer")
@@ -424,6 +436,8 @@ def _validate(scenario: Scenario) -> None:
     for consumer, gateways in scenario.fch.items():
         if consumer not in known or kinds[consumer] != "consumer":
             raise InvalidConfig(f"fch entry for non-consumer {consumer!r}")
+        if not gateways:
+            raise InvalidConfig(f"fch entry for {consumer!r} lists no gateways")
         for gw in gateways:
             if gw not in known:
                 raise InvalidConfig(f"fch references unknown node {gw!r}")
@@ -434,18 +448,17 @@ def _validate(scenario: Scenario) -> None:
             raise InvalidConfig(f"prewarm references unknown video {pw.video!r}")
         if not 0 <= pw.fraction <= 1:
             raise InvalidConfig("prewarm fraction must be within [0, 1]")
-    by_direction: dict[tuple[str, str], list[tuple[float, float | None]]] = {}
+    last_at: dict[tuple[str, str], float] = {}
     for throttle in scenario.throttles:
         if throttle.src not in known or throttle.dst not in known:
             raise InvalidConfig("throttle references unknown node")
-        by_direction.setdefault((throttle.src, throttle.dst), []).append(
-            (throttle.at_s, throttle.bw_bps)
-        )
-    for (src, dst), points in by_direction.items():
-        try:
-            ThrottleSchedule(points)
-        except ValueError as exc:
-            raise InvalidConfig(f"throttle {src}->{dst}: {exc}") from exc
+        direction = (throttle.src, throttle.dst)
+        if direction in last_at and throttle.at_s <= last_at[direction]:
+            raise InvalidConfig(
+                f"throttle {throttle.src}->{throttle.dst}: "
+                "throttle timestamps must be strictly increasing"
+            )
+        last_at[direction] = throttle.at_s
 
 
 def prewarm_cache(
@@ -523,8 +536,6 @@ class ScenarioRun:
             )
         for route in scenario.routes:
             sim.add_route(route.node, name_parse(route.prefix), route.via, route.cost)
-        for consumer, gateways in scenario.fch.items():
-            sim.fch.add(consumer, gateways)
 
         for video in scenario.videos:
             catalog = package_video(
@@ -544,7 +555,7 @@ class ScenarioRun:
             producer_host.announce(name_parse(video.prefix))
 
         prefixes = [name_parse(v.prefix) for v in scenario.videos]
-        sim.validate_reachability(prefixes)
+        sim.validate_reachability(prefixes, scenario.fch)
 
         for pw in scenario.prewarm:
             video = next(v for v in scenario.videos if v.video_id == pw.video)
@@ -580,14 +591,6 @@ class ScenarioRun:
         video_spec = next(v for v in scenario.videos if v.video_id == spec.videos[0])
         prefix = name_parse(video_spec.prefix)
         key = self.repos[video_spec.server].key
-        config = SessionConfig(
-            engine=FetchEngine(spec.window, spec.rto_ms, spec.max_retx),
-            safety_factor=spec.safety,
-            half_life_fast_s=spec.est_fast_s,
-            half_life_slow_s=spec.est_slow_s,
-            startup_threshold_s=spec.startup_s,
-            buffer_capacity_s=spec.capacity_s,
-        )
         session = PlayerSession(
             session_id=spec.session_id,
             transport=host,
@@ -595,7 +598,7 @@ class ScenarioRun:
             video_ids=spec.videos,
             key=key,
             rng=random.Random(derive_seed(scenario.seed, f"session:{spec.session_id}")),
-            config=config,
+            config=spec.config,
         )
         host.sessions.append(session)
         self.sessions.append(session)
@@ -607,9 +610,7 @@ class ScenarioRun:
                 return
             if spec.consumer in scenario.fch:
                 probe_base = prefix.append(spec.videos[0], "playlist.m3u8")
-                host.probe_gateways(
-                    sim.fch.lookup(spec.consumer), probe_base, session.start
-                )
+                host.probe_gateways(scenario.fch[spec.consumer], probe_base, session.start)
             else:
                 host.attach_direct()
                 session.start()
@@ -632,7 +633,7 @@ class ScenarioRun:
         return payload
 
     def all_sessions_done(self) -> bool:
-        return all(s.state is SessionState.ENDED for s in self.sessions)
+        return all(s.ended_at is not None for s in self.sessions)
 
     def run(self) -> MetricsReport:
         sim = self.sim
@@ -662,12 +663,14 @@ class ScenarioRun:
                     "prefetch_sent": stats.prefetch_sent,
                 }
             elif isinstance(host, ProducerHost):
-                delays = host.repo.stats.response_delays_ms
+                # Every interest waits the same processing delay.
+                interests = host.repo.interests
+                delay_ms = host.repo.processing_delay_ms if interests else 0.0
                 server[node_id] = ServerSummary(
-                    interests=len(delays),
-                    mean_ms=sum(delays) / len(delays) if delays else 0.0,
-                    max_ms=max(delays) if delays else 0.0,
-                    within_5ms=host.repo.stats.fraction_within(5.0),
+                    interests=interests,
+                    mean_ms=delay_ms,
+                    max_ms=delay_ms,
+                    within_5ms=1.0 if interests and delay_ms <= 5.0 else 0.0,
                 )
         session_metrics = []
         for session in self.sessions:

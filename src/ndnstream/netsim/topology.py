@@ -15,10 +15,11 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 from ..consumer import PlayerSession
-from ..errors import AllProbesFailed, InvalidTopology, UnknownConsumer
+from ..errors import AllProbesFailed, InvalidTopology
 from ..forwarding import (
     ForwarderNode,
     SendData,
@@ -41,21 +42,6 @@ def derive_seed(seed: int, tag: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-class FchDirectory:
-    """Static closest-hub table: consumer id to candidate gateway ids."""
-
-    def __init__(self):
-        self.candidates: dict[str, list[str]] = {}
-
-    def add(self, consumer_id: str, gateways: list[str]) -> None:
-        self.candidates[consumer_id] = list(gateways)
-
-    def lookup(self, consumer_id: str) -> list[str]:
-        if consumer_id not in self.candidates:
-            raise UnknownConsumer(consumer_id)
-        return list(self.candidates[consumer_id])
-
-
 @dataclass
 class _Probe:
     gateway: str
@@ -64,26 +50,30 @@ class _Probe:
     rtt_ms: float | None = None
 
 
-class ForwarderHost:
-    kind = "forwarder"
+class _FacedHost:
+    """Face bookkeeping shared by every host kind: one face per attached link."""
 
-    def __init__(self, sim: "NetworkSim", node: ForwarderNode):
+    def __init__(self, sim: "NetworkSim", node_id: str):
         self.sim = sim
-        self.node = node
+        self.node_id = node_id
         self.face_link: dict[int, tuple[Link, str]] = {}
         self.peer_face: dict[str, int] = {}
-        self._next_face = 1
-
-    @property
-    def node_id(self) -> str:
-        return self.node.node_id
 
     def attach_link(self, link: Link, peer: str) -> int:
-        face = self._next_face
-        self._next_face += 1
-        self.node.add_face(face)
+        face = len(self.face_link) + 1
         self.face_link[face] = (link, peer)
         self.peer_face[peer] = face
+        return face
+
+
+class ForwarderHost(_FacedHost):
+    def __init__(self, sim: "NetworkSim", node: ForwarderNode):
+        super().__init__(sim, node.node_id)
+        self.node = node
+
+    def attach_link(self, link: Link, peer: str) -> int:
+        face = super().attach_link(link, peer)
+        self.node.add_face(face)
         return face
 
     def receive(self, from_face: int, packet: Packet, from_producer: bool) -> None:
@@ -109,24 +99,11 @@ class ForwarderHost:
                 self.sim.send(self.node_id, action.face, action.nack, False)
 
 
-class ProducerHost:
-    kind = "producer"
-
+class ProducerHost(_FacedHost):
     def __init__(self, sim: "NetworkSim", node_id: str, repo: Repository):
-        self.sim = sim
-        self.node_id = node_id
+        super().__init__(sim, node_id)
         self.repo = repo
-        self.face_link: dict[int, tuple[Link, str]] = {}
-        self.peer_face: dict[str, int] = {}
         self.announced: list[Name] = []
-        self._next_face = 1
-
-    def attach_link(self, link: Link, peer: str) -> int:
-        face = self._next_face
-        self._next_face += 1
-        self.face_link[face] = (link, peer)
-        self.peer_face[peer] = face
-        return face
 
     def announce(self, prefix: Name) -> None:
         self.announced.append(prefix)
@@ -147,17 +124,16 @@ class ProducerHost:
         )
 
 
-class ConsumerHost:
-    """Endpoint running player sessions; doubles as their transport."""
+class ConsumerHost(_FacedHost):
+    """Endpoint running player sessions; doubles as their transport.
 
-    kind = "consumer"
+    ``sessions`` holds every owner of an ``active_fetch``: the player
+    sessions, plus the stand-alone fetch of ``fetch_file_via`` while it runs.
+    """
 
     def __init__(self, sim: "NetworkSim", node_id: str, rng: random.Random):
-        self.sim = sim
-        self.node_id = node_id
+        super().__init__(sim, node_id)
         self.rng = rng
-        self.face_link: dict[int, tuple[Link, str]] = {}
-        self.peer_face: dict[str, int] = {}
         self.sessions: list[PlayerSession] = []
         self.gateway_face: int | None = None
         self.probe_results: dict[str, float] = {}
@@ -165,14 +141,6 @@ class ConsumerHost:
         self._probes: list[_Probe] = []
         self._probe_name: Name | None = None
         self._on_attached: Callable[[], None] | None = None
-        self._next_face = 1
-
-    def attach_link(self, link: Link, peer: str) -> int:
-        face = self._next_face
-        self._next_face += 1
-        self.face_link[face] = (link, peer)
-        self.peer_face[peer] = face
-        return face
 
     # -- transport protocol for sessions ---------------------------------
 
@@ -265,13 +233,13 @@ class ConsumerHost:
             for session in self.sessions:
                 fetch = session.active_fetch
                 if fetch is not None and name_is_prefix_of(fetch.base, full):
-                    session.handle_data(packet, not from_producer)
+                    fetch.handle_data(packet, not from_producer)
                     return
         elif isinstance(packet, Nack):
             for session in self.sessions:
                 fetch = session.active_fetch
                 if fetch is not None and name_is_prefix_of(fetch.base, packet.interest_name):
-                    session.handle_nack(packet)
+                    fetch.handle_nack(packet)
                     return
 
 
@@ -286,7 +254,6 @@ class NetworkSim:
         self.engine = EventEngine()
         self.hosts: dict[str, Host] = {}
         self.links: list[Link] = []
-        self.fch = FchDirectory()
         self.data_tap: Callable[[Data, str, str], Data] | None = None
         self._sweeping = False
 
@@ -362,13 +329,16 @@ class NetworkSim:
 
     # -- validation ---------------------------------------------------------
 
-    def validate_reachability(self, prefixes: list[Name]) -> None:
+    def validate_reachability(
+        self, prefixes: list[Name], fch: dict[str, list[str]] | None = None
+    ) -> None:
         """Every consumer must reach a producer serving each prefix through
-        each of its candidate gateways."""
+        each of its candidate gateways: its ``fch`` entry if it has one,
+        else every linked peer."""
         for host in self.hosts.values():
             if not isinstance(host, ConsumerHost):
                 continue
-            gateways = self.fch.candidates.get(
+            gateways = (fch or {}).get(
                 host.node_id, [peer for _, peer in host.face_link.values()]
             )
             for prefix in prefixes:
@@ -438,19 +408,6 @@ class NetworkSim:
         return counts
 
 
-class _FetchAdapter:
-    """Routes one stand-alone file fetch through a consumer host."""
-
-    def __init__(self):
-        self.active_fetch = None
-
-    def handle_data(self, data, from_cache):
-        self.active_fetch.handle_data(data, from_cache)
-
-    def handle_nack(self, nack):
-        self.active_fetch.handle_nack(nack)
-
-
 def fetch_file_via(
     sim: NetworkSim,
     consumer_id: str,
@@ -471,7 +428,6 @@ def fetch_file_via(
         raise InvalidTopology(f"{consumer_id} is not a consumer")
     if host.gateway_face is None:
         host.attach_direct()
-    adapter = _FetchAdapter()
     result: dict = {}
     fetch = FileFetch(
         host,
@@ -482,13 +438,13 @@ def fetch_file_via(
         lambda payload, timings: result.update(payload=payload, timings=timings),
         lambda exc: result.update(error=exc),
     )
-    adapter.active_fetch = fetch
-    host.sessions.append(adapter)
+    owner = SimpleNamespace(active_fetch=fetch)
+    host.sessions.append(owner)
     try:
         fetch.start()
         sim.engine.run()
     finally:
-        host.sessions.remove(adapter)
+        host.sessions.remove(owner)
     if "error" in result:
         raise result["error"]
     return result["payload"], result["timings"]

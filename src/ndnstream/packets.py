@@ -15,6 +15,7 @@ from enum import Enum
 from .names import Name, VersionedChunkName, name_format
 
 DEFAULT_INTEREST_LIFETIME_MS = 4000
+DEFAULT_FRESHNESS_MS = 3_600_000
 
 TAG_LEN = 32
 _ZERO_TAG = b"\x00" * TAG_LEN
@@ -39,7 +40,7 @@ class Data:
     name: VersionedChunkName
     content: bytes = b""
     final_chunk: int = 0
-    freshness_ms: int = 3_600_000
+    freshness_ms: int = DEFAULT_FRESHNESS_MS
     integrity_tag: bytes = _ZERO_TAG
 
     def __post_init__(self) -> None:

@@ -18,11 +18,19 @@ import numpy as np
 
 from .errors import InvalidConfig, UnknownRepresentation, VersionRegression
 from .names import Name, VersionedChunkName, name_parse
-from .packets import Data, Interest, KeyMaterial, Nack, NackReason, sign_data, verify_data
+from .packets import (
+    DEFAULT_FRESHNESS_MS,
+    Data,
+    Interest,
+    KeyMaterial,
+    Nack,
+    NackReason,
+    sign_data,
+    verify_data,
+)
 from .wire import decode_packet, encode_packet
 
 DEFAULT_CHUNK_SIZE = 8000
-DEFAULT_FRESHNESS_MS = 3_600_000
 
 
 @dataclass(frozen=True)
@@ -142,20 +150,6 @@ def chunk_payload(payload: bytes, chunk_size: int) -> list[bytes]:
     return [payload[i : i + chunk_size] for i in range(0, len(payload), chunk_size)]
 
 
-@dataclass
-class ServerStats:
-    response_delays_ms: list[float] = field(default_factory=list)
-
-    def record(self, delay_ms: float) -> None:
-        self.response_delays_ms.append(delay_ms)
-
-    def fraction_within(self, threshold_ms: float) -> float:
-        if not self.response_delays_ms:
-            return 0.0
-        hits = sum(1 for d in self.response_delays_ms if d <= threshold_ms)
-        return hits / len(self.response_delays_ms)
-
-
 class Repository:
     """Stores signed chunks by full name and tracks the latest version per file."""
 
@@ -164,7 +158,7 @@ class Repository:
         self.processing_delay_ms = processing_delay_ms
         self.store: dict[Name, Data] = {}
         self.latest: dict[Name, int] = {}
-        self.stats = ServerStats()
+        self.interests = 0  # answered by resolve, each after processing_delay_ms
 
     def publish_file(
         self,
@@ -204,7 +198,7 @@ class Repository:
 
     def resolve(self, interest: Interest) -> Data | Nack:
         """Answer an interest: exact chunk, or version discovery for a base name."""
-        self.stats.record(self.processing_delay_ms)
+        self.interests += 1
         if not interest.can_be_prefix:
             data = self.store.get(interest.name)
             if data is None:
@@ -248,17 +242,6 @@ class Repository:
                     self.latest[base] = version
                 count += 1
         return count
-
-
-def video_file_names(prefix: Name, catalog: VideoCatalog) -> dict[str, Name]:
-    """Base names of every file a catalog publishes, keyed by a short role tag."""
-    root = prefix.append(catalog.video_id)
-    names: dict[str, Name] = {"master": root.append("playlist.m3u8")}
-    for rep in catalog.representations:
-        names[f"{rep.label}/playlist"] = root.append(rep.label, "playlist.m3u8")
-        for k in range(catalog.segment_count):
-            names[f"{rep.label}/seg{k}"] = root.append(rep.label, f"seg{k}.m4s")
-    return names
 
 
 def representation_files(prefix: Name, catalog: VideoCatalog, label: str) -> list[Name]:

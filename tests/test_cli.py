@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ndnstream.cli import main
 
 GOOD = """
@@ -50,6 +52,40 @@ def test_validate_names_unknown_key(tmp_path, capsys):
     scn.write_text(GOOD.replace("prop-ms=5", "zoom=5"))
     assert main(["validate", str(scn)]) == 1
     assert "zoom" in capsys.readouterr().err
+
+
+SESSION = "session s1 consumer=c1 videos=foo"
+
+# Each case edits GOOD into a scenario that must fail validation with a
+# config error: malformed values, out-of-range session values and loose
+# spellings that used to pass validation or escape as a traceback.
+BAD_VALUES = [
+    pytest.param(SESSION, SESSION + " window=abc", id="window-not-int"),
+    pytest.param("cs=8MB", "cs=8MB strategy=prefetch:x", id="prefetch-depth-not-int"),
+    pytest.param("seed 2", "seed 2\nhorizon x", id="horizon-not-float"),
+    pytest.param(SESSION, SESSION + "\n[prewarm]\ngw foo 240p most", id="prewarm-not-float"),
+    pytest.param(SESSION, SESSION + " window=0", id="window-zero"),
+    pytest.param(SESSION, SESSION + " safety=1.5", id="safety-above-one"),
+    pytest.param(SESSION, SESSION + " startup-s=40", id="startup-above-capacity"),
+    pytest.param("cs=8MB", "cs=8MB strategy=prefetchfoo", id="strategy-misspelt"),
+    pytest.param("cs=8MB", "cs=8MB strategy=prefetch:0", id="prefetch-depth-zero"),
+    pytest.param("cs=8MB", "cs=8MB strategy=prefetch:-2", id="prefetch-depth-negative"),
+    pytest.param("cs=8MB", "cs=8MB aggregate=yes", id="aggregate-not-on-off"),
+    pytest.param(SESSION, SESSION + "\n[fch]\nc1", id="fch-no-gateways"),
+    pytest.param("prefix=/p", "prefix=p", id="video-prefix-malformed"),
+    pytest.param("gw /p srv", "gw p srv", id="route-prefix-malformed"),
+]
+
+
+@pytest.mark.parametrize("old,new", BAD_VALUES)
+def test_validate_rejects_bad_value(tmp_path, capsys, old, new):
+    assert old in GOOD
+    scn = tmp_path / "bad.scn"
+    scn.write_text(GOOD.replace(old, new))
+    assert main(["validate", str(scn)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
 
 
 def test_run_missing_file_is_config_error(tmp_path, capsys):

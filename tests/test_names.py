@@ -10,7 +10,6 @@ from ndnstream.names import (
     name_format,
     name_is_prefix_of,
     name_parse,
-    parse_versioned,
 )
 
 from conftest import random_name
@@ -98,10 +97,3 @@ def test_versioned_full_form():
 def test_versioned_rejects_marker_in_base():
     with pytest.raises(MalformedName):
         VersionedChunkName(Name((b"a", b"v=1")), 1, 0)
-
-
-def test_parse_versioned_round_trip():
-    vc = VersionedChunkName(name_parse("/a/b/c"), 7, 0)
-    assert parse_versioned(vc.full()) == vc
-    assert parse_versioned(name_parse("/a/b")) is None
-    assert parse_versioned(name_parse("/a/v=1")) is None

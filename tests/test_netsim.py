@@ -7,7 +7,6 @@ from ndnstream.errors import (
     InvalidConfig,
     InvalidTopology,
     SchedulingInPast,
-    UnknownConsumer,
 )
 from ndnstream.names import name_parse
 from ndnstream.netsim.engine import EventEngine
@@ -229,15 +228,13 @@ def test_unreachable_prefix_detected(key):
 
 
 def test_fch_returns_configured_candidates():
-    sim = NetworkSim()
-    sim.fch.add("c1", ["hubA", "hubB"])
-    assert sim.fch.lookup("c1") == ["hubA", "hubB"]
+    scenario = parse_scenario(MINIMAL + "\n[fch]\nc1 gw\n")
+    assert scenario.fch == {"c1": ["gw"]}
 
 
 def test_fch_unknown_consumer():
-    sim = NetworkSim()
-    with pytest.raises(UnknownConsumer):
-        sim.fch.lookup("c9")
+    with pytest.raises(InvalidConfig, match="c9"):
+        parse_scenario(MINIMAL + "\n[fch]\nc9 gw\n")
 
 
 # -- prewarm -------------------------------------------------------------------------

@@ -8,6 +8,11 @@ keeps the forwarding logic synchronous and directly testable.
 Face 0 is reserved on every node as an internal face: prefetch-created
 PIT entries list it as their only downstream so the fetched data lands in
 the content store without being forwarded anywhere.
+
+Names match by one rule: an interest names one chunk exactly or, with
+CanBePrefix, one file's base. The content store answers a base through
+its base index, and a data packet satisfies the PIT entries at its full
+name and at its base, so neither table is ever scanned.
 """
 
 from __future__ import annotations
@@ -90,11 +95,16 @@ class _CsEntry:
 
 
 class ContentStore:
-    """Byte-capacity LRU cache of data packets keyed by full name."""
+    """Byte-capacity LRU cache of data packets keyed by full name.
+
+    ``by_base`` indexes the cached full names by file base, so a discovery
+    interest finds its file's chunks without a scan.
+    """
 
     def __init__(self, capacity_bytes: int):
         self.capacity_bytes = capacity_bytes
         self.entries: OrderedDict[Name, _CsEntry] = OrderedDict()
+        self.by_base: dict[Name, set[Name]] = {}
         self.used_bytes = 0
 
     def __len__(self) -> int:
@@ -106,42 +116,40 @@ class ContentStore:
     def _drop(self, full_name: Name) -> None:
         entry = self.entries.pop(full_name)
         self.used_bytes -= entry.size
+        base = entry.data.name.base
+        names = self.by_base[base]
+        names.remove(full_name)
+        if not names:
+            del self.by_base[base]
 
     def contains_fresh(self, full_name: Name, now: float) -> bool:
         entry = self.entries.get(full_name)
         return entry is not None and not self._stale(entry, now)
 
     def lookup(self, interest: Interest, now: float) -> Data | None:
-        """Exact match, or best (highest version, lowest chunk) under a prefix."""
-        if not interest.can_be_prefix:
-            entry = self.entries.get(interest.name)
-            if entry is None:
+        """The fresh packet named exactly, else, for a CanBePrefix interest
+        on a file base, that file's lowest fresh chunk of its highest fresh
+        version. Stale entries met on the way are dropped."""
+        full_name = interest.name
+        if interest.can_be_prefix and full_name not in self.entries:
+            fresh: dict[Name, tuple[int, int]] = {}
+            for cached in list(self.by_base.get(full_name, ())):
+                entry = self.entries[cached]
+                if self._stale(entry, now):
+                    self._drop(cached)
+                else:
+                    fresh[cached] = (-entry.data.name.version, entry.data.name.chunk)
+            if not fresh:
                 return None
-            if self._stale(entry, now):
-                self._drop(interest.name)
-                return None
-            self.entries.move_to_end(interest.name)
-            return entry.data
-        best_name: Name | None = None
-        best_key: tuple[int, int] | None = None
-        stale: list[Name] = []
-        for full_name, entry in self.entries.items():
-            if not name_is_prefix_of(interest.name, full_name):
-                continue
-            if self._stale(entry, now):
-                stale.append(full_name)
-                continue
-            vc = entry.data.name
-            key = (-vc.version, vc.chunk)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_name = full_name
-        for full_name in stale:
-            self._drop(full_name)
-        if best_name is None:
+            full_name = min(fresh, key=fresh.__getitem__)
+        entry = self.entries.get(full_name)
+        if entry is None:
             return None
-        self.entries.move_to_end(best_name)
-        return self.entries[best_name].data
+        if self._stale(entry, now):
+            self._drop(full_name)
+            return None
+        self.entries.move_to_end(full_name)
+        return entry.data
 
     def insert(self, data: Data, now: float) -> list[Name]:
         """Store a packet, evicting least-recently-accessed entries as needed.
@@ -156,11 +164,12 @@ class ContentStore:
         if full_name in self.entries:
             self._drop(full_name)
         self.entries[full_name] = _CsEntry(data, size, now)
+        self.by_base.setdefault(data.name.base, set()).add(full_name)
         self.used_bytes += size
         evicted: list[Name] = []
         while self.used_bytes > self.capacity_bytes:
-            victim, entry = self.entries.popitem(last=False)
-            self.used_bytes -= entry.size
+            victim = next(iter(self.entries))
+            self._drop(victim)
             evicted.append(victim)
         return evicted
 
@@ -277,13 +286,13 @@ class ForwarderNode:
     def on_data(self, from_face: int, data: Data, now: float) -> list[Action]:
         self._check_face(from_face)
         self.stats.data_in += 1
-        full_name = data.name.full()
-        matched = [n for n, e in self.pit.items() if name_is_prefix_of(n, full_name)]
-        if not matched:
-            return []  # unsolicited
         faces: set[int] = set()
-        for pit_name in matched:
-            faces.update(self.pit.pop(pit_name).downstream)
+        for pit_name in (data.name.full(), data.name.base):
+            entry = self.pit.pop(pit_name, None)
+            if entry is not None:
+                faces |= entry.downstream
+        if not faces:
+            return []  # unsolicited
         actions: list[Action] = []
         for face in sorted(faces):
             if face == INTERNAL_FACE:

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 
 class _Direction:
-    __slots__ = ("propagation_s", "bandwidth_bps", "queue_limit_bytes", "busy_until", "drops")
+    __slots__ = (
+        "propagation_s",
+        "bandwidth_bps",
+        "queue_limit_bytes",
+        "busy_until",
+        "drops",
+        "queued",
+        "queued_bytes",
+    )
 
     def __init__(self, propagation_ms: float, bandwidth_bps: float | None, queue_limit_bytes: int | None):
         self.propagation_s = propagation_ms / 1000.0
@@ -14,6 +23,19 @@ class _Direction:
         self.queue_limit_bytes = queue_limit_bytes
         self.busy_until = 0.0
         self.drops = 0
+        # Packets not yet fully sent, as (end of serialization, size, bytes/s
+        # they were queued at); tracked only under a queue limit.
+        self.queued: deque[tuple[float, int, float]] = deque()
+        self.queued_bytes = 0
+
+    def backlog_bytes(self, now: float) -> float:
+        """Bytes committed to the direction and not yet on the wire."""
+        while self.queued and self.queued[0][0] <= now:
+            self.queued_bytes -= self.queued.popleft()[1]
+        if not self.queued:
+            return 0.0
+        end, size, rate = self.queued[0]
+        return self.queued_bytes - size + (end - now) * rate
 
 
 @dataclass(frozen=True)
@@ -25,7 +47,8 @@ class Link:
     """FIFO per direction. A packet sent at ``now`` starts serializing when
     the direction goes idle and arrives one propagation delay after the
     last bit leaves. Bandwidth changes apply to packets sent afterwards;
-    anything already queued keeps its committed timing.
+    anything already queued keeps its committed timing, and counts toward
+    the tail-drop backlog with the bytes it has left at its own rate.
     """
 
     def __init__(
@@ -56,13 +79,15 @@ class Link:
             return now + d.propagation_s
         if d.queue_limit_bytes is not None:
             # Tail drop once the untransmitted backlog exceeds the limit.
-            backlog = max(0.0, d.busy_until - now) * d.bandwidth_bps / 8.0
-            if backlog > d.queue_limit_bytes:
+            if d.backlog_bytes(now) > d.queue_limit_bytes:
                 d.drops += 1
                 return Dropped()
         start = max(now, d.busy_until)
         serialization = size_bytes * 8.0 / d.bandwidth_bps
         d.busy_until = start + serialization
+        if d.queue_limit_bytes is not None:
+            d.queued.append((d.busy_until, size_bytes, d.bandwidth_bps / 8.0))
+            d.queued_bytes += size_bytes
         return d.busy_until + d.propagation_s
 
     def drop_counts(self) -> dict[str, int]:

@@ -229,10 +229,9 @@ class ConsumerHost(_FacedHost):
         if isinstance(packet, Data):
             if self._handle_probe_data(from_face, packet):
                 return
-            full = packet.name.full()
             for session in self.sessions:
                 fetch = session.active_fetch
-                if fetch is not None and name_is_prefix_of(fetch.base, full):
+                if fetch is not None and fetch.base == packet.name.base:
                     fetch.handle_data(packet, not from_producer)
                     return
         elif isinstance(packet, Nack):

@@ -197,21 +197,14 @@ class Repository:
         ]
 
     def resolve(self, interest: Interest) -> Data | Nack:
-        """Answer an interest: exact chunk, or version discovery for a base name."""
+        """Answer an interest: the chunk named exactly, else, for a
+        CanBePrefix interest on a file base, chunk 0 of its latest version."""
         self.interests += 1
-        if not interest.can_be_prefix:
-            data = self.store.get(interest.name)
-            if data is None:
-                return Nack(interest.name, NackReason.NO_CONTENT)
-            return data
-        version = self.latest.get(interest.name)
-        if version is None:
-            data = self.store.get(interest.name)
-            if data is not None:
-                return data
-            return Nack(interest.name, NackReason.NO_CONTENT)
-        full = VersionedChunkName(interest.name, version, 0).full()
-        return self.store[full]
+        data = self.store.get(interest.name)
+        if data is None and interest.can_be_prefix and interest.name in self.latest:
+            version = self.latest[interest.name]
+            data = self.store[VersionedChunkName(interest.name, version, 0).full()]
+        return data if data is not None else Nack(interest.name, NackReason.NO_CONTENT)
 
     def dump(self, path) -> int:
         """Write every stored chunk as a length-prefixed wire record."""

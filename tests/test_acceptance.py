@@ -4,8 +4,10 @@ Criteria that share an experiment reuse a module-scoped run. Tolerances
 are pinned here, not computed from the implementation under test.
 """
 
+import hashlib
 import json
 import math
+import pathlib
 import random
 import statistics
 import time
@@ -19,6 +21,7 @@ from ndnstream.experiments import (
     CACHE_CHUNK_BYTES,
     CACHE_LINK_BPS,
     CACHE_WINDOW,
+    EXTRA_SCENARIOS,
     STAIRCASE_STEP_S,
     STAIRCASE_STEPS_MBPS,
     experiment_scenario,
@@ -391,6 +394,25 @@ def test_criterion_9_determinism():
     payload = json.loads(first)
     assert payload["scenario_id"] == "multicast"
     _announce(9, "repeated canned run produced byte-identical report.json")
+
+
+def test_criterion_9_report_digests(staircase_run, no_cache_run, with_cache_run, prefetch_run):
+    """Every canned and extra scenario's report.json hashes to its pinned digest."""
+    pinned = json.loads((pathlib.Path(__file__).parent / "data" / "report_digests.json").read_text())
+    reports = {
+        "abr-staircase": staircase_run[0],
+        "no-cache": no_cache_run,
+        "with-cache": with_cache_run,
+        "prefetch": prefetch_run,
+        "multicast": run_scenario(experiment_scenario("multicast")),
+    }
+    for name in EXTRA_SCENARIOS:
+        reports[name] = run_scenario(extra_scenario(name))
+    got = {name: hashlib.sha256(r.to_json().encode()).hexdigest() for name, r in reports.items()}
+    if got != pinned:
+        print(json.dumps(got, indent=2))
+    assert got == pinned
+    _announce(9, f"{len(pinned)} canned and extra report.json digests match the pinned table")
 
 
 # -- criterion 10: micro-oracles ----------------------------------------------------------------

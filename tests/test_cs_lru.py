@@ -3,6 +3,7 @@
 import random
 
 from ndnstream.forwarding import ContentStore
+from ndnstream.names import name_parse
 from ndnstream.packets import Interest
 from ndnstream.wire import encoded_size
 
@@ -74,3 +75,73 @@ def test_lru_matches_shadow_model(key):
 
 def test_lru_matches_shadow_model_tight_capacity(key):
     run_equivalence(seed=7, ops=2000, capacity=800, name_space=10, payload_max=120, key=key)
+
+
+def _assert_index_matches(cs):
+    indexed = [n for names in cs.by_base.values() for n in names]
+    assert len(indexed) == len(cs.entries)
+    assert set(indexed) == set(cs.entries)
+    for base, names in cs.by_base.items():
+        assert names, f"empty index slot for {base}"
+        assert all(cs.entries[n].data.name.base == base for n in names)
+
+
+def run_discovery_equivalence(seed, ops, capacity, bases, key):
+    """Exact and discovery lookups over several versions and chunks per base,
+    with short-lived packets, against the shadow plus a brute-force scan."""
+    rng = random.Random(seed)
+    cs = ContentStore(capacity)
+    shadow = ShadowLru(capacity)
+    inserted = {}  # full name -> insert time, for the shadow's freshness
+
+    def stale(name, now):
+        return (now - inserted[name]) * 1000.0 > shadow.entries[name][2].freshness_ms
+
+    now = 0.0
+    for _ in range(ops):
+        now += 0.001
+        base = f"/s/{rng.randrange(bases)}"
+        op = rng.random()
+        if op < 0.5:
+            data = make_data(
+                base,
+                version=rng.randrange(1, 4),
+                chunk=rng.randrange(4),
+                final=3,
+                content=bytes(rng.randrange(80)),
+                key=key,
+                freshness_ms=rng.choice([40, 3_600_000]),
+            )
+            full = data.name.full()
+            evicted = cs.insert(data, now)
+            inserted[full] = now
+            assert evicted == shadow.insert(full, encoded_size(data), data)
+        elif op < 0.75:
+            full = make_data(base, version=rng.randrange(1, 4), chunk=rng.randrange(4)).name.full()
+            got = cs.lookup(Interest(full), now)
+            expected = None
+            if full in shadow.entries:
+                if stale(full, now):
+                    del shadow.entries[full]
+                else:
+                    expected = shadow.lookup(full)
+            assert got == expected
+        else:
+            under = [n for n in shadow.entries if shadow.entries[n][2].name.base == name_parse(base)]
+            for n in under:
+                if stale(n, now):
+                    del shadow.entries[n]
+            fresh = [n for n in under if n in shadow.entries]
+            expected = None
+            if fresh:
+                vc = lambda n: shadow.entries[n][2].name
+                expected = shadow.lookup(min(fresh, key=lambda n: (-vc(n).version, vc(n).chunk)))
+            got = cs.lookup(Interest(name_parse(base), can_be_prefix=True), now)
+            assert got == expected
+        assert cs.used_bytes <= capacity
+        assert set(cs.entries) == set(shadow.entries)
+        _assert_index_matches(cs)
+
+
+def test_discovery_lookup_matches_brute_force_under_churn(key):
+    run_discovery_equivalence(seed=11, ops=2000, capacity=3000, bases=6, key=key)

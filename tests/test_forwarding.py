@@ -100,6 +100,15 @@ def test_cs_prefix_prefers_highest_version_lowest_chunk(key):
     assert hit == v2c0
 
 
+def test_cs_prefix_lookup_answers_only_a_file_base(key):
+    # "/" and "/f/v=1" are prefixes of the cached name but not its base.
+    cs = ContentStore(1 << 20)
+    cs.insert(make_data("/f", version=1, chunk=0, key=key), 0.0)
+    for text in ("/", "/f/v=1"):
+        assert cs.lookup(Interest(name_parse(text), can_be_prefix=True), 0.1) is None
+    assert len(cs) == 1
+
+
 def test_cs_lru_eviction_scripted(key):
     a = make_data("/a", content=b"\x00" * 100, key=key)
     b = make_data("/b", content=b"\x00" * 100, key=key)
@@ -244,6 +253,28 @@ def test_discovery_pit_satisfied_by_versioned_data(key):
     data = make_data("/f", version=1, chunk=0, content=b"x", key=key)
     actions = node.on_data(3, data, 0.5)
     assert actions == [SendData(1, data)]
+
+
+def test_pit_satisfied_only_by_full_name_or_base(key):
+    node = make_node()
+    node.add_route(name_parse("/"), 3)
+    node.cs.insert(make_data("/f", version=1, chunk=1, final=1, key=key), 0.0)
+    root = node.on_interest(1, chunk_interest("/", nonce=1, prefix=True), 0.0)
+    version = node.on_interest(2, chunk_interest("/f/v=1", nonce=2, prefix=True), 0.0)
+    assert [type(a) for a in root + version] == [SendInterest, SendInterest]  # no CS hit
+    data = make_data("/f", version=1, chunk=0, final=1, key=key)
+    assert node.on_data(3, data, 0.5) == []  # unsolicited
+    assert set(node.pit) == {name_parse("/"), name_parse("/f/v=1")}
+
+
+def test_one_data_satisfies_discovery_and_chunk_entries(key):
+    node = make_node()
+    node.add_route(name_parse("/f"), 3)
+    node.on_interest(1, chunk_interest("/f", nonce=1, prefix=True), 0.0)
+    node.on_interest(2, chunk_interest("/f/v=1/c=0", nonce=2), 0.0)
+    data = make_data("/f", version=1, chunk=0, content=b"x", key=key)
+    assert node.on_data(3, data, 0.5) == [SendData(1, data), SendData(2, data)]
+    assert not node.pit
 
 
 def test_pit_aggregation_burst_property(key):

@@ -102,6 +102,17 @@ def test_tail_drop_when_queue_full():
     assert link.drop_counts()["a->b"] == 1
 
 
+def test_tail_drop_counts_bytes_queued_before_throttle():
+    # After a throttle to 0.8 Mbps the first packet still has 1000 B to send
+    # at 8 Mbps; the backlog is the bytes committed, not time left x new rate.
+    link = Link("a", "b", propagation_ms=1, bandwidth_bps=8_000_000, queue_limit_bytes=1500)
+    assert not isinstance(link.transmit("a", "b", 1000, 0.0), Dropped)
+    link.set_bandwidth("a", "b", 800_000)
+    assert not isinstance(link.transmit("a", "b", 1000, 0.0), Dropped)  # 1000 B queued
+    assert isinstance(link.transmit("a", "b", 1000, 0.0), Dropped)  # 2000 B queued
+    assert link.drop_counts()["a->b"] == 1
+
+
 def test_bandwidth_change_spares_in_flight():
     link = Link("a", "b", propagation_ms=0, bandwidth_bps=8_000_000)
     first = link.transmit("a", "b", 8000, 0.0)  # 8 ms serialization

@@ -18,7 +18,7 @@ from .errors import (
     IntegrityFailure,
     InvalidRequest,
 )
-from .names import Name, name_parse
+from .names import Name, chunk_name, name_parse
 from .packets import Data, Interest, KeyMaterial, Nack, NackReason, verify_data
 from .producer import Representation
 
@@ -48,7 +48,7 @@ class FetchEngine:
 
 @dataclass
 class ChunkTiming:
-    chunk: int
+    chunk: int | None  # None while it times a discovery no data has answered
     first_sent: float
     last_sent: float
     received: float | None = None
@@ -141,8 +141,11 @@ class PlaybackBuffer:
 class FileFetch:
     """Retrieves one file: version discovery, then window-pipelined chunks.
 
-    Every chunk timeout triggers a retransmission with a fresh nonce, up
-    to ``max_retx``; the chunk's RTT is measured from the latest send.
+    Discovery is the CanBePrefix request for the base, keyed ``None`` in
+    ``_outstanding`` and ``timings`` until data answers it; its timing then
+    moves to the chunk that answered. Every request that times out is
+    retransmitted with a fresh nonce, up to ``max_retx``, and its RTT is
+    measured from the latest send.
     """
 
     def __init__(
@@ -166,11 +169,9 @@ class FileFetch:
         self.started_at: float = 0.0
         self.version: int | None = None
         self.final_chunk: int | None = None
-        self.timings: dict[int, ChunkTiming] = {}
+        self.timings: dict[int | None, ChunkTiming] = {}
         self.contents: dict[int, bytes] = {}
-        self._outstanding: dict[int, int] = {}  # chunk -> send serial
-        self._discovery_serial = 0
-        self._discovery_retx = 0
+        self._outstanding: dict[int | None, int] = {}  # chunk (None: discovery) -> send serial
         self._next_chunk = 0
         self._done = False
         self.max_in_flight = 0
@@ -179,56 +180,34 @@ class FileFetch:
 
     def start(self) -> None:
         self.started_at = self.transport.now()
-        self._send_discovery()
+        self._send(None)
 
-    def _send_discovery(self) -> None:
-        now = self.transport.now()
-        self._discovery_serial += 1
-        serial = self._discovery_serial
-        interest = Interest(self.base, can_be_prefix=True, nonce=self.rng.getrandbits(32))
-        self.transport.send_interest(interest)
-        self.transport.schedule(
-            now + self.engine.rto_ms / 1000.0, lambda: self._discovery_timeout(serial)
-        )
-
-    def _discovery_timeout(self, serial: int) -> None:
-        if self._done or self.version is not None or serial != self._discovery_serial:
-            return
-        if self._discovery_retx >= self.engine.max_retx:
-            self._fail(FetchTimeout(f"discovery of {self.base} timed out"))
-            return
-        self._discovery_retx += 1
-        self._send_discovery()
-
-    def _chunk_name(self, chunk: int) -> Name:
-        return self.base.append(f"v={self.version}", f"c={chunk}")
-
-    def _send_chunk(self, chunk: int, retx: bool) -> None:
+    def _send(self, chunk: int | None) -> None:
         now = self.transport.now()
         serial = self._outstanding.get(chunk, 0) + 1
         self._outstanding[chunk] = serial
-        interest = Interest(self._chunk_name(chunk), nonce=self.rng.getrandbits(32))
+        name = self.base if chunk is None else chunk_name(self.base, self.version, chunk)
+        interest = Interest(name, can_be_prefix=chunk is None, nonce=self.rng.getrandbits(32))
         timing = self.timings.get(chunk)
         if timing is None:
             self.timings[chunk] = ChunkTiming(chunk, first_sent=now, last_sent=now)
         else:
             timing.last_sent = now
-            if retx:
-                timing.retx_count += 1
+            timing.retx_count += 1
         self.transport.send_interest(interest)
         self.transport.schedule(
-            now + self.engine.rto_ms / 1000.0, lambda: self._chunk_timeout(chunk, serial)
+            now + self.engine.rto_ms / 1000.0, lambda: self._timeout(chunk, serial)
         )
         self.max_in_flight = max(self.max_in_flight, len(self._outstanding))
 
-    def _chunk_timeout(self, chunk: int, serial: int) -> None:
+    def _timeout(self, chunk: int | None, serial: int) -> None:
         if self._done or self._outstanding.get(chunk) != serial:
             return
-        timing = self.timings[chunk]
-        if timing.retx_count >= self.engine.max_retx:
-            self._fail(FetchTimeout(f"chunk {chunk} of {self.base} timed out"))
+        if self.timings[chunk].retx_count >= self.engine.max_retx:
+            what = "discovery" if chunk is None else f"chunk {chunk}"
+            self._fail(FetchTimeout(f"{what} of {self.base} timed out"))
             return
-        self._send_chunk(chunk, retx=True)
+        self._send(chunk)
 
     def _fill_window(self) -> None:
         assert self.final_chunk is not None
@@ -237,7 +216,7 @@ class FileFetch:
             self._next_chunk += 1
             if chunk in self.contents:
                 continue
-            self._send_chunk(chunk, retx=False)
+            self._send(chunk)
 
     # -- receiving -------------------------------------------------------
 
@@ -248,39 +227,26 @@ class FileFetch:
         if not verify_data(data, self.key):
             self._fail(IntegrityFailure(f"bad tag on {data.name}"))
             return
-        if self.version is None:
-            # Discovery response: learn the version and total size.
-            if data.name.base != self.base:
-                return
-            self.version = data.name.version
-            self.final_chunk = data.final_chunk
-            chunk = data.name.chunk
-            timing = ChunkTiming(chunk, first_sent=self.started_at, last_sent=self._last_discovery_send())
-            timing.retx_count = self._discovery_retx
-            timing.received = now
-            timing.from_cache_hint = from_cache
-            self.timings[chunk] = timing
-            self.contents[chunk] = data.content
-            self._next_chunk = 0
-            self._fill_window()
-            self._maybe_finish()
-            return
-        if data.name.base != self.base or data.name.version != self.version:
+        if data.name.base != self.base:
             return
         chunk = data.name.chunk
-        if chunk not in self._outstanding:
+        if self.version is None:
+            # Data answering discovery: learn the version and total size.
+            self.version = data.name.version
+            self.final_chunk = data.final_chunk
+            del self._outstanding[None]
+            timing = self.timings[chunk] = self.timings.pop(None)
+            timing.chunk = chunk
+        elif data.name.version == self.version and chunk in self._outstanding:
+            del self._outstanding[chunk]
+            timing = self.timings[chunk]
+        else:
             return
-        del self._outstanding[chunk]
-        timing = self.timings[chunk]
         timing.received = now
         timing.from_cache_hint = from_cache
         self.contents[chunk] = data.content
         self._fill_window()
         self._maybe_finish()
-
-    def _last_discovery_send(self) -> float:
-        # Discovery re-sends happen exactly one rto apart.
-        return self.started_at + self._discovery_retx * self.engine.rto_ms / 1000.0
 
     def handle_nack(self, nack: Nack) -> None:
         if self._done:
@@ -402,7 +368,6 @@ class PlayerSession:
         key: KeyMaterial,
         rng: random.Random,
         config: SessionConfig | None = None,
-        on_finished: Callable[[], None] | None = None,
     ):
         self.session_id = session_id
         self.transport = transport
@@ -411,7 +376,6 @@ class PlayerSession:
         self.key = key
         self.rng = rng
         self.config = config or SessionConfig()
-        self.on_finished = on_finished
 
         self.estimator = BandwidthEstimator(
             self.config.half_life_fast_s, self.config.half_life_slow_s
@@ -465,8 +429,6 @@ class PlayerSession:
 
     def _end_session(self) -> None:
         self.ended_at = self.transport.now()
-        if self.on_finished is not None:
-            self.on_finished()
 
     def _abort(self, exc: FetchError) -> None:
         self.aborted = f"{type(exc).__name__}: {exc}"

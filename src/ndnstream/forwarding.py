@@ -22,7 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import UnknownFace
-from .names import Name, VersionedChunkName, name_is_prefix_of
+from .names import Name, chunk_name, name_is_prefix_of
 from .packets import Data, Interest, Nack, NackReason
 from .wire import encoded_size
 
@@ -327,7 +327,7 @@ class ForwarderNode:
         plan: list[Interest] = []
         last = min(vc.chunk + self.strategy.depth, trigger.final_chunk)
         for chunk in range(vc.chunk + 1, last + 1):
-            full = VersionedChunkName(vc.base, vc.version, chunk).full()
+            full = chunk_name(vc.base, vc.version, chunk)
             if self.cs.contains_fresh(full, now) or full in self.pit:
                 continue
             plan.append(Interest(name=full, can_be_prefix=False, nonce=self._rng.getrandbits(32)))

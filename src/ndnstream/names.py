@@ -98,6 +98,11 @@ def name_is_prefix_of(a: Name, b: Name) -> bool:
     return b.components[: len(a.components)] == a.components
 
 
+def chunk_name(base: Name, version: int, chunk: int) -> Name:
+    """The full name of one chunk: the base plus "v=<version>" and "c=<chunk>"."""
+    return base.append(f"v={version}", f"c={chunk}")
+
+
 def _is_marker(component: bytes) -> bool:
     return component.startswith(b"v=") or component.startswith(b"c=")
 
@@ -121,7 +126,7 @@ class VersionedChunkName:
             raise MalformedName("base name may not contain v=/c= components")
 
     def full(self) -> Name:
-        return self.base.append(f"v={self.version}", f"c={self.chunk}")
+        return chunk_name(self.base, self.version, self.chunk)
 
     def __str__(self) -> str:
         return name_format(self.full())

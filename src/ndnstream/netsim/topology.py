@@ -129,6 +129,8 @@ class ConsumerHost(_FacedHost):
 
     ``sessions`` holds every owner of an ``active_fetch``: the player
     sessions, plus the stand-alone fetch of ``fetch_file_via`` while it runs.
+    Data and nacks go to every active fetch of their file, since sessions
+    may fetch the same file at once.
     """
 
     def __init__(self, sim: "NetworkSim", node_id: str, rng: random.Random):
@@ -233,13 +235,11 @@ class ConsumerHost(_FacedHost):
                 fetch = session.active_fetch
                 if fetch is not None and fetch.base == packet.name.base:
                     fetch.handle_data(packet, not from_producer)
-                    return
         elif isinstance(packet, Nack):
             for session in self.sessions:
                 fetch = session.active_fetch
                 if fetch is not None and name_is_prefix_of(fetch.base, packet.interest_name):
                     fetch.handle_nack(packet)
-                    return
 
 
 Host = ForwarderHost | ProducerHost | ConsumerHost

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig, UnknownRepresentation, VersionRegression
-from .names import Name, VersionedChunkName, name_parse
+from .names import Name, VersionedChunkName, chunk_name, name_parse
 from .packets import (
     DEFAULT_FRESHNESS_MS,
     Data,
@@ -186,15 +186,13 @@ class Repository:
         self.latest[base] = version
         return len(chunks)
 
-    def file_chunk_names(self, base: Name, version: int | None = None) -> list[Name]:
-        """Full names of a file's chunks, in chunk order."""
-        v = self.latest[base] if version is None else version
-        first = self.store.get(VersionedChunkName(base, v, 0).full())
+    def file_chunk_names(self, base: Name) -> list[Name]:
+        """Full names of the chunks of a file's latest version, in chunk order."""
+        version = self.latest[base]
+        first = self.store.get(chunk_name(base, version, 0))
         if first is None:
             return []
-        return [
-            VersionedChunkName(base, v, k).full() for k in range(first.final_chunk + 1)
-        ]
+        return [chunk_name(base, version, k) for k in range(first.final_chunk + 1)]
 
     def resolve(self, interest: Interest) -> Data | Nack:
         """Answer an interest: the chunk named exactly, else, for a
@@ -203,7 +201,7 @@ class Repository:
         data = self.store.get(interest.name)
         if data is None and interest.can_be_prefix and interest.name in self.latest:
             version = self.latest[interest.name]
-            data = self.store[VersionedChunkName(interest.name, version, 0).full()]
+            data = self.store[chunk_name(interest.name, version, 0)]
         return data if data is not None else Nack(interest.name, NackReason.NO_CONTENT)
 
     def dump(self, path) -> int:

@@ -222,6 +222,29 @@ def test_lost_data_rtt_measured_from_retransmission(key):
     assert timing.last_sent - timing.first_sent == pytest.approx(1.0)
 
 
+def test_lost_discovery_rtt_measured_from_retransmission(key):
+    repo = Repository(key)
+    repo.publish_file(name_parse("/f"), b"\x09" * 3000, version=1, chunk_size=1000)
+    # drop the first discovery interest only
+    net = Loopback(repo, rtt_s=0.05, drop=lambda i, nth: i.can_be_prefix and nth == 1)
+    result = net.run_fetch(name_parse("/f"), FetchEngine(window=4, rto_ms=1000), key)
+    assert result["payload"] == b"\x09" * 3000
+    timing = next(t for t in result["timings"] if t.chunk == 0)
+    assert timing.retx_count == 1
+    assert timing.last_sent - timing.first_sent == pytest.approx(1.0)
+    assert timing.rtt_ms == pytest.approx(50.0)
+
+
+def test_discovery_budget_exhaustion_times_out(key):
+    repo = Repository(key)
+    repo.publish_file(name_parse("/f"), b"payload", version=1)
+    net = Loopback(repo, drop=lambda i, nth: i.can_be_prefix)
+    result = net.run_fetch(name_parse("/f"), FetchEngine(rto_ms=100, max_retx=2), key)
+    assert isinstance(result["error"], FetchTimeout)
+    assert str(result["error"]) == "discovery of /f timed out"
+    assert len(net.sent) == 3  # first send plus max_retx retransmissions
+
+
 def test_retx_budget_exhaustion_times_out(key):
     repo = Repository(key)
     repo.publish_file(name_parse("/f"), b"\x07" * 3000, version=1, chunk_size=1000)

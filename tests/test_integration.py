@@ -81,6 +81,42 @@ def test_full_session_plays_and_accounts():
     assert all(a < b for a, b in zip(stamps, stamps[1:]))
 
 
+TWO_SESSIONS = """
+scenario two-sessions
+seed 4
+
+[nodes]
+consumer c1
+forwarder gw cs=32MB
+producer srv delay-ms=1
+
+[links]
+c1 gw prop-ms=5 bw=50Mbps
+gw srv prop-ms=15 bw=20Mbps
+
+[routes]
+gw /ndn/web/video srv
+
+[videos]
+video foo server=srv prefix=/ndn/web/video duration-s=10 segment-s=2
+tier foo 720p height=720 min-bw=3.3Mbps
+
+[sessions]
+session s1 consumer=c1 videos=foo
+session s2 consumer=c1 videos=foo start-s=0.5
+"""
+
+
+def test_two_sessions_on_one_consumer_both_play():
+    # Both sessions fetch the same files; each packet must reach both
+    # fetches, not only the first session's (possibly finished) one.
+    report = run_scenario(parse_scenario(TWO_SESSIONS))
+    assert [s.session_id for s in report.sessions] == ["s1", "s2"]
+    for s in report.sessions:
+        assert s.aborted is None
+        assert s.media_played_s == pytest.approx(10.0)
+
+
 def test_in_flight_bound_holds_through_network():
     run = ScenarioRun(parse_scenario(CHAIN.replace("window=8", "window=3")))
     report = run.run()

@@ -7,6 +7,7 @@ from ndnstream.errors import MalformedName
 from ndnstream.names import (
     Name,
     VersionedChunkName,
+    chunk_name,
     name_format,
     name_is_prefix_of,
     name_parse,
@@ -92,6 +93,7 @@ def test_text_round_trip_property(name):
 def test_versioned_full_form():
     vc = VersionedChunkName(name_parse("/a/b"), 3, 12)
     assert name_format(vc.full()) == "/a/b/v=3/c=12"
+    assert chunk_name(name_parse("/a/b"), 3, 12) == vc.full()
 
 
 def test_versioned_rejects_marker_in_base():

@@ -11,8 +11,9 @@ the content store without being forwarded anywhere.
 
 Names match by one rule: an interest names one chunk exactly or, with
 CanBePrefix, one file's base. The content store answers a base through
-its base index, and a data packet satisfies the PIT entries at its full
-name and at its base, so neither table is ever scanned.
+its base index, and a data packet satisfies the PIT entry at its full
+name and, if a CanBePrefix interest created it, the one at its base, so
+neither table is ever scanned.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ class PitEntry:
     downstream: set[int]
     seen_nonces: set[int]
     expiry: float
+    can_be_prefix: bool  # of the interest that created the entry
 
 
 @dataclass
@@ -97,14 +99,15 @@ class _CsEntry:
 class ContentStore:
     """Byte-capacity LRU cache of data packets keyed by full name.
 
-    ``by_base`` indexes the cached full names by file base, so a discovery
-    interest finds its file's chunks without a scan.
+    ``by_base`` indexes the cached full names by file base and then by
+    (version, chunk), so a discovery interest finds its file's chunks and
+    the prefetcher tests a chunk slot without building or scanning names.
     """
 
     def __init__(self, capacity_bytes: int):
         self.capacity_bytes = capacity_bytes
         self.entries: OrderedDict[Name, _CsEntry] = OrderedDict()
-        self.by_base: dict[Name, set[Name]] = {}
+        self.by_base: dict[Name, dict[tuple[int, int], Name]] = {}
         self.used_bytes = 0
 
     def __len__(self) -> int:
@@ -116,11 +119,11 @@ class ContentStore:
     def _drop(self, full_name: Name) -> None:
         entry = self.entries.pop(full_name)
         self.used_bytes -= entry.size
-        base = entry.data.name.base
-        names = self.by_base[base]
-        names.remove(full_name)
-        if not names:
-            del self.by_base[base]
+        vc = entry.data.name
+        chunks = self.by_base[vc.base]
+        del chunks[vc.version, vc.chunk]
+        if not chunks:
+            del self.by_base[vc.base]
 
     def contains_fresh(self, full_name: Name, now: float) -> bool:
         entry = self.entries.get(full_name)
@@ -132,16 +135,15 @@ class ContentStore:
         version. Stale entries met on the way are dropped."""
         full_name = interest.name
         if interest.can_be_prefix and full_name not in self.entries:
-            fresh: dict[Name, tuple[int, int]] = {}
-            for cached in list(self.by_base.get(full_name, ())):
-                entry = self.entries[cached]
-                if self._stale(entry, now):
+            fresh: dict[tuple[int, int], Name] = {}
+            for (version, chunk), cached in list(self.by_base.get(full_name, {}).items()):
+                if self._stale(self.entries[cached], now):
                     self._drop(cached)
                 else:
-                    fresh[cached] = (-entry.data.name.version, entry.data.name.chunk)
+                    fresh[-version, chunk] = cached
             if not fresh:
                 return None
-            full_name = min(fresh, key=fresh.__getitem__)
+            full_name = fresh[min(fresh)]
         entry = self.entries.get(full_name)
         if entry is None:
             return None
@@ -164,7 +166,8 @@ class ContentStore:
         if full_name in self.entries:
             self._drop(full_name)
         self.entries[full_name] = _CsEntry(data, size, now)
-        self.by_base.setdefault(data.name.base, set()).add(full_name)
+        vc = data.name
+        self.by_base.setdefault(vc.base, {})[vc.version, vc.chunk] = full_name
         self.used_bytes += size
         evicted: list[Name] = []
         while self.used_bytes > self.capacity_bytes:
@@ -279,6 +282,7 @@ class ForwarderNode:
             downstream={from_face},
             seen_nonces={interest.nonce},
             expiry=now + interest.lifetime_ms / 1000.0,
+            can_be_prefix=interest.can_be_prefix,
         )
         self.stats.interests_out += 1
         return [SendInterest(upstream, interest)]
@@ -287,10 +291,14 @@ class ForwarderNode:
         self._check_face(from_face)
         self.stats.data_in += 1
         faces: set[int] = set()
-        for pit_name in (data.name.full(), data.name.base):
-            entry = self.pit.pop(pit_name, None)
-            if entry is not None:
-                faces |= entry.downstream
+        entry = self.pit.pop(data.name.full(), None)
+        if entry is not None:
+            faces |= entry.downstream
+        base = data.name.base
+        entry = self.pit.get(base)
+        if entry is not None and entry.can_be_prefix:
+            del self.pit[base]
+            faces |= entry.downstream
         if not faces:
             return []  # unsolicited
         actions: list[Action] = []
@@ -320,15 +328,22 @@ class ForwarderNode:
 
     def prefetch_plan(self, trigger: Data, now: float) -> list[Interest]:
         """Interests for the next chunks of the trigger's file, skipping
-        anything already cached or pending."""
+        anything already cached or pending. A slot the CS holds is found
+        through its (version, chunk) index; a name is built only for the
+        slots it does not hold."""
         if not isinstance(self.strategy, GatewayPrefetch):
             return []
         vc = trigger.name
+        held = self.cs.by_base.get(vc.base, {})
         plan: list[Interest] = []
         last = min(vc.chunk + self.strategy.depth, trigger.final_chunk)
         for chunk in range(vc.chunk + 1, last + 1):
-            full = chunk_name(vc.base, vc.version, chunk)
-            if self.cs.contains_fresh(full, now) or full in self.pit:
+            full = held.get((vc.version, chunk))
+            if full is None:
+                full = chunk_name(vc.base, vc.version, chunk)
+            elif self.cs.contains_fresh(full, now):
+                continue
+            if full in self.pit:
                 continue
             plan.append(Interest(name=full, can_be_prefix=False, nonce=self._rng.getrandbits(32)))
         return plan
@@ -343,6 +358,7 @@ class ForwarderNode:
                 downstream={INTERNAL_FACE},
                 seen_nonces={interest.nonce},
                 expiry=now + interest.lifetime_ms / 1000.0,
+                can_be_prefix=False,
             )
             self.stats.interests_out += 1
             self.stats.prefetch_sent += 1

@@ -7,7 +7,7 @@ outside printable ASCII, so every name round-trips through its text form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import MalformedName
 
@@ -45,16 +45,32 @@ def _unescape(text: str) -> bytes:
     return bytes(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Name:
-    """An ordered sequence of non-empty byte-string components."""
+    """An ordered sequence of non-empty byte-string components.
+
+    The hash is computed once, at construction, so a name that keys the
+    CS and the PIT is hashed once however often it is looked up.
+    """
 
     components: tuple[bytes, ...] = ()
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for c in self.components:
             if not isinstance(c, bytes) or len(c) == 0:
                 raise MalformedName("components must be non-empty byte strings")
+        object.__setattr__(self, "_hash", hash(self.components))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Name:
+            return NotImplemented
+        return self._hash == other._hash and self.components == other.components
 
     def __len__(self) -> int:
         return len(self.components)
@@ -65,6 +81,15 @@ class Name:
     def append(self, *components: bytes | str) -> "Name":
         extra = tuple(c.encode() if isinstance(c, str) else c for c in components)
         return Name(self.components + extra)
+
+
+def _checked_name(components: tuple[bytes, ...]) -> Name:
+    """A name from components the caller has already checked, built
+    without running ``Name.__post_init__``."""
+    name = object.__new__(Name)
+    object.__setattr__(name, "components", components)
+    object.__setattr__(name, "_hash", hash(components))
+    return name
 
 
 ROOT = Name()
@@ -99,8 +124,12 @@ def name_is_prefix_of(a: Name, b: Name) -> bool:
 
 
 def chunk_name(base: Name, version: int, chunk: int) -> Name:
-    """The full name of one chunk: the base plus "v=<version>" and "c=<chunk>"."""
-    return base.append(f"v={version}", f"c={chunk}")
+    """The full name of one chunk: the base plus "v=<version>" and "c=<chunk>".
+
+    The base is a checked name and neither marker can be empty, so the
+    result skips re-validation.
+    """
+    return _checked_name(base.components + (b"v=%d" % version, b"c=%d" % chunk))
 
 
 def _is_marker(component: bytes) -> bool:

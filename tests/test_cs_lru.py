@@ -78,12 +78,15 @@ def test_lru_matches_shadow_model_tight_capacity(key):
 
 
 def _assert_index_matches(cs):
-    indexed = [n for names in cs.by_base.values() for n in names]
+    indexed = [n for names in cs.by_base.values() for n in names.values()]
     assert len(indexed) == len(cs.entries)
     assert set(indexed) == set(cs.entries)
     for base, names in cs.by_base.items():
         assert names, f"empty index slot for {base}"
-        assert all(cs.entries[n].data.name.base == base for n in names)
+        assert all(cs.entries[n].data.name.base == base for n in names.values())
+        for (version, chunk), n in names.items():
+            vc = cs.entries[n].data.name
+            assert (vc.version, vc.chunk) == (version, chunk)
 
 
 def run_discovery_equivalence(seed, ops, capacity, bases, key):

@@ -277,6 +277,16 @@ def test_one_data_satisfies_discovery_and_chunk_entries(key):
     assert not node.pit
 
 
+def test_exact_base_interest_not_satisfied_by_chunk_data(key):
+    node = make_node()
+    node.add_route(name_parse("/f"), 3)
+    node.on_interest(1, chunk_interest("/f", nonce=1), 0.0)  # no CanBePrefix
+    data = make_data("/f", version=1, chunk=0, content=b"x", key=key)
+    assert node.on_data(3, data, 0.5) == []  # unsolicited: /f names no chunk
+    assert set(node.pit) == {name_parse("/f")}
+    assert len(node.cs) == 0
+
+
 def test_pit_aggregation_burst_property(key):
     # k interests with distinct nonces -> exactly 1 upstream, k deliveries.
     node = make_node(faces=tuple(range(1, 9)))
@@ -382,6 +392,62 @@ def test_prefetch_never_requests_cached_or_pending_property(key):
         for interest in node.prefetch_plan(trigger, 0.0):
             assert interest.name not in pending_before
             assert interest.name not in cached_before
+
+
+def test_prefetch_plan_matches_brute_force_oracle_under_churn(key):
+    """Two versions x 30 chunks under LRU eviction, short and long freshness,
+    consumer and prefetch PIT entries: the plan is exactly the window's slots,
+    in order, that are neither fresh in the CS nor pending."""
+    rng = random.Random(11)
+    depth, final = 8, 29
+    node = make_node(cs_bytes=2500, strategy=GatewayPrefetch(depth=depth))
+    node.add_route(name_parse("/f"), 3)
+
+    def data(version, chunk):
+        return make_data(
+            "/f",
+            version=version,
+            chunk=chunk,
+            final=final,
+            content=bytes(rng.randrange(100)),
+            key=key,
+            freshness_ms=rng.choice([40, 3_600_000]),
+        )
+
+    def fresh(name, now):
+        entry = node.cs.entries.get(name)
+        return entry is not None and (now - entry.inserted) * 1000.0 <= entry.data.freshness_ms
+
+    skipped_fresh = skipped_pending = planned_stale = evictions = 0
+    now = 0.0
+    for nonce in range(1500):
+        now += rng.uniform(0.0, 0.02)
+        version, chunk = rng.randrange(1, 3), rng.randrange(final + 1)
+        op = rng.random()
+        if op < 0.3:
+            evictions += len(node.cs.insert(data(version, chunk), now))
+        elif op < 0.5:
+            name = name_parse(f"/f/v={version}/c={chunk}")
+            lifetime = rng.choice([50, 4000])
+            node.on_interest(1, Interest(name, nonce=nonce, lifetime_ms=lifetime), now)
+        elif op < 0.7 and node.pit:
+            pending = rng.choice(list(node.pit))
+            v, c = (int(part[2:]) for part in pending.components[-2:])
+            node.on_data(3, data(v, c), now)  # caches it and prefetches ahead
+        elif op < 0.75:
+            node.pit_expire(now)
+        else:
+            trigger = make_data("/f", version=version, chunk=chunk, final=final)
+            window = [
+                name_parse(f"/f/v={version}/c={c}")
+                for c in range(chunk + 1, min(chunk + depth, final) + 1)
+            ]
+            expected = [n for n in window if not fresh(n, now) and n not in node.pit]
+            assert [i.name for i in node.prefetch_plan(trigger, now)] == expected
+            skipped_fresh += sum(fresh(n, now) for n in window)
+            skipped_pending += sum(n in node.pit and not fresh(n, now) for n in window)
+            planned_stale += sum(n in node.cs.entries and not fresh(n, now) for n in expected)
+    assert min(skipped_fresh, skipped_pending, planned_stale, evictions) > 0
 
 
 # -- pit expiry -----------------------------------------------------------------------

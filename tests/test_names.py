@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +95,35 @@ def test_versioned_full_form():
     vc = VersionedChunkName(name_parse("/a/b"), 3, 12)
     assert name_format(vc.full()) == "/a/b/v=3/c=12"
     assert chunk_name(name_parse("/a/b"), 3, 12) == vc.full()
+
+
+_marker_free_base = st.lists(
+    st.binary(min_size=1, max_size=12).filter(lambda c: not c.startswith((b"v=", b"c="))),
+    max_size=5,
+).map(lambda parts: Name(tuple(parts)))
+
+
+@given(_marker_free_base, st.integers(0, 2**40), st.integers(0, 2**20))
+def test_construction_paths_agree(base, version, chunk):
+    built = chunk_name(base, version, chunk)
+    parsed = name_parse(name_format(built))
+    assert built == parsed and parsed == built
+    assert hash(built) == hash(parsed)
+    assert {built: 1}[parsed] == 1 and {parsed: 2}[built] == 2
+    assert built == VersionedChunkName(base, version, chunk).full()
+    assert repr(built) == f"Name(components={built.components!r})"
+
+
+def test_name_is_frozen_and_still_validated():
+    name = name_parse("/a/b")
+    with pytest.raises(FrozenInstanceError):
+        name.components = (b"c",)
+    with pytest.raises(MalformedName):
+        Name((b"",))
+    with pytest.raises(MalformedName):
+        Name(("a",))
+    with pytest.raises(MalformedName):
+        name.append(b"")
 
 
 def test_versioned_rejects_marker_in_base():

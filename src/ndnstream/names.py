@@ -3,6 +3,9 @@
 Names are immutable tuples of non-empty byte-string components. The text
 form joins components with "/" and percent-escapes "/", "%" and any byte
 outside printable ASCII, so every name round-trips through its text form.
+The TLV form (``_encode_name``) is a varint component count followed by
+length-prefixed components; the wire format carries it and integrity tags
+are computed over it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,26 @@ def _escape(component: bytes) -> str:
         else:
             out.append("%" + _HEX[b >> 4] + _HEX[b & 0xF])
     return "".join(out)
+
+
+_ONE_BYTE = [bytes((i,)) for i in range(0x80)]
+
+
+def _varint(value: int) -> bytes:
+    """Unsigned LEB128: seven bits per byte, low bits first."""
+    if value < 0:
+        raise ValueError("varint must be non-negative")
+    if value < 0x80:
+        return _ONE_BYTE[value]  # every name length and most counts
+    out = bytearray()
+    while True:
+        b = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(b | 0x80)
+        else:
+            out.append(b)
+            return bytes(out)
 
 
 def _unescape(text: str) -> bytes:
@@ -116,6 +139,14 @@ def name_format(name: Name) -> str:
     return "/" + "/".join(_escape(c) for c in name.components)
 
 
+def _encode_name(name: Name) -> bytes:
+    parts = [_varint(len(name.components))]
+    for c in name.components:
+        parts.append(_varint(len(c)))
+        parts.append(c)
+    return b"".join(parts)
+
+
 def name_is_prefix_of(a: Name, b: Name) -> bool:
     """True iff a's components are a leading sub-list of b's."""
     if len(a.components) > len(b.components):
@@ -136,26 +167,37 @@ def _is_marker(component: bytes) -> bool:
     return component.startswith(b"v=") or component.startswith(b"c=")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionedChunkName:
     """A base name plus explicit version and chunk-index components.
 
     The full form appends "v=<version>" and "c=<chunk>" components to the
-    base; the base itself must not carry either marker.
+    base; the base itself must not carry either marker. It is built once,
+    at construction, so every table keyed by it shares one ``Name``, and
+    so is its TLV form, which every integrity tag on the chunk covers.
     """
 
     base: Name
     version: int
     chunk: int
+    _full: Name = field(init=False, compare=False, repr=False)
+    _full_tlv: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.version < 0 or self.chunk < 0:
             raise MalformedName("version and chunk must be non-negative")
         if any(_is_marker(c) for c in self.base.components):
             raise MalformedName("base name may not contain v=/c= components")
+        full = chunk_name(self.base, self.version, self.chunk)
+        object.__setattr__(self, "_full", full)
+        object.__setattr__(self, "_full_tlv", _encode_name(full))
 
     def full(self) -> Name:
-        return chunk_name(self.base, self.version, self.chunk)
+        return self._full
+
+    def full_tlv(self) -> bytes:
+        """The full name's TLV form, ``_encode_name(self.full())``."""
+        return self._full_tlv
 
     def __str__(self) -> str:
         return name_format(self.full())

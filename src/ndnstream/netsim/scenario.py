@@ -500,6 +500,7 @@ class ScenarioRun:
         self.scenario = scenario
         self.sim = NetworkSim(scenario.seed)
         self.sessions: list[PlayerSession] = []
+        self._first_live = 0  # every session before this index has ended
         self._session_hosts: dict[str, ConsumerHost] = {}
         self.catalogs: dict[str, VideoCatalog] = {}
         self.repos: dict[str, Repository] = {}
@@ -633,7 +634,15 @@ class ScenarioRun:
         return payload
 
     def all_sessions_done(self) -> bool:
-        return all(s.ended_at is not None for s in self.sessions)
+        """True once every session has ended. A session never restarts, so
+        the first live session only moves forward and each call is O(1)
+        amortised over the run."""
+        sessions = self.sessions
+        i = self._first_live
+        while i < len(sessions) and sessions[i].ended_at is not None:
+            i += 1
+        self._first_live = i
+        return i == len(sessions)
 
     def run(self) -> MetricsReport:
         sim = self.sim

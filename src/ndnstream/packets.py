@@ -2,17 +2,30 @@
 
 All packet types are frozen value objects; signing returns a new data
 packet rather than mutating. The integrity tag is a keyed blake2b hash
-over the fields a producer vouches for (full name, content, final chunk
-index and freshness), so any single-byte change falsifies verification.
+over the fields a producer vouches for: the full name in its TLV form
+(``VersionedChunkName.full_tlv``, built once with the name in the layout
+the wire format carries), then the
+content, then the final chunk index and the freshness as 8-byte
+big-endian integers. The name's TLV form is self-delimiting, so distinct
+packets never feed the hash the same bytes, and any single-byte change
+falsifies verification. The bytes go to the hash piece by piece; no
+signed message is ever assembled.
+
+An interest or data packet keeps its encoded size in ``_wire_size`` once
+``wire.encoded_size`` has computed it. The field takes no part in
+equality, hashing or ``repr``, and a copy made by ``dataclasses.replace``
+or by decoding starts without it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .names import Name, VersionedChunkName, name_format
+# name_format is not used here; it stays importable as packets.name_format
+# because bench/tracing.py patches it at that address.
+from .names import Name, VersionedChunkName, name_format  # noqa: F401
 
 DEFAULT_INTEREST_LIFETIME_MS = 4000
 DEFAULT_FRESHNESS_MS = 3_600_000
@@ -21,12 +34,13 @@ TAG_LEN = 32
 _ZERO_TAG = b"\x00" * TAG_LEN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interest:
     name: Name
     can_be_prefix: bool = False
     nonce: int = 0
     lifetime_ms: int = DEFAULT_INTEREST_LIFETIME_MS
+    _wire_size: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.nonce < 2**32:
@@ -35,13 +49,14 @@ class Interest:
             raise ValueError("lifetime_ms must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Data:
     name: VersionedChunkName
     content: bytes = b""
     final_chunk: int = 0
     freshness_ms: int = DEFAULT_FRESHNESS_MS
     integrity_tag: bytes = _ZERO_TAG
+    _wire_size: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.name.chunk > self.final_chunk:
@@ -76,16 +91,11 @@ class KeyMaterial:
             raise ValueError("secret must be non-empty")
 
 
-def _signed_bytes(data: Data) -> bytes:
-    name_text = name_format(data.name.full()).encode()
-    head = len(name_text).to_bytes(4, "big") + name_text
-    trailer = data.final_chunk.to_bytes(8, "big") + data.freshness_ms.to_bytes(8, "big")
-    return head + data.content + trailer
-
-
 def _tag(data: Data, key: KeyMaterial) -> bytes:
     h = hashlib.blake2b(key=key.secret, digest_size=TAG_LEN)
-    h.update(_signed_bytes(data))
+    h.update(data.name.full_tlv())
+    h.update(data.content)
+    h.update(data.final_chunk.to_bytes(8, "big") + data.freshness_ms.to_bytes(8, "big"))
     return h.digest()
 
 

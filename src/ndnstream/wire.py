@@ -2,19 +2,20 @@
 
 Layout: one packet-kind byte, then fields as (1-byte tag, varint length,
 value) in strictly ascending tag order. Varints are unsigned LEB128.
-Decoding is strict: truncation, trailing bytes, unknown kinds or tags and
-duplicated tags are all rejected, so the decoder is an exact inverse of
-the encoder on its image.
+Decoding is strict: truncation, trailing bytes, unknown kinds or tags,
+duplicated tags and multi-byte varints that end in a zero byte are all
+rejected, so every byte string the decoder accepts re-encodes to itself.
 
 Link serialization delay in the emulator is computed from the encoded
 length; ``encoded_size`` computes that length without materializing the
-bytes and is property-tested against ``len(encode_packet(...))``.
+bytes and is property-tested against ``len(encode_packet(...))``. An
+interest or data packet computes it once and keeps it.
 """
 
 from __future__ import annotations
 
 from .errors import MalformedName, MalformedPacket
-from .names import Name, VersionedChunkName
+from .names import Name, VersionedChunkName, _encode_name, _varint
 from .packets import TAG_LEN, Data, Interest, Nack, NackReason, Packet
 
 _KIND_INTEREST = 1
@@ -37,34 +38,12 @@ _T_TAG = 7
 _T_REASON = 2
 
 
-def _varint(value: int) -> bytes:
-    if value < 0:
-        raise ValueError("varint must be non-negative")
-    out = bytearray()
-    while True:
-        b = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return bytes(out)
-
-
 def _varint_size(value: int) -> int:
     size = 1
     while value > 0x7F:
         value >>= 7
         size += 1
     return size
-
-
-def _encode_name(name: Name) -> bytes:
-    parts = [_varint(len(name.components))]
-    for c in name.components:
-        parts.append(_varint(len(c)))
-        parts.append(c)
-    return b"".join(parts)
 
 
 def _name_size(name: Name) -> int:
@@ -119,7 +98,23 @@ def encode_packet(pkt: Packet) -> bytes:
 
 
 def encoded_size(pkt: Packet) -> int:
-    """Length of ``encode_packet(pkt)`` without building the bytes."""
+    """Length of ``encode_packet(pkt)`` without building the bytes.
+
+    An interest or data packet is measured on the first call and keeps the
+    result, so a packet that crosses many links is measured once.
+    """
+    if isinstance(pkt, (Interest, Data)):
+        size = pkt._wire_size
+        if size is None:
+            size = _measure(pkt)
+            object.__setattr__(pkt, "_wire_size", size)
+        return size
+    if isinstance(pkt, Nack):
+        return 1 + _field_size(_name_size(pkt.interest_name)) + _field_size(1)
+    raise TypeError(f"not a packet: {pkt!r}")
+
+
+def _measure(pkt: Interest | Data) -> int:
     if isinstance(pkt, Interest):
         return (
             1
@@ -128,20 +123,16 @@ def encoded_size(pkt: Packet) -> int:
             + _field_size(4)
             + _field_size(_varint_size(pkt.lifetime_ms))
         )
-    if isinstance(pkt, Data):
-        return (
-            1
-            + _field_size(_name_size(pkt.name.base))
-            + _field_size(_varint_size(pkt.name.version))
-            + _field_size(_varint_size(pkt.name.chunk))
-            + _field_size(_varint_size(pkt.final_chunk))
-            + _field_size(_varint_size(pkt.freshness_ms))
-            + _field_size(len(pkt.content))
-            + _field_size(TAG_LEN)
-        )
-    if isinstance(pkt, Nack):
-        return 1 + _field_size(_name_size(pkt.interest_name)) + _field_size(1)
-    raise TypeError(f"not a packet: {pkt!r}")
+    return (
+        1
+        + _field_size(_name_size(pkt.name.base))
+        + _field_size(_varint_size(pkt.name.version))
+        + _field_size(_varint_size(pkt.name.chunk))
+        + _field_size(_varint_size(pkt.final_chunk))
+        + _field_size(_varint_size(pkt.freshness_ms))
+        + _field_size(len(pkt.content))
+        + _field_size(TAG_LEN)
+    )
 
 
 class _Reader:
@@ -173,6 +164,11 @@ class _Reader:
             b = self.byte()
             value |= (b & 0x7F) << shift
             if not b & 0x80:
+                if b == 0 and shift:
+                    # A zero final byte adds nothing: the encoder never
+                    # writes it, so accepting it would give one value two
+                    # encodings.
+                    raise MalformedPacket("overlong varint")
                 return value
             shift += 7
             if shift > 63:

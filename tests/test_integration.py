@@ -1,5 +1,7 @@
 """End-to-end behavior through the emulator."""
 
+from dataclasses import replace
+
 import pytest
 
 from ndnstream import consumer
@@ -9,6 +11,7 @@ from ndnstream.names import name_parse
 from ndnstream.netsim.scenario import ScenarioRun, parse_scenario, run_scenario
 from ndnstream.packets import Data
 from ndnstream.producer import segment_payload
+from ndnstream.wire import encode_packet, encoded_size
 
 
 CHAIN = """
@@ -156,6 +159,26 @@ def test_corrupted_data_aborts_with_integrity_failure():
     report = run.run()
     assert report.sessions[0].aborted is not None
     assert "IntegrityFailure" in report.sessions[0].aborted
+
+
+def test_tapped_data_is_sized_as_sent():
+    # The tap replaces packets that earlier hops have already sized; the
+    # link must charge each replacement its own encoded length.
+    run = ScenarioRun(parse_scenario(CHAIN))
+    tapped = []
+
+    def corrupt(data: Data, src: str, dst: str) -> Data:
+        if dst == "c1" and data.name.chunk == 3:
+            data = replace(data, content=data.content + b"x" * 300)
+        tapped.append(data)
+        return data
+
+    run.sim.data_tap = corrupt
+    report = run.run()
+    assert "IntegrityFailure" in report.sessions[0].aborted
+    assert any(d.name.chunk == 3 for d in tapped)
+    for data in tapped:
+        assert encoded_size(data) == len(encode_packet(data))
 
 
 def test_second_fetch_of_same_file_hits_gateway_cache():

@@ -1,5 +1,5 @@
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +8,7 @@ from ndnstream.errors import MalformedName
 from ndnstream.names import (
     Name,
     VersionedChunkName,
+    _encode_name,
     chunk_name,
     name_format,
     name_is_prefix_of,
@@ -129,3 +130,17 @@ def test_name_is_frozen_and_still_validated():
 def test_versioned_rejects_marker_in_base():
     with pytest.raises(MalformedName):
         VersionedChunkName(Name((b"a", b"v=1")), 1, 0)
+
+
+def test_versioned_full_name_built_once():
+    vc = VersionedChunkName(name_parse("/a/b"), 3, 12)
+    assert vc.full() is vc.full()
+    assert vc.full_tlv() == _encode_name(vc.full()) == b"\x04\x01a\x01b\x03v=3\x04c=12"
+    assert repr(vc) == f"VersionedChunkName(base={vc.base!r}, version=3, chunk=12)"
+    assert vc == VersionedChunkName(name_parse("/a/b"), 3, 12)
+    assert hash(vc) == hash(VersionedChunkName(name_parse("/a/b"), 3, 12))
+    moved = replace(vc, chunk=13)
+    assert moved.full() == chunk_name(vc.base, 3, 13)
+    assert moved.full_tlv() == _encode_name(moved.full())
+    with pytest.raises(FrozenInstanceError):
+        vc.chunk = 13

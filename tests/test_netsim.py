@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -197,6 +198,41 @@ def test_session_videos_must_exist():
     bad = MINIMAL.replace("videos=foo", "videos=nope")
     with pytest.raises(InvalidConfig, match="nope"):
         parse_scenario(bad)
+
+
+OUT_OF_ORDER = MINIMAL.replace(
+    "tier foo 240p height=240 min-bw=0.6Mbps",
+    """tier foo 240p height=240 min-bw=0.6Mbps
+video bar server=srv prefix=/p duration-s=2 segment-s=2
+tier bar 240p height=240 min-bw=0.6Mbps""",
+).replace(
+    "session s1 consumer=c1 videos=foo",
+    """session s1 consumer=c1 videos=foo
+session s2 consumer=c1 videos=bar start-s=0.5
+session s3 consumer=c1 videos=foo start-s=0.25""",
+)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_all_sessions_done_only_after_the_last_ends(order):
+    run = ScenarioRun(parse_scenario(OUT_OF_ORDER))
+    assert not run.all_sessions_done()
+    for k, index in enumerate(order):
+        run.sessions[index].ended_at = float(k + 1)
+        assert run.all_sessions_done() == (k == len(order) - 1)
+    assert run.all_sessions_done()
+
+
+def test_run_waits_for_sessions_that_end_out_of_order():
+    run = ScenarioRun(parse_scenario(OUT_OF_ORDER))
+    report = run.run()
+    ends = {s.session_id: s.ended_at for s in run.sessions}
+    # The short video started last but ends first; the run still plays
+    # every session to its end.
+    assert ends["s2"] < ends["s1"] and ends["s2"] < ends["s3"]
+    played = {s.session_id: s.media_played_s for s in report.sessions}
+    assert played == pytest.approx({"s1": 4.0, "s2": 2.0, "s3": 4.0})
+    assert all(s.aborted is None for s in report.sessions)
 
 
 # -- topology --------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndnstream.errors import MalformedPacket
 from ndnstream.names import VersionedChunkName, name_parse
@@ -95,3 +97,95 @@ def test_encoding_injective_on_distinct_packets():
     # distinct packets must never collide
     packets = list(seen.values())
     assert len(set(seen.keys())) == len(packets)
+
+
+def test_overlong_varints_rejected():
+    # A multi-byte varint ending in 0x00 decodes to the value of its
+    # shorter form, so accepting it would give one packet two encodings.
+    raw = encode_packet(Interest(name_parse("/a"), nonce=1, lifetime_ms=4000))
+    assert raw.hex() == "01" "0103010161" "020100" "030400000001" "0402a01f"
+    padded = {
+        "lifetime value": "01" "0103010161" "020100" "030400000001" "0403a09f00",
+        "field length": "01" "0103010161" "020100" "030400000001" "048200a01f",
+        "component count": "01" "010481000161" "020100" "030400000001" "0402a01f",
+        "component length": "01" "010401810061" "020100" "030400000001" "0402a01f",
+    }
+    for where, hex_raw in padded.items():
+        with pytest.raises(MalformedPacket, match="overlong"):
+            decode_packet(bytes.fromhex(hex_raw))
+    # A lone zero byte is the one encoding of 0 and stays accepted.
+    zero = Interest(name_parse("/a"), nonce=1, lifetime_ms=0)
+    assert decode_packet(encode_packet(zero)) == zero
+
+
+def _edited(raw: bytes, edits) -> bytes:
+    out = bytearray(raw)
+    for op, pos, value in edits:
+        if not out:
+            break
+        i = pos % len(out)
+        if op == "flip":
+            out[i] ^= value or 1
+        elif op == "insert":
+            out.insert(i, value)
+        elif op == "delete":
+            del out[i]
+        else:  # "widen": pad the byte into a two-byte varint of the same value
+            out[i : i + 1] = bytes([out[i] | 0x80, 0])
+    return bytes(out)
+
+
+_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "insert", "delete", "widen"]),
+        st.integers(0, 1 << 16),
+        st.integers(0, 255),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(0, 2**32), _edits).map(
+            lambda t: _edited(encode_packet(random_packet(random.Random(t[0]))), t[1])
+        ),
+        st.binary(max_size=64),
+    )
+)
+def test_accepted_bytes_reencode_to_themselves(raw):
+    try:
+        packet = decode_packet(raw)
+    except MalformedPacket:
+        return
+    assert encode_packet(packet) == raw
+    assert encoded_size(packet) == len(raw)
+
+
+def _copies(packet, rng):
+    """Packets derived from one whose size is already cached."""
+    yield decode_packet(encode_packet(packet))
+    if isinstance(packet, Data):
+        yield replace(packet, content=packet.content + bytes(rng.randrange(1, 300)))
+        yield replace(packet, content=b"")
+        yield replace(packet, integrity_tag=bytes(32))
+    elif isinstance(packet, Interest):
+        yield replace(packet, lifetime_ms=packet.lifetime_ms + (1 << 21))
+        yield replace(packet, name=packet.name.append(b"x" * 200))
+
+
+def test_cached_size_stays_exact():
+    rng = random.Random(2718)
+    for _ in range(300):
+        packet = random_packet(rng)
+        text = repr(packet)
+        assert encoded_size(packet) == len(encode_packet(packet))
+        assert repr(packet) == text
+        decoded = decode_packet(encode_packet(packet))
+        # The copy has no size yet; the cached field must not tell them apart.
+        assert decoded == packet and hash(decoded) == hash(packet)
+        assert repr(decoded) == text
+        for copy in _copies(packet, rng):
+            assert encoded_size(copy) == len(encode_packet(copy))
+            assert encoded_size(copy) == len(encode_packet(copy))

@@ -6,6 +6,9 @@ outside printable ASCII, so every name round-trips through its text form.
 The TLV form (``_encode_name``) is a varint component count followed by
 length-prefixed components; the wire format carries it and integrity tags
 are computed over it.
+
+``VersionedChunkName.file_chunks`` names every chunk of one file version
+at once; each name equals the one ``VersionedChunkName`` builds.
 """
 
 from __future__ import annotations
@@ -139,12 +142,18 @@ def name_format(name: Name) -> str:
     return "/" + "/".join(_escape(c) for c in name.components)
 
 
-def _encode_name(name: Name) -> bytes:
-    parts = [_varint(len(name.components))]
-    for c in name.components:
+def _encode_components(components: tuple[bytes, ...], count: int) -> bytes:
+    """The count varint, then each component with its length. ``count``
+    exceeds ``len(components)`` when the caller appends the rest."""
+    parts = [_varint(count)]
+    for c in components:
         parts.append(_varint(len(c)))
         parts.append(c)
     return b"".join(parts)
+
+
+def _encode_name(name: Name) -> bytes:
+    return _encode_components(name.components, len(name.components))
 
 
 def name_is_prefix_of(a: Name, b: Name) -> bool:
@@ -163,8 +172,21 @@ def chunk_name(base: Name, version: int, chunk: int) -> Name:
     return _checked_name(base.components + (b"v=%d" % version, b"c=%d" % chunk))
 
 
+# Versions, chunk indices and every packet integer but the nonce lie below
+# this: the wire carries them as varints of at most 64 bits, and the tag
+# trailer as 8-byte integers.
+_U64_LIMIT = 1 << 64
+
+
 def _is_marker(component: bytes) -> bool:
     return component.startswith(b"v=") or component.startswith(b"c=")
+
+
+def _check_chunk_name(base: Name, version: int, chunk: int) -> None:
+    if not (0 <= version < _U64_LIMIT and 0 <= chunk < _U64_LIMIT):
+        raise MalformedName("version and chunk must lie in [0, 2**64)")
+    if any(_is_marker(c) for c in base.components):
+        raise MalformedName("base name may not contain v=/c= components")
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,13 +206,35 @@ class VersionedChunkName:
     _full_tlv: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.version < 0 or self.chunk < 0:
-            raise MalformedName("version and chunk must be non-negative")
-        if any(_is_marker(c) for c in self.base.components):
-            raise MalformedName("base name may not contain v=/c= components")
+        _check_chunk_name(self.base, self.version, self.chunk)
         full = chunk_name(self.base, self.version, self.chunk)
         object.__setattr__(self, "_full", full)
         object.__setattr__(self, "_full_tlv", _encode_name(full))
+
+    @classmethod
+    def file_chunks(cls, base: Name, version: int, count: int) -> list[VersionedChunkName]:
+        """``[VersionedChunkName(base, version, k) for k in range(count)]``
+        for ``count >= 1`` (every file has a chunk 0).
+
+        The base and version are checked once, with the last chunk index,
+        and the TLV head (component count, base components, "v=" marker) is
+        encoded once; each name appends only its "c=" component.
+        """
+        _check_chunk_name(base, version, count - 1)
+        head = base.components + (b"v=%d" % version,)
+        head_tlv = _encode_components(head, len(head) + 1)
+        new, set_ = object.__new__, object.__setattr__
+        names = []
+        for k in range(count):
+            marker = b"c=%d" % k  # at most 22 bytes: a one-byte length
+            vc = new(cls)
+            set_(vc, "base", base)
+            set_(vc, "version", version)
+            set_(vc, "chunk", k)
+            set_(vc, "_full", _checked_name(head + (marker,)))
+            set_(vc, "_full_tlv", head_tlv + _ONE_BYTE[len(marker)] + marker)
+            names.append(vc)
+        return names
 
     def full(self) -> Name:
         return self._full

@@ -4,12 +4,17 @@ All packet types are frozen value objects; signing returns a new data
 packet rather than mutating. The integrity tag is a keyed blake2b hash
 over the fields a producer vouches for: the full name in its TLV form
 (``VersionedChunkName.full_tlv``, built once with the name in the layout
-the wire format carries), then the
-content, then the final chunk index and the freshness as 8-byte
-big-endian integers. The name's TLV form is self-delimiting, so distinct
-packets never feed the hash the same bytes, and any single-byte change
-falsifies verification. The bytes go to the hash piece by piece; no
-signed message is ever assembled.
+the wire format carries), then the content, then the final chunk index
+and the freshness as 8-byte big-endian integers (the trailer). The name's
+TLV form is self-delimiting, so distinct packets never feed the hash the
+same bytes, and any single-byte change falsifies verification. The bytes
+go to the hash piece by piece (``_digest``); no signed message is ever
+assembled. ``sign_file`` signs every chunk of one file with one keyed
+hash state and one trailer, copying the state for each chunk, and gives
+the tags ``sign_data`` would.
+
+Every integer a packet carries other than the nonce (32 bits) lies in
+[0, 2**64), so any packet that builds also encodes, decodes and signs.
 
 An interest or data packet keeps its encoded size in ``_wire_size`` once
 ``wire.encoded_size`` has computed it. The field takes no part in
@@ -25,13 +30,18 @@ from enum import Enum
 
 # name_format is not used here; it stays importable as packets.name_format
 # because bench/tracing.py patches it at that address.
-from .names import Name, VersionedChunkName, name_format  # noqa: F401
+from .names import _U64_LIMIT, Name, VersionedChunkName, name_format  # noqa: F401
 
 DEFAULT_INTEREST_LIFETIME_MS = 4000
 DEFAULT_FRESHNESS_MS = 3_600_000
 
 TAG_LEN = 32
 _ZERO_TAG = b"\x00" * TAG_LEN
+
+
+def _check_freshness(freshness_ms: int) -> None:
+    if not 0 <= freshness_ms < _U64_LIMIT:
+        raise ValueError("freshness_ms must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,8 +55,8 @@ class Interest:
     def __post_init__(self) -> None:
         if not 0 <= self.nonce < 2**32:
             raise ValueError("nonce must fit in 32 bits")
-        if self.lifetime_ms < 0:
-            raise ValueError("lifetime_ms must be non-negative")
+        if not 0 <= self.lifetime_ms < _U64_LIMIT:
+            raise ValueError("lifetime_ms must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,10 +69,9 @@ class Data:
     _wire_size: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.name.chunk > self.final_chunk:
-            raise ValueError("chunk index beyond final_chunk")
-        if self.freshness_ms < 0:
-            raise ValueError("freshness_ms must be non-negative")
+        if not self.name.chunk <= self.final_chunk < _U64_LIMIT:
+            raise ValueError("final_chunk must lie in [chunk, 2**64)")
+        _check_freshness(self.freshness_ms)
         if len(self.integrity_tag) != TAG_LEN:
             raise ValueError("integrity tag must be 32 bytes")
 
@@ -91,17 +100,47 @@ class KeyMaterial:
             raise ValueError("secret must be non-empty")
 
 
-def _tag(data: Data, key: KeyMaterial) -> bytes:
-    h = hashlib.blake2b(key=key.secret, digest_size=TAG_LEN)
-    h.update(data.name.full_tlv())
-    h.update(data.content)
-    h.update(data.final_chunk.to_bytes(8, "big") + data.freshness_ms.to_bytes(8, "big"))
+def _keyed(key: KeyMaterial) -> hashlib.blake2b:
+    return hashlib.blake2b(key=key.secret, digest_size=TAG_LEN)
+
+
+def _trailer(final_chunk: int, freshness_ms: int) -> bytes:
+    return final_chunk.to_bytes(8, "big") + freshness_ms.to_bytes(8, "big")
+
+
+def _digest(h: hashlib.blake2b, name_tlv: bytes, content: bytes, trailer: bytes) -> bytes:
+    """The tag: the signed bytes, in their one order, fed to ``h``, a keyed
+    hash state used for nothing else."""
+    h.update(name_tlv)
+    h.update(content)
+    h.update(trailer)
     return h.digest()
+
+
+def _tag(data: Data, key: KeyMaterial) -> bytes:
+    trailer = _trailer(data.final_chunk, data.freshness_ms)
+    return _digest(_keyed(key), data.name.full_tlv(), data.content, trailer)
 
 
 def sign_data(data: Data, key: KeyMaterial) -> Data:
     """Return a copy of the packet carrying a fresh integrity tag."""
     return replace(data, integrity_tag=_tag(data, key))
+
+
+def sign_file(
+    names: list[VersionedChunkName], pieces: list[bytes], freshness_ms: int, key: KeyMaterial
+) -> list[Data]:
+    """The signed chunks of one file, piece k under names[k], with the last
+    index as final chunk: each equals ``sign_data(Data(...), key)`` but is
+    built once, with its tag. The keyed hash state and the trailer are
+    built once and the state is copied for each chunk."""
+    _check_freshness(freshness_ms)  # before the trailer packs it
+    final = len(pieces) - 1
+    keyed, trailer = _keyed(key), _trailer(final, freshness_ms)
+    return [
+        Data(name, piece, final, freshness_ms, _digest(keyed.copy(), name.full_tlv(), piece, trailer))
+        for name, piece in zip(names, pieces, strict=True)
+    ]
 
 
 def verify_data(data: Data, key: KeyMaterial) -> bool:

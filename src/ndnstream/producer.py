@@ -2,10 +2,15 @@
 
 Videos are packaged into quality tiers, each tier into a playlist plus
 fixed-duration segments. Segment payloads are deterministic pseudo-random
-bytes sized by the tier's media bitrate; the experiments only depend on
-sizes and timing, never on real media. Published files are chunked,
-signed and kept in an in-memory map; an optional flat-file dump uses the
-same TLV records as the wire.
+bytes sized by the tier's media bitrate: the raw stream of a Philox bit
+generator keyed per (video, tier, segment), read as little-endian bytes.
+The experiments only depend on sizes and timing, never on real media.
+
+A published file is chunked, named and signed in one pass: the name head
+(base components and version marker, with its TLV form), the keyed hash
+state and the 16-byte tag trailer are built once per file, and each chunk
+is built and signed once. Chunks are kept in an in-memory map; an
+optional flat-file dump uses the same TLV records as the wire.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ import numpy as np
 
 from .errors import InvalidConfig, UnknownRepresentation, VersionRegression
 from .names import Name, VersionedChunkName, chunk_name, name_parse
-from .packets import (
+# sign_data is not used here; it stays importable as producer.sign_data
+# because bench/tracing.py patches it at that address.
+from .packets import (  # noqa: F401
     DEFAULT_FRESHNESS_MS,
     Data,
     Interest,
@@ -26,6 +33,7 @@ from .packets import (
     Nack,
     NackReason,
     sign_data,
+    sign_file,
     verify_data,
 )
 from .wire import decode_packet, encode_packet
@@ -75,18 +83,26 @@ class VideoCatalog:
         raise UnknownRepresentation(label)
 
 
-def _payload_rng(video_id: str, label: str, index: int) -> np.random.Generator:
+def _payload_bits(video_id: str, label: str, index: int) -> np.random.Philox:
     digest = hashlib.blake2b(
         f"{video_id}|{label}|{index}".encode(), digest_size=16
     ).digest()
     key = np.frombuffer(digest, dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Philox(key=key)
 
 
 def segment_payload(catalog: VideoCatalog, label: str, index: int) -> bytes:
-    """Deterministic pseudo-random bytes for one segment of one tier."""
+    """Deterministic pseudo-random bytes for one segment of one tier.
+
+    The first ``size`` bytes of the raw Philox stream, each 64-bit word
+    little-endian: the bytes ``Generator.bytes`` draws from a fresh Philox
+    generator. NumPy aims to keep a bit generator's raw stream stable
+    across releases (NEP 19) but promises no such thing for ``Generator``
+    methods, so the raw stream is read directly and copied out once.
+    """
     size = catalog.segment_sizes[label][index]
-    return _payload_rng(catalog.video_id, label, index).bytes(size)
+    words = _payload_bits(catalog.video_id, label, index).random_raw(-(-size // 8))
+    return words.astype("<u8", copy=False).view(np.uint8)[:size].tobytes()
 
 
 def package_video(
@@ -168,21 +184,15 @@ class Repository:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         freshness_ms: int = DEFAULT_FRESHNESS_MS,
     ) -> int:
-        """Chunk, sign and store one file under the versioned naming scheme."""
+        """Chunk, name, sign and store one file under the versioned naming
+        scheme, in one pass over its chunks."""
         current = self.latest.get(base)
         if current is not None and version <= current:
             raise VersionRegression(f"{base}: version {version} <= stored {current}")
         chunks = chunk_payload(payload, chunk_size)
-        final = len(chunks) - 1
-        for k, piece in enumerate(chunks):
-            data = Data(
-                name=VersionedChunkName(base, version, k),
-                content=piece,
-                final_chunk=final,
-                freshness_ms=freshness_ms,
-            )
-            signed = sign_data(data, self.key)
-            self.store[signed.name.full()] = signed
+        names = VersionedChunkName.file_chunks(base, version, len(chunks))
+        for data in sign_file(names, chunks, freshness_ms, self.key):
+            self.store[data.name.full()] = data
         self.latest[base] = version
         return len(chunks)
 

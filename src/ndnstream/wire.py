@@ -3,8 +3,10 @@
 Layout: one packet-kind byte, then fields as (1-byte tag, varint length,
 value) in strictly ascending tag order. Varints are unsigned LEB128.
 Decoding is strict: truncation, trailing bytes, unknown kinds or tags,
-duplicated tags and multi-byte varints that end in a zero byte are all
-rejected, so every byte string the decoder accepts re-encodes to itself.
+duplicated tags, multi-byte varints that end in a zero byte and varints
+of 2**64 or more are all rejected, so every byte string the decoder
+accepts re-encodes to itself and every packet field it reads fits the
+packet's own bounds.
 
 Link serialization delay in the emulator is computed from the encoded
 length; ``encoded_size`` computes that length without materializing the
@@ -169,6 +171,8 @@ class _Reader:
                     # writes it, so accepting it would give one value two
                     # encodings.
                     raise MalformedPacket("overlong varint")
+                if value >> 64:
+                    raise MalformedPacket("varint too long")
                 return value
             shift += 7
             if shift > 63:

@@ -1,10 +1,13 @@
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ndnstream import names
-from ndnstream.names import VersionedChunkName, _encode_name, name_parse
-from ndnstream.packets import Data, KeyMaterial, sign_data, verify_data
+from ndnstream.errors import MalformedName
+from ndnstream.names import Name, VersionedChunkName, _encode_name, name_parse
+from ndnstream.packets import Data, KeyMaterial, sign_data, sign_file, verify_data
+from ndnstream.wire import decode_packet, encode_packet
 
 
 def small_data():
@@ -108,3 +111,60 @@ def test_tag_covers_tlv_name_content_and_trailer(key, monkeypatch):
     signed = sign_data(data, key)
     assert signed.integrity_tag == h.digest()
     assert verify_data(signed, key)
+
+
+FILE_KEY = KeyMaterial("file-key", b"one-pass")
+# Short components, and long ones whose length takes a 2-byte varint.
+_COMPONENT = st.one_of(st.binary(min_size=1, max_size=8), st.binary(min_size=120, max_size=200))
+_PLAIN = _COMPONENT.filter(lambda c: not c.startswith((b"v=", b"c=")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    components=st.lists(_PLAIN, min_size=1, max_size=130),
+    version=st.integers(0, 2**64 - 1),
+    count=st.integers(1, 200),
+    payload=st.binary(max_size=40),
+    freshness_ms=st.integers(0, 2**64 - 1),
+)
+# 126 base components plus v= and c= make 128: the count takes 2 bytes.
+@example(components=[b"x"] * 126, version=2**64 - 1, count=129, payload=b"abc", freshness_ms=2**64 - 1)
+@example(components=[b"y" * 128] * 130, version=0, count=128, payload=b"", freshness_ms=0)
+@example(components=[b"z"] * 125, version=127, count=2, payload=b"p", freshness_ms=1)
+def test_file_path_matches_chunk_path(components, version, count, payload, freshness_ms):
+    base = Name(tuple(components))
+    pieces = [payload[k % (len(payload) + 1) :] for k in range(count)]
+    filed_names = VersionedChunkName.file_chunks(base, version, count)
+    signed = sign_file(filed_names, pieces, freshness_ms, FILE_KEY)
+    assert len(filed_names) == len(signed) == count
+    for k, (vc, piece, data) in enumerate(zip(filed_names, pieces, signed)):
+        ref = VersionedChunkName(base, version, k)
+        assert vc == ref and hash(vc) == hash(ref) and repr(vc) == repr(ref)
+        assert vc.full() == ref.full() and hash(vc.full()) == hash(ref.full())
+        assert vc.full_tlv() == _encode_name(vc.full()) == ref.full_tlv()
+        ref_data = sign_data(Data(ref, piece, count - 1, freshness_ms), FILE_KEY)
+        assert data == ref_data and data.integrity_tag == ref_data.integrity_tag
+        assert data.name is vc and verify_data(data, FILE_KEY)
+    assert decode_packet(encode_packet(signed[-1])) == signed[-1]
+
+
+@given(
+    components=st.lists(_PLAIN, max_size=5),
+    at=st.integers(0, 5),
+    marker=st.sampled_from([b"v=", b"c="]),
+    suffix=st.binary(max_size=4),
+)
+def test_file_path_rejects_marker_base_like_chunk_path(components, at, marker, suffix):
+    components.insert(at, marker + suffix)
+    base = Name(tuple(components))
+    with pytest.raises(MalformedName) as per_chunk:
+        VersionedChunkName(base, 1, 0)
+    with pytest.raises(MalformedName) as per_file:
+        VersionedChunkName.file_chunks(base, 1, 3)
+    assert str(per_file.value) == str(per_chunk.value)
+
+
+def test_file_chunks_needs_chunk_zero():
+    # Every file has a chunk 0, so a file of no chunks has no names.
+    with pytest.raises(MalformedName):
+        VersionedChunkName.file_chunks(name_parse("/f"), 1, 0)

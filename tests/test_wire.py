@@ -4,9 +4,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ndnstream.errors import MalformedPacket
+from ndnstream.errors import MalformedName, MalformedPacket
 from ndnstream.names import VersionedChunkName, name_parse
-from ndnstream.packets import Data, Interest, Nack, NackReason
+from ndnstream.packets import Data, Interest, Nack, NackReason, sign_data, sign_file, verify_data
 from ndnstream.wire import decode_packet, encode_packet, encoded_size
 
 from conftest import random_packet
@@ -189,3 +189,45 @@ def test_cached_size_stays_exact():
         for copy in _copies(packet, rng):
             assert encoded_size(copy) == len(encode_packet(copy))
             assert encoded_size(copy) == len(encode_packet(copy))
+
+
+U64_MAX = 2**64 - 1
+
+
+def test_packet_integers_bounded_below_2_64(key):
+    # At 2**64 - 1 every field builds, round-trips and signs.
+    base = name_parse("/f")
+    data = Data(VersionedChunkName(base, U64_MAX, U64_MAX), b"top", U64_MAX, U64_MAX)
+    signed = sign_data(data, key)
+    assert verify_data(signed, key)
+    assert decode_packet(encode_packet(signed)) == signed
+    interest = Interest(base, lifetime_ms=U64_MAX)
+    assert decode_packet(encode_packet(interest)) == interest
+    [top] = VersionedChunkName.file_chunks(base, U64_MAX, 1)
+    [filed] = sign_file([top], [b"top"], U64_MAX, key)
+    assert decode_packet(encode_packet(filed)) == filed and verify_data(filed, key)
+
+    # At 2**64 each is rejected when the packet is built.
+    with pytest.raises(MalformedName):
+        VersionedChunkName(base, 2**64, 0)
+    with pytest.raises(MalformedName):
+        VersionedChunkName(base, 0, 2**64)
+    with pytest.raises(MalformedName):
+        VersionedChunkName.file_chunks(base, 2**64, 1)
+    name = VersionedChunkName(base, 1, 0)
+    with pytest.raises(ValueError):
+        Data(name, final_chunk=2**64)
+    with pytest.raises(ValueError):
+        Data(name, freshness_ms=2**64)
+    with pytest.raises(ValueError):
+        sign_file([name], [b""], 2**64, key)
+    with pytest.raises(ValueError):
+        Interest(base, lifetime_ms=2**64)
+
+
+def test_varint_of_2_64_rejected_when_decoded():
+    # The lifetime is the last field: its varint is the last ten bytes.
+    raw = encode_packet(Interest(name_parse("/f"), lifetime_ms=U64_MAX))
+    assert raw[-10:] == b"\xff" * 9 + b"\x01"
+    with pytest.raises(MalformedPacket):
+        decode_packet(raw[:-10] + b"\x80" * 9 + b"\x02")

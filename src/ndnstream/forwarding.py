@@ -7,7 +7,16 @@ keeps the forwarding logic synchronous and directly testable.
 
 Face 0 is reserved on every node as an internal face: prefetch-created
 PIT entries list it as their only downstream so the fetched data lands in
-the content store without being forwarded anywhere.
+the content store without being forwarded anywhere. The node also indexes
+those entries by file base and then by (version, chunk), as the content
+store indexes its packets, so a prefetch plan tests each slot of its window
+by dict lookups: a slot fresh in the CS is skipped, then a slot in the
+prefetch index; only the rest build a chunk name and test the PIT, which
+catches consumer-made entries and slots the CS holds only stale.
+
+A retransmission (a fresh nonce from a face already downstream of the PIT
+entry) is forwarded upstream and extends the entry's expiry, as in NFD; an
+interest from a new face is aggregated.
 
 Names match by one rule: an interest names one chunk exactly or, with
 CanBePrefix, one file's base. The content store answers a base through
@@ -87,6 +96,8 @@ class PitEntry:
     seen_nonces: set[int]
     expiry: float
     can_be_prefix: bool  # of the interest that created the entry
+    # (base, (version, chunk)) of an entry the prefetcher created, else None
+    prefetch_slot: tuple[Name, tuple[int, int]] | None = None
 
 
 @dataclass
@@ -124,10 +135,6 @@ class ContentStore:
         del chunks[vc.version, vc.chunk]
         if not chunks:
             del self.by_base[vc.base]
-
-    def contains_fresh(self, full_name: Name, now: float) -> bool:
-        entry = self.entries.get(full_name)
-        return entry is not None and not self._stale(entry, now)
 
     def lookup(self, interest: Interest, now: float) -> Data | None:
         """The fresh packet named exactly, else, for a CanBePrefix interest
@@ -204,6 +211,9 @@ class ForwarderNode:
         self.node_id = node_id
         self.faces: set[int] = {INTERNAL_FACE}
         self.pit: dict[Name, PitEntry] = {}
+        # The PIT entries the prefetcher created (downstream includes face 0),
+        # by base and then by (version, chunk), as ``ContentStore.by_base``.
+        self.prefetching: dict[Name, dict[tuple[int, int], Name]] = {}
         self.fib: dict[Name, FibEntry] = {}
         self.cs = ContentStore(cs_capacity_bytes)
         self.strategy = strategy
@@ -264,10 +274,14 @@ class ForwarderNode:
         self.stats.cs_misses += 1
 
         if existing is not None:
+            retransmission = from_face in existing.downstream
             existing.downstream.add(from_face)
             existing.seen_nonces.add(interest.nonce)
             if self.aggregate_interests:
-                return []
+                if not retransmission:
+                    return []
+                expiry = now + interest.lifetime_ms / 1000.0
+                existing.expiry = max(existing.expiry, expiry)
             upstream = self._next_hop(interest.name, exclude=from_face)
             if upstream is None:
                 return []
@@ -291,7 +305,7 @@ class ForwarderNode:
         self._check_face(from_face)
         self.stats.data_in += 1
         faces: set[int] = set()
-        entry = self.pit.pop(data.name.full(), None)
+        entry = self._pit_pop(data.name.full())
         if entry is not None:
             faces |= entry.downstream
         base = data.name.base
@@ -315,7 +329,7 @@ class ForwarderNode:
     def on_nack(self, from_face: int, nack: Nack, now: float) -> list[Action]:
         self._check_face(from_face)
         self.stats.nacks_in += 1
-        entry = self.pit.pop(nack.interest_name, None)
+        entry = self._pit_pop(nack.interest_name)
         if entry is None:
             return []
         actions: list[Action] = []
@@ -328,21 +342,28 @@ class ForwarderNode:
 
     def prefetch_plan(self, trigger: Data, now: float) -> list[Interest]:
         """Interests for the next chunks of the trigger's file, skipping
-        anything already cached or pending. A slot the CS holds is found
-        through its (version, chunk) index; a name is built only for the
-        slots it does not hold."""
+        anything already cached or pending. Each slot of the window is
+        tested in turn: fresh in the CS (through its (version, chunk)
+        index), skip; in the prefetch index, skip; otherwise its name is
+        built (or taken from a stale CS entry) and tested in the PIT."""
         if not isinstance(self.strategy, GatewayPrefetch):
             return []
         vc = trigger.name
-        held = self.cs.by_base.get(vc.base, {})
+        base, version = vc.base, vc.version
+        held = self.cs.by_base.get(base, {})
+        cs_entries, stale = self.cs.entries, self.cs._stale
+        prefetching = self.prefetching.get(base, {})
         plan: list[Interest] = []
         last = min(vc.chunk + self.strategy.depth, trigger.final_chunk)
         for chunk in range(vc.chunk + 1, last + 1):
-            full = held.get((vc.version, chunk))
-            if full is None:
-                full = chunk_name(vc.base, vc.version, chunk)
-            elif self.cs.contains_fresh(full, now):
+            slot = (version, chunk)
+            full = held.get(slot)
+            if full is not None and not stale(cs_entries[full], now):
                 continue
+            if slot in prefetching:
+                continue
+            if full is None:
+                full = chunk_name(base, version, chunk)
             if full in self.pit:
                 continue
             plan.append(Interest(name=full, can_be_prefix=False, nonce=self._rng.getrandbits(32)))
@@ -350,24 +371,40 @@ class ForwarderNode:
 
     def _prefetch(self, trigger: Data, now: float) -> list[Action]:
         actions: list[Action] = []
+        base, version = trigger.name.base, trigger.name.version
         for interest in self.prefetch_plan(trigger, now):
             upstream = self._next_hop(interest.name, exclude=INTERNAL_FACE)
             if upstream is None:
                 continue
+            slot = (version, int(interest.name.components[-1][2:]))  # "c=<chunk>"
             self.pit[interest.name] = PitEntry(
                 downstream={INTERNAL_FACE},
                 seen_nonces={interest.nonce},
                 expiry=now + interest.lifetime_ms / 1000.0,
                 can_be_prefix=False,
+                prefetch_slot=(base, slot),
             )
+            self.prefetching.setdefault(base, {})[slot] = interest.name
             self.stats.interests_out += 1
             self.stats.prefetch_sent += 1
             actions.append(SendInterest(upstream, interest))
         return actions
 
+    def _pit_pop(self, name: Name) -> PitEntry | None:
+        """Remove and return the PIT entry at ``name``, keeping the prefetch
+        index in step; None if there is none."""
+        entry = self.pit.pop(name, None)
+        if entry is not None and entry.prefetch_slot is not None:
+            base, slot = entry.prefetch_slot
+            slots = self.prefetching[base]
+            del slots[slot]
+            if not slots:
+                del self.prefetching[base]
+        return entry
+
     def pit_expire(self, now: float) -> list[Name]:
         """Drop entries whose expiry is at or before ``now``; return their names."""
         expired = [n for n, e in self.pit.items() if e.expiry <= now]
         for name in expired:
-            del self.pit[name]
+            self._pit_pop(name)
         return expired

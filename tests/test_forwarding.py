@@ -4,6 +4,7 @@ import pytest
 
 from ndnstream.errors import UnknownFace
 from ndnstream.forwarding import (
+    INTERNAL_FACE,
     BestRoute,
     ContentStore,
     ForwarderNode,
@@ -175,6 +176,25 @@ def test_interest_aggregation_single_upstream():
     assert second == []
     entry = node.pit[name_parse("/f/v=1/c=0")]
     assert entry.downstream == {1, 2}
+
+
+def test_retransmission_from_same_face_forwarded_and_refreshes_expiry():
+    """A fresh nonce from a face already downstream is a retransmission: it
+    goes upstream again and the entry lives a full lifetime from it."""
+    node = make_node()
+    node.add_route(name_parse("/f"), 3)
+    name = name_parse("/f/v=1/c=0")
+    node.on_interest(1, Interest(name, nonce=1, lifetime_ms=4000), 0.0)
+    retx = Interest(name, nonce=2, lifetime_ms=4000)
+    assert node.on_interest(1, retx, 1.0) == [SendInterest(3, retx)]
+    entry = node.pit[name]
+    assert entry.downstream == {1}
+    assert entry.expiry == pytest.approx(5.0)
+    # A shorter lifetime never pulls the expiry in.
+    node.on_interest(1, Interest(name, nonce=3, lifetime_ms=100), 2.0)
+    assert entry.expiry == pytest.approx(5.0)
+    assert node.pit_expire(4.999) == []
+    assert node.stats.interests_out == 3
 
 
 def test_duplicate_nonce_dropped_as_loop():
@@ -396,8 +416,10 @@ def test_prefetch_never_requests_cached_or_pending_property(key):
 
 def test_prefetch_plan_matches_brute_force_oracle_under_churn(key):
     """Two versions x 30 chunks under LRU eviction, short and long freshness,
-    consumer and prefetch PIT entries: the plan is exactly the window's slots,
-    in order, that are neither fresh in the CS nor pending."""
+    consumer and prefetch PIT entries, data, nacks and expiry: the plan is
+    exactly the window's slots, in order, that are neither fresh in the CS
+    nor pending, and the prefetch index holds exactly the PIT entries whose
+    downstream includes the internal face."""
     rng = random.Random(11)
     depth, final = 8, 29
     node = make_node(cs_bytes=2500, strategy=GatewayPrefetch(depth=depth))
@@ -418,7 +440,17 @@ def test_prefetch_plan_matches_brute_force_oracle_under_churn(key):
         entry = node.cs.entries.get(name)
         return entry is not None and (now - entry.inserted) * 1000.0 <= entry.data.freshness_ms
 
+    def check_index():
+        indexed = [n for slots in node.prefetching.values() for n in slots.values()]
+        internal = {n for n, e in node.pit.items() if INTERNAL_FACE in e.downstream}
+        assert len(indexed) == len(set(indexed)) and set(indexed) == internal
+        for base, slots in node.prefetching.items():
+            assert slots
+            for (v, c), n in slots.items():
+                assert n == name_parse(f"/f/v={v}/c={c}") and base == name_parse("/f")
+
     skipped_fresh = skipped_pending = planned_stale = evictions = 0
+    nacked_prefetch = 0
     now = 0.0
     for nonce in range(1500):
         now += rng.uniform(0.0, 0.02)
@@ -430,10 +462,14 @@ def test_prefetch_plan_matches_brute_force_oracle_under_churn(key):
             name = name_parse(f"/f/v={version}/c={chunk}")
             lifetime = rng.choice([50, 4000])
             node.on_interest(1, Interest(name, nonce=nonce, lifetime_ms=lifetime), now)
-        elif op < 0.7 and node.pit:
+        elif op < 0.65 and node.pit:
             pending = rng.choice(list(node.pit))
             v, c = (int(part[2:]) for part in pending.components[-2:])
             node.on_data(3, data(v, c), now)  # caches it and prefetches ahead
+        elif op < 0.7 and node.pit:
+            pending = rng.choice(list(node.pit))
+            nacked_prefetch += INTERNAL_FACE in node.pit[pending].downstream
+            node.on_nack(3, Nack(pending, NackReason.NO_ROUTE), now)
         elif op < 0.75:
             node.pit_expire(now)
         else:
@@ -447,7 +483,11 @@ def test_prefetch_plan_matches_brute_force_oracle_under_churn(key):
             skipped_fresh += sum(fresh(n, now) for n in window)
             skipped_pending += sum(n in node.pit and not fresh(n, now) for n in window)
             planned_stale += sum(n in node.cs.entries and not fresh(n, now) for n in expected)
-    assert min(skipped_fresh, skipped_pending, planned_stale, evictions) > 0
+        check_index()
+    assert min(skipped_fresh, skipped_pending, planned_stale, evictions, nacked_prefetch) > 0
+    assert node.prefetching
+    node.pit_expire(max(e.expiry for e in node.pit.values()))
+    assert not node.pit and not node.prefetching
 
 
 # -- pit expiry -----------------------------------------------------------------------

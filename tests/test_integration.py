@@ -1,6 +1,7 @@
 """End-to-end behavior through the emulator."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -317,3 +318,22 @@ def test_mid_stream_throttle_causes_rebuffering():
     # accounting holds even across stalls
     assert s.media_played_s + s.final_buffer_s == pytest.approx(s.media_downloaded_s)
     assert s.media_downloaded_s == pytest.approx(40.0)
+
+
+LOSSY = (Path(__file__).parent / "data" / "lossy.scn").read_text()
+
+
+@pytest.mark.parametrize("queue_kb", [12, 16, 20, 24, 32, 48])
+def test_lossy_bottleneck_recovers_every_lost_chunk(queue_kb):
+    """A tail-drop queue on gw-srv loses data; each retransmission goes
+    upstream again, so the session plays to the end. (4 and 8 KB queues
+    still abort: their retry budget runs out before recovery.)"""
+    text = LOSSY.replace("queue=20KB", f"queue={queue_kb}KB")
+    assert f"queue={queue_kb}KB" in text
+    report = run_scenario(parse_scenario(text))
+    assert sum(report.link_drops.values()) >= 1
+    s = report.sessions[0]
+    assert s.aborted is None
+    assert s.media_played_s == pytest.approx(20.0)
+    gw = report.node_counters["gw"]
+    assert gw["interests_out"] == gw["interests_in"]

@@ -328,9 +328,9 @@ def test_prewarm_fraction_covers_leading_share_per_file(key):
     names = repo.file_chunk_names(base)
     keep = math.ceil(0.92 * len(names))
     for full in names[:keep]:
-        assert cs.contains_fresh(full, 0.0)
+        assert cs.lookup(Interest(full), 0.0) is not None
     for full in names[keep:]:
-        assert not cs.contains_fresh(full, 0.0)
+        assert cs.lookup(Interest(full), 0.0) is None
 
 
 def test_prewarm_overflow_raises(key):

@@ -20,6 +20,15 @@ An interest or data packet keeps its encoded size in ``_wire_size`` once
 ``wire.encoded_size`` has computed it. The field takes no part in
 equality, hashing or ``repr``, and a copy made by ``dataclasses.replace``
 or by decoding starts without it.
+
+A data packet likewise remembers, in ``_verified_by``, the key object it
+last verified under. Only ``verify_data`` sets it, and only after the tag
+matched a recomputation under that key; signing (``sign_data``,
+``sign_file``) never sets it. Any copy starts unverified, whether made by
+``dataclasses.replace``, by the constructor or by decoding. A packet is
+frozen, so recomputing its tag under the same key object gives the same
+answer, and consumers behind one cache check a shared packet once between
+them. The slot is identity-keyed: an equal but distinct key recomputes.
 """
 
 from __future__ import annotations
@@ -67,6 +76,7 @@ class Data:
     freshness_ms: int = DEFAULT_FRESHNESS_MS
     integrity_tag: bytes = _ZERO_TAG
     _wire_size: int | None = field(default=None, init=False, compare=False, repr=False)
+    _verified_by: KeyMaterial | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name.chunk <= self.final_chunk < _U64_LIMIT:
@@ -144,5 +154,15 @@ def sign_file(
 
 
 def verify_data(data: Data, key: KeyMaterial) -> bool:
-    """True iff the tag matches a recomputation under the same key."""
-    return data.integrity_tag == _tag(data, key)
+    """True iff the tag matches a recomputation under the same key.
+
+    A match is remembered on the packet as the key object itself, so the
+    same packet checked again under the same key is not re-hashed. A
+    mismatch is never remembered.
+    """
+    if data._verified_by is key:
+        return True
+    if data.integrity_tag != _tag(data, key):
+        return False
+    object.__setattr__(data, "_verified_by", key)
+    return True

@@ -29,7 +29,7 @@ from ndnstream.experiments import (
 )
 from ndnstream.forwarding import ContentStore
 from ndnstream.names import name_parse
-from ndnstream.netsim.scenario import run_scenario
+from ndnstream.netsim.scenario import parse_scenario, run_scenario
 from ndnstream.netsim.topology import NetworkSim
 from ndnstream.packets import Data, Interest, KeyMaterial
 from ndnstream.producer import Repository
@@ -413,6 +413,21 @@ def test_criterion_9_report_digests(staircase_run, no_cache_run, with_cache_run,
         print(json.dumps(got, indent=2))
     assert got == pinned
     _announce(9, f"{len(pinned)} canned and extra report.json digests match the pinned table")
+
+
+def test_criterion_9_data_scenario_digests():
+    """Scenario files under tests/data (the lossy bottleneck and four
+    consumers behind one caching gateway) hash to their pinned digests."""
+    data = pathlib.Path(__file__).parent / "data"
+    pinned = json.loads((data / "scenario_digests.json").read_text())
+    got = {
+        name: hashlib.sha256(run_scenario(parse_scenario((data / name).read_text())).to_json().encode()).hexdigest()
+        for name in pinned
+    }
+    if got != pinned:
+        print(json.dumps(got, indent=2))
+    assert got == pinned
+    _announce(9, f"{len(pinned)} tests/data scenario report.json digests match the pinned table")
 
 
 # -- criterion 10: micro-oracles ----------------------------------------------------------------

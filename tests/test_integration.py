@@ -162,6 +162,73 @@ def test_corrupted_data_aborts_with_integrity_failure():
     assert "IntegrityFailure" in report.sessions[0].aborted
 
 
+SHARED_GATEWAY = """
+scenario shared-gateway
+seed 4
+
+[nodes]
+consumer c1
+consumer c2
+forwarder gw cs=32MB
+producer srv delay-ms=1
+
+[links]
+c1 gw prop-ms=5 bw=50Mbps
+c2 gw prop-ms=8 bw=50Mbps
+gw srv prop-ms=15 bw=20Mbps
+
+[routes]
+gw /ndn/web/video srv
+
+[videos]
+video foo server=srv prefix=/ndn/web/video duration-s=6 segment-s=2
+tier foo 480p height=480 min-bw=1.8Mbps
+
+[sessions]
+session s1 consumer=c1 videos=foo
+session s2 consumer=c2 videos=foo start-s=2
+"""
+
+
+def test_corrupted_copy_of_shared_verified_data_is_rejected(monkeypatch):
+    # The gateway cache hands c1 and c2 the same data objects. Once c1 has
+    # verified one, a corrupted copy of it on its way to c2 keeps the name
+    # and the tag, so only a fresh check of the copy can reject it.
+    verified = {}
+    real_verify = consumer.verify_data
+
+    def recording_verify(data, key):
+        ok = real_verify(data, key)
+        if ok:
+            verified[id(data)] = data
+        return ok
+
+    monkeypatch.setattr(consumer, "verify_data", recording_verify)
+    run = ScenarioRun(parse_scenario(SHARED_GATEWAY))
+    corrupted = []
+
+    def corrupt(data: Data, src: str, dst: str) -> Data:
+        if not corrupted and dst == "c2" and data.content and verified.get(id(data)) is data:
+            corrupted.append(data.name)
+            return Data(
+                data.name,
+                bytes([data.content[0] ^ 0x01]) + data.content[1:],
+                data.final_chunk,
+                data.freshness_ms,
+                data.integrity_tag,
+            )
+        return data
+
+    run.sim.data_tap = corrupt
+    report = run.run()
+    assert len(corrupted) == 1
+    first, second = report.sessions
+    assert first.aborted is None
+    assert first.media_played_s == pytest.approx(6.0)
+    assert second.aborted is not None and "IntegrityFailure" in second.aborted
+    assert str(corrupted[0]) in second.aborted
+
+
 def test_tapped_data_is_sized_as_sent():
     # The tap replaces packets that earlier hops have already sized; the
     # link must charge each replacement its own encoded length.

@@ -1,13 +1,14 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ndnstream import names
+from ndnstream import names, packets
 from ndnstream.errors import MalformedName
 from ndnstream.names import Name, VersionedChunkName, _encode_name, name_parse
 from ndnstream.packets import Data, KeyMaterial, sign_data, sign_file, verify_data
-from ndnstream.wire import decode_packet, encode_packet
+from ndnstream.wire import decode_packet, encode_packet, encoded_size
 
 
 def small_data():
@@ -168,3 +169,114 @@ def test_file_chunks_needs_chunk_zero():
     # Every file has a chunk 0, so a file of no chunks has no names.
     with pytest.raises(MalformedName):
         VersionedChunkName.file_chunks(name_parse("/f"), 1, 0)
+
+
+# -- the verification memo ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def recomputes(monkeypatch):
+    """The packets whose tag was recomputed (``sign_data`` counts too, so
+    tests clear the list after signing)."""
+    calls = []
+    real = packets._tag
+
+    def counting(data, key):
+        calls.append(data)
+        return real(data, key)
+
+    monkeypatch.setattr(packets, "_tag", counting)
+    return calls
+
+
+def _tampered(data: Data) -> Data:
+    body = bytearray(data.content)
+    body[0] ^= 0x01
+    return Data(data.name, bytes(body), data.final_chunk, data.freshness_ms, data.integrity_tag)
+
+
+def test_verified_packet_is_not_rehashed_under_same_key(key, recomputes):
+    signed = sign_data(small_data(), key)
+    recomputes.clear()
+    assert verify_data(signed, key) and verify_data(signed, key) and verify_data(signed, key)
+    assert recomputes == [signed]
+
+
+def test_verified_packet_still_rejected_under_other_key(key, recomputes):
+    signed = sign_data(small_data(), key)
+    recomputes.clear()
+    assert verify_data(signed, key)
+    other = KeyMaterial("other", b"different")
+    assert not verify_data(signed, other)
+    assert not verify_data(signed, other)
+    assert verify_data(signed, key)
+    assert len(recomputes) == 3
+
+
+def test_equal_but_distinct_key_recomputes_and_accepts(key, recomputes):
+    signed = sign_data(small_data(), key)
+    recomputes.clear()
+    assert verify_data(signed, key)
+    twin = KeyMaterial(key.key_id, key.secret)
+    assert twin == key and twin is not key
+    assert verify_data(signed, twin)
+    assert len(recomputes) == 2
+    # The slot holds the last key object only, so the first one recomputes.
+    assert verify_data(signed, key)
+    assert len(recomputes) == 3
+
+
+def test_tampered_copy_of_verified_packet_rejected(key):
+    signed = sign_data(small_data(), key)
+    assert verify_data(signed, key)
+    assert not verify_data(_tampered(signed), key)
+    assert not verify_data(replace(signed, content=b"abd"), key)
+    assert not verify_data(replace(signed, freshness_ms=signed.freshness_ms + 1), key)
+    assert verify_data(signed, key)
+
+
+def test_copies_start_unverified(key, recomputes):
+    signed = sign_data(small_data(), key)
+    recomputes.clear()
+    assert verify_data(signed, key)
+    copies = [
+        decode_packet(encode_packet(signed)),
+        replace(signed),
+        Data(signed.name, signed.content, signed.final_chunk, signed.freshness_ms, signed.integrity_tag),
+    ]
+    for copy in copies:
+        assert copy == signed and copy is not signed
+        assert copy._verified_by is None
+        assert verify_data(copy, key)
+    assert recomputes == [signed, *copies]
+
+
+def test_bad_packet_rejected_every_time(key, recomputes):
+    bad = _tampered(sign_data(small_data(), key))
+    recomputes.clear()
+    for _ in range(3):
+        assert not verify_data(bad, key)
+    assert recomputes == [bad] * 3
+    assert bad._verified_by is None
+
+
+def test_signing_leaves_packets_unverified(key, recomputes):
+    signed = sign_data(small_data(), key)
+    vc = VersionedChunkName.file_chunks(name_parse("/f"), 1, 3)
+    filed = sign_file(vc, [b"a", b"b", b"c"], 500, key)
+    recomputes.clear()
+    for data in [signed, *filed]:
+        assert data._verified_by is None
+        assert verify_data(data, key)
+    assert recomputes == [signed, *filed]
+
+
+def test_verification_leaves_value_and_wire_unchanged(key):
+    signed = sign_data(small_data(), key)
+    twin = replace(signed)
+    before = (hash(signed), repr(signed), encode_packet(signed))
+    assert verify_data(signed, key) and signed._verified_by is key
+    assert (hash(signed), repr(signed), encode_packet(signed)) == before
+    assert signed == twin and hash(signed) == hash(twin) and repr(signed) == repr(twin)
+    assert encoded_size(signed) == encoded_size(twin) == len(before[2])
+    assert "_verified_by" not in repr(signed)

@@ -166,7 +166,6 @@ class FileFetch:
         self.on_complete = on_complete
         self.on_error = on_error
 
-        self.started_at: float = 0.0
         self.version: int | None = None
         self.final_chunk: int | None = None
         self.timings: dict[int | None, ChunkTiming] = {}
@@ -179,7 +178,6 @@ class FileFetch:
     # -- sending ---------------------------------------------------------
 
     def start(self) -> None:
-        self.started_at = self.transport.now()
         self._send(None)
 
     def _send(self, chunk: int | None) -> None:

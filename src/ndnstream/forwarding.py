@@ -2,8 +2,10 @@
 
 A ForwarderNode is a single-owner state machine. Each handler takes the
 arrival face and current simulation time and returns an ordered list of
-actions (send this packet on that face); the driver owns all I/O, which
-keeps the forwarding logic synchronous and directly testable.
+actions, each a (face, packet) pair: send this packet on that face. The
+packet's own type says whether it is an interest, data or a nack. The
+host running the node owns all I/O, which keeps the forwarding logic
+synchronous and directly testable.
 
 Face 0 is reserved on every node as an internal face: prefetch-created
 PIT entries list it as their only downstream so the fetched data lands in
@@ -32,32 +34,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import UnknownFace
-from .names import Name, chunk_name, name_is_prefix_of
-from .packets import Data, Interest, Nack, NackReason
+from .names import Name, chunk_index, chunk_name, name_is_prefix_of
+from .packets import Data, Interest, Nack, NackReason, Packet
 from .wire import encoded_size
 
 INTERNAL_FACE = 0
 
-
-@dataclass(frozen=True)
-class SendInterest:
-    face: int
-    interest: Interest
-
-
-@dataclass(frozen=True)
-class SendData:
-    face: int
-    data: Data
-
-
-@dataclass(frozen=True)
-class SendNack:
-    face: int
-    nack: Nack
-
-
-Action = SendInterest | SendData | SendNack
+Action = tuple[int, Packet]  # (face, packet to send on it)
 
 
 @dataclass(frozen=True)
@@ -266,7 +249,7 @@ class ForwarderNode:
         cached = self.cs.lookup(interest, now)
         if cached is not None:
             self.stats.cs_hits += 1
-            actions.append(SendData(from_face, cached))
+            actions.append((from_face, cached))
             self.stats.data_out += 1
             if isinstance(self.strategy, GatewayPrefetch):
                 actions.extend(self._prefetch(cached, now))
@@ -286,12 +269,12 @@ class ForwarderNode:
             if upstream is None:
                 return []
             self.stats.interests_out += 1
-            return [SendInterest(upstream, interest)]
+            return [(upstream, interest)]
 
         upstream = self._next_hop(interest.name, exclude=from_face)
         if upstream is None:
             self.stats.nacks_out += 1
-            return [SendNack(from_face, Nack(interest.name, NackReason.NO_ROUTE))]
+            return [(from_face, Nack(interest.name, NackReason.NO_ROUTE))]
         self.pit[interest.name] = PitEntry(
             downstream={from_face},
             seen_nonces={interest.nonce},
@@ -299,7 +282,7 @@ class ForwarderNode:
             can_be_prefix=interest.can_be_prefix,
         )
         self.stats.interests_out += 1
-        return [SendInterest(upstream, interest)]
+        return [(upstream, interest)]
 
     def on_data(self, from_face: int, data: Data, now: float) -> list[Action]:
         self._check_face(from_face)
@@ -315,12 +298,8 @@ class ForwarderNode:
             faces |= entry.downstream
         if not faces:
             return []  # unsolicited
-        actions: list[Action] = []
-        for face in sorted(faces):
-            if face == INTERNAL_FACE:
-                continue
-            actions.append(SendData(face, data))
-            self.stats.data_out += 1
+        actions: list[Action] = [(face, data) for face in sorted(faces) if face != INTERNAL_FACE]
+        self.stats.data_out += len(actions)
         self.cs.insert(data, now)
         if isinstance(self.strategy, GatewayPrefetch):
             actions.extend(self._prefetch(data, now))
@@ -332,12 +311,10 @@ class ForwarderNode:
         entry = self._pit_pop(nack.interest_name)
         if entry is None:
             return []
-        actions: list[Action] = []
-        for face in sorted(entry.downstream):
-            if face == INTERNAL_FACE:
-                continue
-            actions.append(SendNack(face, nack))
-            self.stats.nacks_out += 1
+        actions: list[Action] = [
+            (face, nack) for face in sorted(entry.downstream) if face != INTERNAL_FACE
+        ]
+        self.stats.nacks_out += len(actions)
         return actions
 
     def prefetch_plan(self, trigger: Data, now: float) -> list[Interest]:
@@ -376,7 +353,7 @@ class ForwarderNode:
             upstream = self._next_hop(interest.name, exclude=INTERNAL_FACE)
             if upstream is None:
                 continue
-            slot = (version, int(interest.name.components[-1][2:]))  # "c=<chunk>"
+            slot = (version, chunk_index(interest.name))
             self.pit[interest.name] = PitEntry(
                 downstream={INTERNAL_FACE},
                 seen_nonces={interest.nonce},
@@ -387,7 +364,7 @@ class ForwarderNode:
             self.prefetching.setdefault(base, {})[slot] = interest.name
             self.stats.interests_out += 1
             self.stats.prefetch_sent += 1
-            actions.append(SendInterest(upstream, interest))
+            actions.append((upstream, interest))
         return actions
 
     def _pit_pop(self, name: Name) -> PitEntry | None:

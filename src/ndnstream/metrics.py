@@ -4,15 +4,16 @@ Per-chunk RTT is the time from the latest transmitted interest to the
 earliest received data. A file's RTT is the mean over its completed
 chunks; jitter is, by default, the mean absolute difference of successive
 chunk RTTs (a variance-style alternative is available as a toggle).
-Reports serialize with stable key order and floats rounded to six
-significant digits so equal runs produce identical bytes.
+Reports serialize from their record fields, with stable key order and
+floats rounded to six significant digits, so equal runs produce identical
+bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .consumer import ChunkTiming, FileRecord, PlayerSession
 from .errors import EmptyInput, IoFailure, NoCompletedChunks, NoLookups
@@ -93,7 +94,9 @@ class FileRetrievalRecord:
     avg_rtt_ms: float
     jitter_ms: float
     cache_fraction: float
-    timings: list[ChunkTiming] = field(default_factory=list, repr=False)
+    timings: list[ChunkTiming] = field(
+        default_factory=list, repr=False, metadata={"report": False}
+    )
 
     @classmethod
     def from_file(cls, record: FileRecord, jitter_mode: str) -> "FileRetrievalRecord":
@@ -175,10 +178,11 @@ class SessionMetrics:
 class CacheStats:
     cs_hits: int
     cs_misses: int
+    hit_ratio: float | None = field(init=False)  # None without lookups
 
-    @property
-    def hit_ratio(self) -> float:
-        return cache_hit_ratio(self.cs_hits, self.cs_misses)
+    def __post_init__(self) -> None:
+        hits, misses = self.cs_hits, self.cs_misses
+        self.hit_ratio = cache_hit_ratio(hits, misses) if hits + misses else None
 
 
 @dataclass
@@ -205,86 +209,26 @@ class MetricsReport:
             out.extend(session.files)
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "seed": self.seed,
-            "sessions": [
-                {
-                    "session_id": s.session_id,
-                    "consumer": s.consumer,
-                    "chosen_gateway": s.chosen_gateway,
-                    "probe_rtts_ms": s.probe_rtts_ms,
-                    "startup_delay_s": s.startup_delay_s,
-                    "rebuffer_count": s.rebuffer_count,
-                    "rebuffer_total_s": s.rebuffer_total_s,
-                    "rebuffer_events": [[a, b] for a, b in s.rebuffer_events],
-                    "quality_timeline": [[t, label] for t, label in s.quality_timeline],
-                    "estimator_trace": [[t, est] for t, est in s.estimator_trace],
-                    "media_downloaded_s": s.media_downloaded_s,
-                    "media_played_s": s.media_played_s,
-                    "final_buffer_s": s.final_buffer_s,
-                    "aborted": s.aborted,
-                    "files": [
-                        {
-                            "name": f.name,
-                            "role": f.role,
-                            "video_id": f.video_id,
-                            "tier": f.tier,
-                            "segment_index": f.segment_index,
-                            "started": f.started,
-                            "finished": f.finished,
-                            "content_bytes": f.content_bytes,
-                            "chunk_count": f.chunk_count,
-                            "retx_total": f.retx_total,
-                            "avg_rtt_ms": f.avg_rtt_ms,
-                            "jitter_ms": f.jitter_ms,
-                            "cache_fraction": f.cache_fraction,
-                        }
-                        for f in s.files
-                    ],
-                }
-                for s in self.sessions
-            ],
-            "cache": {
-                node: {
-                    "cs_hits": stats.cs_hits,
-                    "cs_misses": stats.cs_misses,
-                    "hit_ratio": (
-                        cache_hit_ratio(stats.cs_hits, stats.cs_misses)
-                        if stats.cs_hits + stats.cs_misses
-                        else None
-                    ),
-                }
-                for node, stats in sorted(self.cache.items())
-            },
-            "node_counters": {
-                node: dict(sorted(counters.items()))
-                for node, counters in sorted(self.node_counters.items())
-            },
-            "server": {
-                node: {
-                    "interests": s.interests,
-                    "mean_ms": s.mean_ms,
-                    "max_ms": s.max_ms,
-                    "within_5ms": s.within_5ms,
-                }
-                for node, s in sorted(self.server.items())
-            },
-            "link_drops": dict(sorted(self.link_drops.items())),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(_round_floats(self.to_dict()), indent=2, sort_keys=True)
+        return json.dumps(_plain(self), indent=2, sort_keys=True)
 
 
-def _round_floats(obj):
+def _plain(obj):
+    """The JSON form of a report value: a record becomes its reported
+    fields by name, a tuple a list, and a float is rounded to six
+    significant digits."""
+    if is_dataclass(obj):
+        return {
+            f.name: _plain(getattr(obj, f.name))
+            for f in fields(obj)
+            if f.metadata.get("report", True)
+        }
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
     if isinstance(obj, float):
         return float(f"{obj:.6g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
     return obj
 
 

@@ -44,16 +44,14 @@ class EventEngine:
         action()
         return True
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Drain the queue, optionally stopping after ``until`` or a budget.
+    def run(self, until: float | None = None) -> int:
+        """Drain the queue, optionally stopping after ``until``.
 
         Returns the number of events executed by this call.
         """
         count = 0
         while self._heap:
             if until is not None and self._heap[0][0] > until:
-                break
-            if max_events is not None and count >= max_events:
                 break
             self.advance()
             count += 1

@@ -35,7 +35,7 @@ import math
 import random
 import re
 from collections.abc import Callable, Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from ..consumer import FetchEngine, PlayerSession, SessionConfig
@@ -446,12 +446,17 @@ def _validate(scenario: Scenario) -> None:
             raise InvalidConfig(f"prewarm node {pw.node!r} is not a forwarder")
         if pw.video not in video_ids:
             raise InvalidConfig(f"prewarm references unknown video {pw.video!r}")
+        video = next(v for v in scenario.videos if v.video_id == pw.video)
+        if pw.tier not in {t.label for t in video.tiers}:
+            raise InvalidConfig(f"prewarm tier {pw.tier!r} is not a tier of {pw.video!r}")
         if not 0 <= pw.fraction <= 1:
             raise InvalidConfig("prewarm fraction must be within [0, 1]")
     last_at: dict[tuple[str, str], float] = {}
     for throttle in scenario.throttles:
         if throttle.src not in known or throttle.dst not in known:
             raise InvalidConfig("throttle references unknown node")
+        if not any({link.a, link.b} == {throttle.src, throttle.dst} for link in scenario.links):
+            raise InvalidConfig(f"throttle {throttle.src}->{throttle.dst}: no link between them")
         direction = (throttle.src, throttle.dst)
         if direction in last_at and throttle.at_s <= last_at[direction]:
             raise InvalidConfig(
@@ -663,13 +668,9 @@ class ScenarioRun:
                 stats = host.node.stats
                 cache[node_id] = CacheStats(stats.cs_hits, stats.cs_misses)
                 counters[node_id] = {
-                    "interests_in": stats.interests_in,
-                    "interests_out": stats.interests_out,
-                    "data_in": stats.data_in,
-                    "data_out": stats.data_out,
-                    "nacks_in": stats.nacks_in,
-                    "nacks_out": stats.nacks_out,
-                    "prefetch_sent": stats.prefetch_sent,
+                    f.name: getattr(stats, f.name)
+                    for f in fields(stats)
+                    if f.name not in ("cs_hits", "cs_misses")  # reported under cache
                 }
             elif isinstance(host, ProducerHost):
                 # Every interest waits the same processing delay.

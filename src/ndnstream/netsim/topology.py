@@ -20,13 +20,7 @@ from typing import Callable
 
 from ..consumer import PlayerSession
 from ..errors import AllProbesFailed, InvalidTopology
-from ..forwarding import (
-    ForwarderNode,
-    SendData,
-    SendInterest,
-    SendNack,
-    Strategy,
-)
+from ..forwarding import ForwarderNode, Strategy
 from ..names import Name, name_is_prefix_of
 from ..packets import Data, Interest, Nack, Packet
 from ..producer import Repository
@@ -80,23 +74,15 @@ class ForwarderHost(_FacedHost):
         now = self.sim.engine.now
         if isinstance(packet, Interest):
             actions = self.node.on_interest(from_face, packet, now)
-            incoming_origin = False
         elif isinstance(packet, Data):
             actions = self.node.on_data(from_face, packet, now)
-            incoming_origin = from_producer
         else:
             actions = self.node.on_nack(from_face, packet, now)
-            incoming_origin = False
-        for action in actions:
-            if isinstance(action, SendInterest):
-                self.sim.send(self.node_id, action.face, action.interest, False)
-            elif isinstance(action, SendData):
-                # Data emitted while handling an interest comes from the
-                # content store; forwarded data keeps its upstream origin.
-                origin = incoming_origin if isinstance(packet, Data) else False
-                self.sim.send(self.node_id, action.face, action.data, origin)
-            elif isinstance(action, SendNack):
-                self.sim.send(self.node_id, action.face, action.nack, False)
+        for face, out in actions:
+            # Forwarded data keeps its upstream origin; data answered from
+            # the content store, interests and nacks do not come from a producer.
+            origin = from_producer and out is packet and isinstance(out, Data)
+            self.sim.send(self.node_id, face, out, origin)
 
 
 class ProducerHost(_FacedHost):

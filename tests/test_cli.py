@@ -74,6 +74,8 @@ BAD_VALUES = [
     pytest.param(SESSION, SESSION + "\n[fch]\nc1", id="fch-no-gateways"),
     pytest.param("prefix=/p", "prefix=p", id="video-prefix-malformed"),
     pytest.param("gw /p srv", "gw p srv", id="route-prefix-malformed"),
+    pytest.param(SESSION, SESSION + "\n[prewarm]\ngw foo 999p 0.5", id="prewarm-tier-undeclared"),
+    pytest.param(SESSION, SESSION + "\n[throttles]\nc1 srv at-s=1 bw=1Mbps", id="throttle-no-link"),
 ]
 
 

@@ -9,12 +9,9 @@ from ndnstream.forwarding import (
     ContentStore,
     ForwarderNode,
     GatewayPrefetch,
-    SendData,
-    SendInterest,
-    SendNack,
 )
 from ndnstream.names import name_is_prefix_of, name_parse
-from ndnstream.packets import Interest, Nack, NackReason
+from ndnstream.packets import Data, Interest, Nack, NackReason
 from ndnstream.wire import encoded_size
 
 from conftest import make_data
@@ -170,9 +167,10 @@ def chunk_interest(text, nonce, prefix=False):
 def test_interest_aggregation_single_upstream():
     node = make_node()
     node.add_route(name_parse("/f"), 3)
-    first = node.on_interest(1, chunk_interest("/f/v=1/c=0", nonce=1), 0.0)
+    interest = chunk_interest("/f/v=1/c=0", nonce=1)
+    first = node.on_interest(1, interest, 0.0)
     second = node.on_interest(2, chunk_interest("/f/v=1/c=0", nonce=2), 0.1)
-    assert [type(a) for a in first] == [SendInterest]
+    assert first == [(3, interest)]
     assert second == []
     entry = node.pit[name_parse("/f/v=1/c=0")]
     assert entry.downstream == {1, 2}
@@ -186,7 +184,7 @@ def test_retransmission_from_same_face_forwarded_and_refreshes_expiry():
     name = name_parse("/f/v=1/c=0")
     node.on_interest(1, Interest(name, nonce=1, lifetime_ms=4000), 0.0)
     retx = Interest(name, nonce=2, lifetime_ms=4000)
-    assert node.on_interest(1, retx, 1.0) == [SendInterest(3, retx)]
+    assert node.on_interest(1, retx, 1.0) == [(3, retx)]
     entry = node.pit[name]
     assert entry.downstream == {1}
     assert entry.expiry == pytest.approx(5.0)
@@ -211,14 +209,14 @@ def test_cached_data_served_without_pit_entry(key):
     data = make_data("/f", content=b"x", key=key)
     node.cs.insert(data, 0.0)
     actions = node.on_interest(1, chunk_interest("/f/v=1/c=0", nonce=1), 0.5)
-    assert actions == [SendData(1, data)]
+    assert actions == [(1, data)]
     assert not node.pit
 
 
 def test_no_route_nacks_back():
     node = make_node()
     actions = node.on_interest(1, chunk_interest("/x/v=1/c=0", nonce=1), 0.0)
-    assert actions == [SendNack(1, Nack(name_parse("/x/v=1/c=0"), NackReason.NO_ROUTE))]
+    assert actions == [(1, Nack(name_parse("/x/v=1/c=0"), NackReason.NO_ROUTE))]
 
 
 def test_unknown_face_raises():
@@ -232,7 +230,7 @@ def test_next_hop_excludes_arrival_face():
     node.add_route(name_parse("/f"), 2, cost=1)
     node.add_route(name_parse("/f"), 3, cost=5)
     actions = node.on_interest(2, chunk_interest("/f/v=1/c=0", nonce=1), 0.0)
-    assert actions == [SendInterest(3, chunk_interest("/f/v=1/c=0", nonce=1))]
+    assert actions == [(3, chunk_interest("/f/v=1/c=0", nonce=1))]
 
 
 def test_hit_miss_counters_match_passed_interests():
@@ -254,7 +252,7 @@ def test_data_fans_out_to_all_downstreams(key):
     node.on_interest(2, chunk_interest("/f/v=1/c=0", nonce=2), 0.1)
     data = make_data("/f", content=b"x", key=key)
     actions = node.on_data(3, data, 0.5)
-    assert actions == [SendData(1, data), SendData(2, data)]
+    assert actions == [(1, data), (2, data)]
     assert not node.pit
     assert node.cs.lookup(Interest(data.name.full()), 0.6) == data
 
@@ -272,7 +270,7 @@ def test_discovery_pit_satisfied_by_versioned_data(key):
     node.on_interest(1, chunk_interest("/f", nonce=1, prefix=True), 0.0)
     data = make_data("/f", version=1, chunk=0, content=b"x", key=key)
     actions = node.on_data(3, data, 0.5)
-    assert actions == [SendData(1, data)]
+    assert actions == [(1, data)]
 
 
 def test_pit_satisfied_only_by_full_name_or_base(key):
@@ -281,7 +279,7 @@ def test_pit_satisfied_only_by_full_name_or_base(key):
     node.cs.insert(make_data("/f", version=1, chunk=1, final=1, key=key), 0.0)
     root = node.on_interest(1, chunk_interest("/", nonce=1, prefix=True), 0.0)
     version = node.on_interest(2, chunk_interest("/f/v=1", nonce=2, prefix=True), 0.0)
-    assert [type(a) for a in root + version] == [SendInterest, SendInterest]  # no CS hit
+    assert [(f, type(p)) for f, p in root + version] == [(3, Interest), (3, Interest)]  # no CS hit
     data = make_data("/f", version=1, chunk=0, final=1, key=key)
     assert node.on_data(3, data, 0.5) == []  # unsolicited
     assert set(node.pit) == {name_parse("/"), name_parse("/f/v=1")}
@@ -293,7 +291,7 @@ def test_one_data_satisfies_discovery_and_chunk_entries(key):
     node.on_interest(1, chunk_interest("/f", nonce=1, prefix=True), 0.0)
     node.on_interest(2, chunk_interest("/f/v=1/c=0", nonce=2), 0.0)
     data = make_data("/f", version=1, chunk=0, content=b"x", key=key)
-    assert node.on_data(3, data, 0.5) == [SendData(1, data), SendData(2, data)]
+    assert node.on_data(3, data, 0.5) == [(1, data), (2, data)]
     assert not node.pit
 
 
@@ -315,10 +313,10 @@ def test_pit_aggregation_burst_property(key):
     upstream = []
     for i in range(k):
         upstream += node.on_interest(i + 1, chunk_interest("/f/v=1/c=0", nonce=100 + i), 0.01 * i)
-    assert sum(isinstance(a, SendInterest) for a in upstream) == 1
+    assert [(f, type(p)) for f, p in upstream] == [(8, Interest)]
     data = make_data("/f", content=b"x", key=key)
     deliveries = node.on_data(8, data, 1.0)
-    assert sum(isinstance(a, SendData) for a in deliveries) == k
+    assert deliveries == [(i + 1, data) for i in range(k)]
 
 
 # -- on_nack ----------------------------------------------------------------------
@@ -331,7 +329,7 @@ def test_nack_forwarded_to_downstreams():
     node.on_interest(2, chunk_interest("/f/v=1/c=0", nonce=2), 0.1)
     nack = Nack(name_parse("/f/v=1/c=0"), NackReason.NO_CONTENT)
     actions = node.on_nack(3, nack, 0.5)
-    assert actions == [SendNack(1, nack), SendNack(2, nack)]
+    assert actions == [(1, nack), (2, nack)]
     assert not node.pit
 
 
@@ -387,14 +385,14 @@ def test_prefetch_data_cached_but_not_forwarded(key):
     node.on_interest(1, chunk_interest("/f/v=1/c=0", nonce=1), 0.0)
     trigger = make_data("/f", version=1, chunk=0, final=4, key=key)
     actions = node.on_data(3, trigger, 0.5)
-    sends = [a for a in actions if isinstance(a, SendData)]
-    prefetches = [a for a in actions if isinstance(a, SendInterest)]
-    assert len(sends) == 1 and sends[0].face == 1
+    sends = [(f, p) for f, p in actions if isinstance(p, Data)]
+    prefetches = [(f, p) for f, p in actions if isinstance(p, Interest)]
+    assert sends == [(1, trigger)]
     assert len(prefetches) == 2
     # prefetched data lands in the cache and produces no forwarding action
     chunk1 = make_data("/f", version=1, chunk=1, final=4, key=key)
     follow = node.on_data(3, chunk1, 0.6)
-    assert all(not isinstance(a, SendData) for a in follow)
+    assert all(not isinstance(p, Data) for _, p in follow)
     assert node.cs.lookup(Interest(chunk1.name.full()), 0.7) == chunk1
 
 
@@ -525,4 +523,4 @@ def test_aggregation_disabled_forwards_every_interest():
     node.add_route(name_parse("/f"), 3)
     a1 = node.on_interest(1, chunk_interest("/f/v=1/c=0", nonce=1), 0.0)
     a2 = node.on_interest(2, chunk_interest("/f/v=1/c=0", nonce=2), 0.1)
-    assert sum(isinstance(a, SendInterest) for a in a1 + a2) == 2
+    assert [(f, type(p)) for f, p in a1 + a2] == [(3, Interest), (3, Interest)]

@@ -1,11 +1,18 @@
 import json
 import random
+from dataclasses import fields
 
 import pytest
 
 from ndnstream.consumer import ChunkTiming
 from ndnstream.errors import EmptyInput, NoCompletedChunks, NoLookups
+from ndnstream.forwarding import NodeStats
 from ndnstream.metrics import (
+    CacheStats,
+    FileRetrievalRecord,
+    MetricsReport,
+    ServerSummary,
+    SessionMetrics,
     cache_hit_ratio,
     compute_cdf,
     compute_file_rtt,
@@ -110,10 +117,7 @@ def test_hit_ratio_examples():
         cache_hit_ratio(0, 0)
 
 
-def _small_report():
-    from ndnstream.netsim.scenario import parse_scenario, run_scenario
-
-    text = """
+SMALL = """
 scenario report-test
 seed 2
 
@@ -136,7 +140,37 @@ tier foo 240p height=240 min-bw=0.6Mbps
 [sessions]
 session s1 consumer=c1 videos=foo
 """
+
+
+def _small_report(text=SMALL):
+    from ndnstream.netsim.scenario import parse_scenario, run_scenario
+
     return run_scenario(parse_scenario(text))
+
+
+def _field_names(record, *excluded):
+    return {f.name for f in fields(record)} - set(excluded)
+
+
+def test_report_keys_are_the_record_fields():
+    payload = json.loads(_small_report().to_json())
+    assert set(payload) == _field_names(MetricsReport)
+    (session,) = payload["sessions"]
+    assert set(session) == _field_names(SessionMetrics)
+    assert session["files"]
+    for record in session["files"]:
+        assert set(record) == _field_names(FileRetrievalRecord, "timings")
+    assert set(payload["cache"]["gw"]) == _field_names(CacheStats)
+    assert set(payload["server"]["srv"]) == _field_names(ServerSummary)
+    assert set(payload["node_counters"]["gw"]) == _field_names(NodeStats, "cs_hits", "cs_misses")
+
+
+def test_forwarder_without_lookups_reports_null_hit_ratio():
+    report = _small_report(SMALL.replace("producer srv", "producer srv\nforwarder idle"))
+    assert report.cache["idle"].hit_ratio is None
+    assert report.cache["gw"].hit_ratio == 0.0
+    idle = json.loads(report.to_json())["cache"]["idle"]
+    assert idle == {"cs_hits": 0, "cs_misses": 0, "hit_ratio": None}
 
 
 def test_export_writes_expected_files(tmp_path):

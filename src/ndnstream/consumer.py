@@ -146,6 +146,15 @@ class FileFetch:
     moves to the chunk that answered. Every request that times out is
     retransmitted with a fresh nonce, up to ``max_retx``, and its RTT is
     measured from the latest send.
+
+    One retransmission timer serves the whole fetch. ``_outstanding`` maps
+    each request to its deadline, last send plus ``rto_ms``; a send moves
+    its request to the end, so the dict is in send order and, with one
+    RTO for every request, in deadline order. The timer is armed at the
+    first deadline when it is idle. When it fires it retransmits every
+    expired request in that order, then re-arms at the first deadline
+    left. Requests leave at the instants, and in the order, that one timer
+    per send would give them.
     """
 
     def __init__(
@@ -170,7 +179,8 @@ class FileFetch:
         self.final_chunk: int | None = None
         self.timings: dict[int | None, ChunkTiming] = {}
         self.contents: dict[int, bytes] = {}
-        self._outstanding: dict[int | None, int] = {}  # chunk (None: discovery) -> send serial
+        self._outstanding: dict[int | None, float] = {}  # chunk (None: discovery) -> deadline
+        self._timer_armed = False
         self._next_chunk = 0
         self._done = False
         self.max_in_flight = 0
@@ -182,8 +192,8 @@ class FileFetch:
 
     def _send(self, chunk: int | None) -> None:
         now = self.transport.now()
-        serial = self._outstanding.get(chunk, 0) + 1
-        self._outstanding[chunk] = serial
+        deadline = now + self.engine.rto_ms / 1000.0
+        self._outstanding[chunk] = deadline
         name = self.base if chunk is None else chunk_name(self.base, self.version, chunk)
         interest = Interest(name, can_be_prefix=chunk is None, nonce=self.rng.getrandbits(32))
         timing = self.timings.get(chunk)
@@ -193,19 +203,34 @@ class FileFetch:
             timing.last_sent = now
             timing.retx_count += 1
         self.transport.send_interest(interest)
-        self.transport.schedule(
-            now + self.engine.rto_ms / 1000.0, lambda: self._timeout(chunk, serial)
-        )
+        if not self._timer_armed:
+            self._timer_armed = True
+            self.transport.schedule(deadline, self._on_timer)
         self.max_in_flight = max(self.max_in_flight, len(self._outstanding))
 
-    def _timeout(self, chunk: int | None, serial: int) -> None:
-        if self._done or self._outstanding.get(chunk) != serial:
+    def _on_timer(self) -> None:
+        if self._done:
             return
-        if self.timings[chunk].retx_count >= self.engine.max_retx:
-            what = "discovery" if chunk is None else f"chunk {chunk}"
-            self._fail(FetchTimeout(f"{what} of {self.base} timed out"))
-            return
-        self._send(chunk)
+        now = self.transport.now()
+        outstanding = self._outstanding
+        expired = []
+        for chunk, deadline in outstanding.items():
+            if deadline > now:
+                break
+            expired.append(chunk)
+        # The timer stays marked armed while it retransmits, so no send
+        # arms it at a deadline later than the first one left.
+        for chunk in expired:
+            if self.timings[chunk].retx_count >= self.engine.max_retx:
+                what = "discovery" if chunk is None else f"chunk {chunk}"
+                self._fail(FetchTimeout(f"{what} of {self.base} timed out"))
+                return
+            del outstanding[chunk]
+            self._send(chunk)
+        if outstanding:
+            self.transport.schedule(next(iter(outstanding.values())), self._on_timer)
+        else:
+            self._timer_armed = False
 
     def _fill_window(self) -> None:
         assert self.final_chunk is not None
@@ -354,7 +379,8 @@ class PlayerSession:
 
     Playback drains one second of media per simulated second once the
     buffer first reaches the startup threshold; the buffer emptying before
-    the video ends opens a rebuffer interval.
+    the video ends opens a rebuffer interval. ``on_end`` runs once, when the
+    session ends, whether it played out or aborted.
     """
 
     def __init__(
@@ -366,6 +392,7 @@ class PlayerSession:
         key: KeyMaterial,
         rng: random.Random,
         config: SessionConfig | None = None,
+        on_end: Callable[[], None] | None = None,
     ):
         self.session_id = session_id
         self.transport = transport
@@ -374,6 +401,7 @@ class PlayerSession:
         self.key = key
         self.rng = rng
         self.config = config or SessionConfig()
+        self.on_end = on_end
 
         self.estimator = BandwidthEstimator(
             self.config.half_life_fast_s, self.config.half_life_slow_s
@@ -426,7 +454,10 @@ class PlayerSession:
         self._fetch(f"{video}/playlist.m3u8", "master-playlist", self._on_master)
 
     def _end_session(self) -> None:
+        ending = self.ended_at is None
         self.ended_at = self.transport.now()
+        if ending and self.on_end is not None:
+            self.on_end()
 
     def _abort(self, exc: FetchError) -> None:
         self.aborted = f"{type(exc).__name__}: {exc}"

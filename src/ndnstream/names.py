@@ -34,6 +34,15 @@ def _escape(component: bytes) -> str:
 _ONE_BYTE = [bytes((i,)) for i in range(0x80)]
 
 
+def _varint_size(value: int) -> int:
+    """``len(_varint(value))`` without building the bytes."""
+    size = 1
+    while value > 0x7F:
+        value >>= 7
+        size += 1
+    return size
+
+
 def _varint(value: int) -> bytes:
     """Unsigned LEB128: seven bits per byte, low bits first."""
     if value < 0:
@@ -76,17 +85,23 @@ class Name:
     """An ordered sequence of non-empty byte-string components.
 
     The hash is computed once, at construction, so a name that keys the
-    CS and the PIT is hashed once however often it is looked up.
+    CS and the PIT is hashed once however often it is looked up. So is
+    the length of the TLV form, ``_tlv_len``, which sizes every packet
+    that carries the name.
     """
 
     components: tuple[bytes, ...] = ()
     _hash: int = field(init=False, compare=False, repr=False)
+    _tlv_len: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        size = _varint_size(len(self.components))
         for c in self.components:
             if not isinstance(c, bytes) or len(c) == 0:
                 raise MalformedName("components must be non-empty byte strings")
+            size += _varint_size(len(c)) + len(c)
         object.__setattr__(self, "_hash", hash(self.components))
+        object.__setattr__(self, "_tlv_len", size)
 
     def __hash__(self) -> int:
         return self._hash
@@ -109,12 +124,13 @@ class Name:
         return Name(self.components + extra)
 
 
-def _checked_name(components: tuple[bytes, ...]) -> Name:
-    """A name from components the caller has already checked, built
-    without running ``Name.__post_init__``."""
+def _checked_name(components: tuple[bytes, ...], tlv_len: int) -> Name:
+    """A name from components the caller has already checked, and the
+    length of its TLV form, built without running ``Name.__post_init__``."""
     name = object.__new__(Name)
     object.__setattr__(name, "components", components)
     object.__setattr__(name, "_hash", hash(components))
+    object.__setattr__(name, "_tlv_len", tlv_len)
     return name
 
 
@@ -167,9 +183,15 @@ def chunk_name(base: Name, version: int, chunk: int) -> Name:
     """The full name of one chunk: the base plus "v=<version>" and "c=<chunk>".
 
     The base is a checked name and neither marker can be empty, so the
-    result skips re-validation.
+    result skips re-validation. Each marker is at most 22 bytes, so its
+    length takes one byte, and the TLV length follows from the base's.
     """
-    return _checked_name(base.components + (b"v=%d" % version, b"c=%d" % chunk))
+    v, c = b"v=%d" % version, b"c=%d" % chunk
+    tlv_len = base._tlv_len + 2 + len(v) + len(c)
+    count = len(base.components)
+    if count >= 0x7E:  # the component count's varint may grow a byte
+        tlv_len += _varint_size(count + 2) - _varint_size(count)
+    return _checked_name(base.components + (v, c), tlv_len)
 
 
 def chunk_index(full_name: Name) -> int:
@@ -236,8 +258,9 @@ class VersionedChunkName:
             set_(vc, "base", base)
             set_(vc, "version", version)
             set_(vc, "chunk", k)
-            set_(vc, "_full", _checked_name(head + (marker,)))
-            set_(vc, "_full_tlv", head_tlv + _ONE_BYTE[len(marker)] + marker)
+            tlv = head_tlv + _ONE_BYTE[len(marker)] + marker
+            set_(vc, "_full", _checked_name(head + (marker,), len(tlv)))
+            set_(vc, "_full_tlv", tlv)
             names.append(vc)
         return names
 

@@ -477,7 +477,8 @@ def prewarm_cache(
 ) -> int:
     """Pre-load a forwarder's content store with the leading share of each
     of a representation's files (playlist first, then segments in playback
-    order). Raises CapacityExceeded if anything gets evicted while loading.
+    order). Raises CapacityExceeded if the store evicts or refuses a packet
+    while loading.
     """
     host = sim.hosts[node_id]
     if not isinstance(host, ForwarderHost):
@@ -490,7 +491,7 @@ def prewarm_cache(
         keep = math.ceil(fraction * len(chunk_names))
         for full_name in chunk_names[:keep]:
             evicted = cs.insert(repo.store[full_name], now)
-            if evicted:
+            if evicted or full_name not in cs.entries:
                 raise CapacityExceeded(
                     f"{node_id}: content store too small for prewarm set"
                 )
@@ -505,7 +506,7 @@ class ScenarioRun:
         self.scenario = scenario
         self.sim = NetworkSim(scenario.seed)
         self.sessions: list[PlayerSession] = []
-        self._first_live = 0  # every session before this index has ended
+        self.live_sessions = 0  # sessions built and not yet ended
         self._session_hosts: dict[str, ConsumerHost] = {}
         self.catalogs: dict[str, VideoCatalog] = {}
         self.repos: dict[str, Repository] = {}
@@ -605,7 +606,9 @@ class ScenarioRun:
             key=key,
             rng=random.Random(derive_seed(scenario.seed, f"session:{spec.session_id}")),
             config=spec.config,
+            on_end=self._session_ended,
         )
+        self.live_sessions += 1
         host.sessions.append(session)
         self.sessions.append(session)
         self._session_hosts[spec.session_id] = host
@@ -638,24 +641,19 @@ class ScenarioRun:
         payload, _timings = fetch_file_via(self.sim, consumer_id, base, key)
         return payload
 
-    def all_sessions_done(self) -> bool:
-        """True once every session has ended. A session never restarts, so
-        the first live session only moves forward and each call is O(1)
-        amortised over the run."""
-        sessions = self.sessions
-        i = self._first_live
-        while i < len(sessions) and sessions[i].ended_at is not None:
-            i += 1
-        self._first_live = i
-        return i == len(sessions)
+    def _session_ended(self) -> None:
+        self.live_sessions -= 1
 
     def run(self) -> MetricsReport:
+        """Run until every session has ended, the events run out or the
+        clock passes the horizon."""
         sim = self.sim
-        sim.start_pit_sweeper(lambda: not self.all_sessions_done())
-        while sim.engine.pending() and not self.all_sessions_done():
-            if sim.engine.now > self.scenario.horizon_s:
-                break
-            sim.engine.advance()
+        engine = sim.engine
+        heap = engine._heap
+        horizon = self.scenario.horizon_s
+        sim.start_pit_sweeper(lambda: self.live_sessions > 0)
+        while heap and self.live_sessions and engine.now <= horizon:
+            engine.advance()
         return self.report()
 
     def report(self) -> MetricsReport:

@@ -17,7 +17,7 @@ interest or data packet computes it once and keeps it.
 from __future__ import annotations
 
 from .errors import MalformedName, MalformedPacket
-from .names import Name, VersionedChunkName, _encode_name, _varint
+from .names import Name, VersionedChunkName, _encode_name, _varint, _varint_size
 from .packets import TAG_LEN, Data, Interest, Nack, NackReason, Packet
 
 _KIND_INTEREST = 1
@@ -38,21 +38,6 @@ _T_CONTENT = 6
 _T_TAG = 7
 # Nack fields
 _T_REASON = 2
-
-
-def _varint_size(value: int) -> int:
-    size = 1
-    while value > 0x7F:
-        value >>= 7
-        size += 1
-    return size
-
-
-def _name_size(name: Name) -> int:
-    size = _varint_size(len(name.components))
-    for c in name.components:
-        size += _varint_size(len(c)) + len(c)
-    return size
 
 
 def _field(tag: int, value: bytes) -> bytes:
@@ -112,7 +97,7 @@ def encoded_size(pkt: Packet) -> int:
             object.__setattr__(pkt, "_wire_size", size)
         return size
     if isinstance(pkt, Nack):
-        return 1 + _field_size(_name_size(pkt.interest_name)) + _field_size(1)
+        return 1 + _field_size(pkt.interest_name._tlv_len) + _field_size(1)
     raise TypeError(f"not a packet: {pkt!r}")
 
 
@@ -120,14 +105,14 @@ def _measure(pkt: Interest | Data) -> int:
     if isinstance(pkt, Interest):
         return (
             1
-            + _field_size(_name_size(pkt.name))
+            + _field_size(pkt.name._tlv_len)
             + _field_size(1)
             + _field_size(4)
             + _field_size(_varint_size(pkt.lifetime_ms))
         )
     return (
         1
-        + _field_size(_name_size(pkt.name.base))
+        + _field_size(pkt.name.base._tlv_len)
         + _field_size(_varint_size(pkt.name.version))
         + _field_size(_varint_size(pkt.name.chunk))
         + _field_size(_varint_size(pkt.final_chunk))

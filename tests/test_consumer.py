@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndnstream.consumer import (
     AbrController,
     BandwidthEstimator,
+    ChunkTiming,
     FetchEngine,
     FileFetch,
     parse_master_playlist,
@@ -12,7 +14,7 @@ from ndnstream.consumer import (
     resource_name,
 )
 from ndnstream.errors import ContentMissing, FetchTimeout, IntegrityFailure, InvalidRequest
-from ndnstream.names import name_parse
+from ndnstream.names import chunk_name, name_parse
 from ndnstream.netsim.engine import EventEngine
 from ndnstream.packets import Data, Interest, KeyMaterial
 from ndnstream.producer import (
@@ -172,17 +174,19 @@ class Loopback:
         else:
             self.engine.schedule_in(self.rtt_s, lambda: self.fetch.handle_nack(response))
 
-    def run_fetch(self, base, engine_cfg, key):
+    def run_fetch(self, base, engine_cfg, key, fetch_cls=FileFetch):
         result = {}
 
         def on_complete(payload, timings):
             result["payload"] = payload
             result["timings"] = timings
+            result["at"] = self.engine.now
 
         def on_error(exc):
             result["error"] = exc
+            result["at"] = self.engine.now
 
-        self.fetch = FileFetch(
+        self.fetch = fetch_cls(
             self, engine_cfg, base, key, random.Random(1), on_complete, on_error
         )
         self.fetch.start()
@@ -279,6 +283,104 @@ def test_pipelined_reassembly_random_sizes(key):
         net = Loopback(repo)
         result = net.run_fetch(base, FetchEngine(window=8), key)
         assert result["payload"] == payload
+
+
+# -- one retransmission timer per fetch ------------------------------------------------
+
+
+class PerInterestTimers(FileFetch):
+    """Reference model: every send schedules its own timer, which
+    retransmits its request only if no later send has superseded it."""
+
+    def _send(self, chunk):
+        now = self.transport.now()
+        serial = self._outstanding.get(chunk, 0) + 1
+        self._outstanding[chunk] = serial
+        name = self.base if chunk is None else chunk_name(self.base, self.version, chunk)
+        interest = Interest(name, can_be_prefix=chunk is None, nonce=self.rng.getrandbits(32))
+        timing = self.timings.get(chunk)
+        if timing is None:
+            self.timings[chunk] = ChunkTiming(chunk, first_sent=now, last_sent=now)
+        else:
+            timing.last_sent = now
+            timing.retx_count += 1
+        self.transport.send_interest(interest)
+        self.transport.schedule(
+            now + self.engine.rto_ms / 1000.0, lambda: self._timeout(chunk, serial)
+        )
+        self.max_in_flight = max(self.max_in_flight, len(self._outstanding))
+
+    def _timeout(self, chunk, serial):
+        if self._done or self._outstanding.get(chunk) != serial:
+            return
+        if self.timings[chunk].retx_count >= self.engine.max_retx:
+            what = "discovery" if chunk is None else f"chunk {chunk}"
+            self._fail(FetchTimeout(f"{what} of {self.base} timed out"))
+            return
+        self._send(chunk)
+
+
+class TimerCountingLoopback(Loopback):
+    """Loopback that drops the sends whose overall index is in ``dropped``
+    and counts the fetch's timers still waiting to fire."""
+
+    def __init__(self, repo, rtt_s, dropped):
+        super().__init__(repo, rtt_s, drop=lambda interest, nth: len(self.sent) - 1 in dropped)
+        self.pending_timers = 0
+        self.max_pending_timers = 0
+
+    def schedule(self, at, fn):
+        self.pending_timers += 1
+        self.max_pending_timers = max(self.max_pending_timers, self.pending_timers)
+
+        def fire():
+            self.pending_timers -= 1
+            fn()
+
+        self.engine.schedule(at, fire)
+
+
+# RTTs and RTOs with no small common multiple, so no reply lands on a
+# deadline. Under the 100 ms RTO the longer RTT times every request out
+# before its first reply arrives.
+@settings(max_examples=150, deadline=None)
+@given(
+    chunks=st.integers(1, 12),
+    window=st.integers(1, 6),
+    rto_ms=st.sampled_from([100.0, 250.0]),
+    rtt_s=st.sampled_from([0.0371, 0.1303]),
+    max_retx=st.integers(0, 3),
+    dropped=st.sets(st.integers(0, 60), max_size=15),
+)
+def test_one_timer_retransmits_as_per_interest_timers(
+    chunks, window, rto_ms, rtt_s, max_retx, dropped
+):
+    key = KeyMaterial("test-key", b"secret")
+    repo = Repository(key)
+    payload = bytes(k % 251 for k in range(1000 * chunks - 1))
+    repo.publish_file(name_parse("/f"), payload, version=1, chunk_size=1000)
+    cfg = FetchEngine(window=window, rto_ms=rto_ms, max_retx=max_retx)
+
+    ref_net = TimerCountingLoopback(repo, rtt_s, dropped)
+    ref = ref_net.run_fetch(name_parse("/f"), cfg, key, fetch_cls=PerInterestTimers)
+    net = TimerCountingLoopback(repo, rtt_s, dropped)
+    got = net.run_fetch(name_parse("/f"), cfg, key)
+
+    # The same requests leave at the same instants, in the same order,
+    # and the fetch ends the same way at the same instant.
+    assert [(t, i.name, i.nonce) for t, i in net.sent] == [
+        (t, i.name, i.nonce) for t, i in ref_net.sent
+    ]
+    assert got["at"] == ref["at"]
+    assert repr(got.get("error")) == repr(ref.get("error"))
+    assert got.get("payload") == ref.get("payload")
+    # Each retransmission leaves exactly one RTO after the request's last send.
+    last_sent = {}
+    for t, interest in net.sent:
+        if interest.name in last_sent:
+            assert t == last_sent[interest.name] + rto_ms / 1000.0
+        last_sent[interest.name] = t
+    assert net.max_pending_timers == 1
 
 
 # -- playlist parsing ----------------------------------------------------------------

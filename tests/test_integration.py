@@ -1,5 +1,6 @@
 """End-to-end behavior through the emulator."""
 
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -388,6 +389,33 @@ def test_mid_stream_throttle_causes_rebuffering():
 
 
 LOSSY = (Path(__file__).parent / "data" / "lossy.scn").read_text()
+
+
+# Report digests of lossy.scn variants that retransmit: a gw-srv queue
+# that aborts the session, two that recover with 120 and 190 lost data
+# packets, and a short RTO on a two-interest window. The digests were
+# taken while every interest still scheduled its own retransmission
+# timer, so they pin that a fetch retransmits at the same instants, in
+# the same order, and gives up at the same instant.
+LOSSY_PINS = {
+    ("8KB", ""): "94c8a3d76e29540fb9f16f2e619bc93c7fb3db12c48a3e457772d1476fa9686e",
+    ("12KB", ""): "0396a5d16e8592293d48ddee77c462d0fd2fea501ec17f196df471c47f744b95",
+    ("32KB", "window=16"): "c818c9dd4dae3a6fba16f873f6c63c29c18d921d9cc3490c04cef11ee6bfee47",
+    ("4KB", "window=2 rto-ms=100"): "005b231e3b98039cc1d8f5cc6a1bc46ccfdb80f6bdd327f323b1fe383374fccb",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(LOSSY_PINS), ids=lambda v: " ".join(filter(None, v)))
+def test_lossy_retransmission_reports_pinned(variant):
+    queue, session_keys = variant
+    text = LOSSY.replace("queue=20KB", f"queue={queue}").replace(
+        "videos=foo", f"videos=foo {session_keys}".rstrip()
+    )
+    assert f"queue={queue}" in text and session_keys in text
+    report = run_scenario(parse_scenario(text))
+    assert sum(report.link_drops.values()) >= 10
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == LOSSY_PINS[variant]
 
 
 @pytest.mark.parametrize("queue_kb", [12, 16, 20, 24, 32, 48])

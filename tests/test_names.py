@@ -16,6 +16,9 @@ from ndnstream.names import (
     name_parse,
 )
 
+from ndnstream.packets import Data, Interest
+from ndnstream.wire import decode_packet, encode_packet
+
 from conftest import random_name
 
 
@@ -119,6 +122,48 @@ def test_construction_paths_agree(base, version, chunk):
     assert {built: 1}[parsed] == 1 and {parsed: 2}[built] == 2
     assert built == VersionedChunkName(base, version, chunk).full()
     assert repr(built) == f"Name(components={built.components!r})"
+
+
+def _no_marker(component: bytes) -> bool:
+    return not component.startswith((b"v=", b"c="))
+
+
+_tlv_bases = st.one_of(
+    _marker_free_base,
+    # 126 components or more: two more make the count's varint grow a byte
+    st.integers(120, 130).map(lambda n: Name((b"x",) * n)),
+    # components of 128 bytes or more carry a two-byte length
+    st.lists(st.binary(min_size=100, max_size=300).filter(_no_marker), max_size=2).map(
+        lambda parts: Name(tuple(parts))
+    ),
+)
+
+
+@given(
+    _tlv_bases,
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 40),
+    st.binary(min_size=1, max_size=200),
+)
+def test_cached_tlv_length_matches_the_encoding(base, version, count, extra):
+    def check(name: Name) -> None:
+        assert name._tlv_len == len(_encode_name(name))
+
+    check(base)
+    check(name_parse(name_format(base)))
+    check(base.append(extra))
+    check(base.append("seg0.m4s", extra))
+    built = chunk_name(base, version, count - 1)
+    check(built)
+    chunks = VersionedChunkName.file_chunks(base, version, count)
+    for vc in chunks:
+        check(vc.full())
+        assert vc.full()._tlv_len == len(vc.full_tlv())
+    check(VersionedChunkName(base, version, count - 1).full())
+    check(decode_packet(encode_packet(Interest(built, nonce=7))).name)
+    data = decode_packet(encode_packet(Data(chunks[-1], b"x", count - 1)))
+    check(data.name.base)
+    check(data.name.full())
 
 
 def test_name_is_frozen_and_still_validated():

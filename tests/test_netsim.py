@@ -216,11 +216,14 @@ session s3 consumer=c1 videos=foo start-s=0.25""",
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
 def test_all_sessions_done_only_after_the_last_ends(order):
     run = ScenarioRun(parse_scenario(OUT_OF_ORDER))
-    assert not run.all_sessions_done()
+    assert run.live_sessions == len(order)
     for k, index in enumerate(order):
-        run.sessions[index].ended_at = float(k + 1)
-        assert run.all_sessions_done() == (k == len(order) - 1)
-    assert run.all_sessions_done()
+        run.sessions[index]._end_session()
+        assert run.live_sessions == len(order) - k - 1
+        assert (run.live_sessions == 0) == (k == len(order) - 1)
+        run.sessions[index]._end_session()  # ending twice counts once
+        assert run.live_sessions == len(order) - k - 1
+    assert run.live_sessions == 0
 
 
 def test_run_waits_for_sessions_that_end_out_of_order():
@@ -336,6 +339,19 @@ def test_prewarm_fraction_covers_leading_share_per_file(key):
 def test_prewarm_overflow_raises(key):
     with pytest.raises(CapacityExceeded):
         warmed_sim(key, 1.0, capacity=50_000)
+
+
+def test_prewarm_chunk_larger_than_the_store_raises(key):
+    # No chunk is evicted: the store refuses each 8000-byte chunk outright,
+    # and a prewarm set it cannot hold is still an error.
+    with pytest.raises(CapacityExceeded):
+        warmed_sim(key, 1.0, capacity=1024)
+
+
+def test_scenario_prewarm_into_a_store_smaller_than_a_chunk_raises():
+    text = MINIMAL.replace("cs=8MB", "cs=1KB") + "\n[prewarm]\ngw foo 240p 1.0\n"
+    with pytest.raises(CapacityExceeded, match="gw"):
+        ScenarioRun(parse_scenario(text))
 
 
 # -- throttle through a scenario ------------------------------------------------------

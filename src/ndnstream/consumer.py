@@ -1,8 +1,11 @@
 """Player-side stack: pipelined fetching, bandwidth estimation, ABR and playback.
 
 The pieces are transport-agnostic: anything offering ``now()``,
-``send_interest()`` and ``schedule(at, fn)`` can drive them, which is how
-the emulator (and the unit tests, with a scripted fake) plug in.
+``send_interest()``, ``schedule(at, fn, seq=None)`` and ``ticket()`` can
+drive them, which is how the emulator (and the unit tests, with a scripted
+fake) plug in. ``ticket()`` reserves an event's place among events at one
+instant now, and ``schedule(..., seq=ticket)`` uses it later, as the
+emulator's ``EventEngine`` does.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ class Transport(Protocol):
 
     def send_interest(self, interest: Interest) -> None: ...
 
-    def schedule(self, at: float, fn: Callable[[], None]) -> None: ...
+    def schedule(self, at: float, fn: Callable[[], None], seq: int | None = None) -> None: ...
+
+    def ticket(self) -> int: ...
 
 
 @dataclass
@@ -148,13 +153,22 @@ class FileFetch:
     measured from the latest send.
 
     One retransmission timer serves the whole fetch. ``_outstanding`` maps
-    each request to its deadline, last send plus ``rto_ms``; a send moves
-    its request to the end, so the dict is in send order and, with one
-    RTO for every request, in deadline order. The timer is armed at the
-    first deadline when it is idle. When it fires it retransmits every
-    expired request in that order, then re-arms at the first deadline
-    left. Requests leave at the instants, and in the order, that one timer
-    per send would give them.
+    each request to its deadline, last send plus ``rto_ms``, and to a
+    ticket taken right after the send; a send moves its request to the
+    end, so the dict is in send order and, with one RTO for every request,
+    in deadline order. The timer is armed at the first request's deadline
+    and ticket when it is idle. When it fires on the ticket of a request
+    still outstanding, that request timed out and is retransmitted; then
+    the timer re-arms at the first request left. The ticket puts the timer
+    where one timer per send would have run among events at the same
+    instant, such as a reply landing on the deadline, so requests leave at
+    the instants, and in the order, that one timer per send would give
+    them.
+
+    ``on_complete`` receives the file's chunk contents as a list in chunk
+    order, not their join: a caller that needs the bytes (a playlist
+    parser, ``fetch_file_via``) joins them itself, and one that needs only
+    the size sums their lengths.
     """
 
     def __init__(
@@ -164,7 +178,7 @@ class FileFetch:
         base: Name,
         key: KeyMaterial,
         rng: random.Random,
-        on_complete: Callable[[bytes, list[ChunkTiming]], None],
+        on_complete: Callable[[list[bytes], list[ChunkTiming]], None],
         on_error: Callable[[FetchError], None],
     ):
         self.transport = transport
@@ -179,8 +193,9 @@ class FileFetch:
         self.final_chunk: int | None = None
         self.timings: dict[int | None, ChunkTiming] = {}
         self.contents: dict[int, bytes] = {}
-        self._outstanding: dict[int | None, float] = {}  # chunk (None: discovery) -> deadline
-        self._timer_armed = False
+        # chunk (None: discovery) -> (deadline, ticket)
+        self._outstanding: dict[int | None, tuple[float, int]] = {}
+        self._timer_ticket: int | None = None  # the armed timer's, None when idle
         self._next_chunk = 0
         self._done = False
         self.max_in_flight = 0
@@ -192,8 +207,6 @@ class FileFetch:
 
     def _send(self, chunk: int | None) -> None:
         now = self.transport.now()
-        deadline = now + self.engine.rto_ms / 1000.0
-        self._outstanding[chunk] = deadline
         name = self.base if chunk is None else chunk_name(self.base, self.version, chunk)
         interest = Interest(name, can_be_prefix=chunk is None, nonce=self.rng.getrandbits(32))
         timing = self.timings.get(chunk)
@@ -203,34 +216,37 @@ class FileFetch:
             timing.last_sent = now
             timing.retx_count += 1
         self.transport.send_interest(interest)
-        if not self._timer_armed:
-            self._timer_armed = True
-            self.transport.schedule(deadline, self._on_timer)
+        deadline = now + self.engine.rto_ms / 1000.0
+        ticket = self.transport.ticket()
+        self._outstanding[chunk] = (deadline, ticket)
+        if self._timer_ticket is None:
+            self._arm(deadline, ticket)
         self.max_in_flight = max(self.max_in_flight, len(self._outstanding))
+
+    def _arm(self, deadline: float, ticket: int) -> None:
+        self._timer_ticket = ticket
+        self.transport.schedule(deadline, self._on_timer, ticket)
 
     def _on_timer(self) -> None:
         if self._done:
             return
-        now = self.transport.now()
         outstanding = self._outstanding
-        expired = []
-        for chunk, deadline in outstanding.items():
-            if deadline > now:
-                break
-            expired.append(chunk)
-        # The timer stays marked armed while it retransmits, so no send
-        # arms it at a deadline later than the first one left.
-        for chunk in expired:
-            if self.timings[chunk].retx_count >= self.engine.max_retx:
-                what = "discovery" if chunk is None else f"chunk {chunk}"
-                self._fail(FetchTimeout(f"{what} of {self.base} timed out"))
-                return
-            del outstanding[chunk]
-            self._send(chunk)
         if outstanding:
-            self.transport.schedule(next(iter(outstanding.values())), self._on_timer)
+            chunk = next(iter(outstanding))
+            if outstanding[chunk][1] == self._timer_ticket:
+                # Its own deadline: the first request timed out. The timer
+                # stays armed while it retransmits, so the send does not
+                # arm it at a later deadline than the first one left.
+                if self.timings[chunk].retx_count >= self.engine.max_retx:
+                    what = "discovery" if chunk is None else f"chunk {chunk}"
+                    self._fail(FetchTimeout(f"{what} of {self.base} timed out"))
+                    return
+                del outstanding[chunk]
+                self._send(chunk)
+        if outstanding:
+            self._arm(*next(iter(outstanding.values())))
         else:
-            self._timer_armed = False
+            self._timer_ticket = None
 
     def _fill_window(self) -> None:
         assert self.final_chunk is not None
@@ -284,9 +300,9 @@ class FileFetch:
         if len(self.contents) < self.final_chunk + 1:
             return
         self._done = True
-        payload = b"".join(self.contents[i] for i in range(self.final_chunk + 1))
+        chunks = [self.contents[i] for i in range(self.final_chunk + 1)]
         timings = [self.timings[i] for i in sorted(self.timings)]
-        self.on_complete(payload, timings)
+        self.on_complete(chunks, timings)
 
     def _fail(self, exc: FetchError) -> None:
         if self._done:
@@ -381,6 +397,10 @@ class PlayerSession:
     buffer first reaches the startup threshold; the buffer emptying before
     the video ends opens a rebuffer interval. ``on_end`` runs once, when the
     session ends, whether it played out or aborted.
+
+    A segment's bytes are never joined: its size (the sum of its chunk
+    lengths) and its arrival time are all that ABR and the report use.
+    Only playlists are joined, to be parsed.
     """
 
     def __init__(
@@ -469,14 +489,15 @@ class PlayerSession:
 
     # -- fetching ----------------------------------------------------------
 
-    def _fetch(self, path: str, role: str, done: Callable[[bytes], None]) -> None:
+    def _fetch(self, path: str, role: str, done: Callable[[list[bytes]], None]) -> None:
         base = resource_name(self.prefix, path)
         started = self.transport.now()
         record_tier = self._tier_label if role == "segment" else None
         seg_index = self._segment_index if role == "segment" else None
 
-        def on_complete(payload: bytes, timings: list[ChunkTiming]) -> None:
+        def on_complete(chunks: list[bytes], timings: list[ChunkTiming]) -> None:
             finished = self.transport.now()
+            content_bytes = sum(map(len, chunks))
             self.files.append(
                 FileRecord(
                     name=str(base),
@@ -486,15 +507,15 @@ class PlayerSession:
                     segment_index=seg_index,
                     started=started,
                     finished=finished,
-                    content_bytes=len(payload),
+                    content_bytes=content_bytes,
                     timings=timings,
                 )
             )
             if role == "segment":
                 duration = max(finished - started, 1e-9)
-                estimate = self.estimator.record_sample(len(payload), duration)
+                estimate = self.estimator.record_sample(content_bytes, duration)
                 self.estimator_trace.append((finished, estimate))
-            done(payload)
+            done(chunks)
 
         fetch = FileFetch(
             self.transport,
@@ -510,8 +531,8 @@ class PlayerSession:
 
     # -- playlist handling ---------------------------------------------------
 
-    def _on_master(self, payload: bytes) -> None:
-        entries = parse_master_playlist(payload.decode())
+    def _on_master(self, chunks: list[bytes]) -> None:
+        entries = parse_master_playlist(b"".join(chunks).decode())
         if not entries:
             self._abort(FetchError("master playlist has no variants"))
             return
@@ -526,8 +547,8 @@ class PlayerSession:
         self._fetch_media_playlist(lowest, self._start_segments)
 
     def _fetch_media_playlist(self, label: str, then: Callable[[], None]) -> None:
-        def on_playlist(payload: bytes) -> None:
-            self._media_playlists[label] = parse_media_playlist(payload.decode())
+        def on_playlist(chunks: list[bytes]) -> None:
+            self._media_playlists[label] = parse_media_playlist(b"".join(chunks).decode())
             then()
 
         self._fetch(f"{self.current_video}/{label}/playlist.m3u8", "media-playlist", on_playlist)
@@ -571,7 +592,7 @@ class PlayerSession:
         path = f"{self.current_video}/{self._tier_label}/{uri}"
         self._fetch(path, "segment", self._on_segment)
 
-    def _on_segment(self, payload: bytes) -> None:
+    def _on_segment(self, _chunks: list[bytes]) -> None:
         duration = self._media_playlists[self._tier_label][self._segment_index][0]
         self._segment_index += 1
         self._sync_playback()

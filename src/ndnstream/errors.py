@@ -37,7 +37,7 @@ class InvalidTopology(NdnStreamError):
     """Topology construction failed validation."""
 
 
-class CapacityExceeded(NdnStreamError):
+class CapacityExceeded(InvalidConfig):
     """A content store cannot hold a requested prewarm set."""
 
 

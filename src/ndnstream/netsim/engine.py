@@ -21,11 +21,21 @@ class EventEngine:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self.executed = 0
 
-    def schedule(self, at: float, action: Callable[[], None]) -> int:
+    def schedule(self, at: float, action: Callable[[], None], seq: int | None = None) -> int:
+        """Queue ``action`` at ``at``. ``seq``, a number from ``ticket``,
+        places it among events at the same instant where an event
+        scheduled when the ticket was taken would be."""
         if at < self.now:
             raise SchedulingInPast(f"at={at} < now={self.now}")
+        if seq is None:
+            self._seq += 1
+            seq = self._seq
+        heapq.heappush(self._heap, (at, seq, action))
+        return seq
+
+    def ticket(self) -> int:
+        """Reserve the next sequence number for one event scheduled later."""
         self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, action))
         return self._seq
 
     def schedule_in(self, delay: float, action: Callable[[], None]) -> int:

@@ -46,11 +46,14 @@ from ..names import Name, name_parse
 from ..packets import DEFAULT_FRESHNESS_MS, KeyMaterial
 from ..producer import (
     DEFAULT_CHUNK_SIZE,
+    DEFAULT_VERSION,
     Representation,
     Repository,
     VideoCatalog,
+    file_chunk_sizes,
     package_video,
     publish,
+    representation_file_sizes,
     representation_files,
 )
 from .topology import ConsumerHost, ForwarderHost, NetworkSim, ProducerHost, derive_seed
@@ -451,6 +454,7 @@ def _validate(scenario: Scenario) -> None:
             raise InvalidConfig(f"prewarm tier {pw.tier!r} is not a tier of {pw.video!r}")
         if not 0 <= pw.fraction <= 1:
             raise InvalidConfig("prewarm fraction must be within [0, 1]")
+    _check_prewarm_capacity(scenario)
     last_at: dict[tuple[str, str], float] = {}
     for throttle in scenario.throttles:
         if throttle.src not in known or throttle.dst not in known:
@@ -464,6 +468,43 @@ def _validate(scenario: Scenario) -> None:
                 "throttle timestamps must be strictly increasing"
             )
         last_at[direction] = throttle.at_s
+
+
+def _check_prewarm_capacity(scenario: Scenario) -> None:
+    """Raise CapacityExceeded exactly when ``prewarm_cache`` would, sizing
+    each forwarder's prewarm set from the catalog sizes, the playlist text
+    and the chunk names alone: no payload is made and nothing is signed.
+
+    A store refuses or evicts iff the distinct chunks loaded into it
+    outgrow it. Each line loads a leading share of each file of its tier,
+    so lines on one node that load the same file load its longest share.
+    """
+    videos = {v.video_id: v for v in scenario.videos}
+    catalogs: dict[str, VideoCatalog] = {}
+    loaded: dict[str, dict[Name, list[int]]] = {}  # node -> file -> chunk sizes
+    for pw in scenario.prewarm:
+        video = videos[pw.video]
+        catalog = catalogs.get(pw.video)
+        if catalog is None:
+            catalog = catalogs[pw.video] = package_video(
+                video.video_id, video.duration_s, video.segment_s, video.tiers
+            )
+        files = loaded.setdefault(pw.node, {})
+        for base, size in zip(
+            representation_files(name_parse(video.prefix), catalog, pw.tier),
+            representation_file_sizes(catalog, pw.tier),
+            strict=True,
+        ):
+            sizes = file_chunk_sizes(
+                base, size, DEFAULT_VERSION, video.chunk_bytes, video.freshness_ms
+            )
+            keep = math.ceil(pw.fraction * len(sizes))
+            if keep > len(files.get(base, ())):
+                files[base] = sizes[:keep]
+    capacity = {n.node_id: n.cs_bytes for n in scenario.nodes}
+    for node, files in loaded.items():
+        if sum(map(sum, files.values())) > capacity[node]:
+            raise CapacityExceeded(f"{node}: content store too small for prewarm set")
 
 
 def prewarm_cache(

@@ -4,7 +4,10 @@ Node ids map to one of three host kinds: forwarders run the NDN
 forwarding plane, producers answer interests from a repository after a
 configurable processing delay, and consumers run player sessions. Each
 link endpoint gets a face id on its host; face 0 stays reserved for the
-forwarder-internal prefetch downstream.
+forwarder-internal prefetch downstream. A face records everything a send
+on it needs, resolved once when the link is added: the link, the peer's
+id, the peer host and the peer's face for the same link, on which the
+packet arrives.
 
 Deliveries carry a producer-origin flag so consumers can record, as
 simulation ground truth, whether a chunk was served from a cache.
@@ -45,19 +48,21 @@ class _Probe:
 
 
 class _FacedHost:
-    """Face bookkeeping shared by every host kind: one face per attached link."""
+    """Face bookkeeping shared by every host kind: one face per attached link.
+
+    ``face_link`` maps a face to (link, peer id, peer host, peer face), the
+    peer face being the one the peer receives on over the same link.
+    """
 
     def __init__(self, sim: "NetworkSim", node_id: str):
         self.sim = sim
         self.node_id = node_id
-        self.face_link: dict[int, tuple[Link, str]] = {}
+        self.face_link: dict[int, tuple[Link, str, Host, int]] = {}
         self.peer_face: dict[str, int] = {}
 
-    def attach_link(self, link: Link, peer: str) -> int:
-        face = len(self.face_link) + 1
-        self.face_link[face] = (link, peer)
-        self.peer_face[peer] = face
-        return face
+    def attach_link(self, face: int, link: Link, peer: Host, peer_face: int) -> None:
+        self.face_link[face] = (link, peer.node_id, peer, peer_face)
+        self.peer_face[peer.node_id] = face
 
 
 class ForwarderHost(_FacedHost):
@@ -65,10 +70,9 @@ class ForwarderHost(_FacedHost):
         super().__init__(sim, node.node_id)
         self.node = node
 
-    def attach_link(self, link: Link, peer: str) -> int:
-        face = super().attach_link(link, peer)
+    def attach_link(self, face: int, link: Link, peer: Host, peer_face: int) -> None:
+        super().attach_link(face, link, peer, peer_face)
         self.node.add_face(face)
-        return face
 
     def receive(self, from_face: int, packet: Packet, from_producer: bool) -> None:
         now = self.sim.engine.now
@@ -135,8 +139,11 @@ class ConsumerHost(_FacedHost):
     def now(self) -> float:
         return self.sim.engine.now
 
-    def schedule(self, at: float, fn: Callable[[], None]) -> None:
-        self.sim.engine.schedule(at, fn)
+    def schedule(self, at: float, fn: Callable[[], None], seq: int | None = None) -> None:
+        self.sim.engine.schedule(at, fn, seq)
+
+    def ticket(self) -> int:
+        return self.sim.engine.ticket()
 
     def send_interest(self, interest: Interest) -> None:
         if self.gateway_face is None:
@@ -293,8 +300,13 @@ class NetworkSim:
                 raise InvalidTopology(f"link references unknown node {node_id}")
         link = Link(a, b, propagation_ms, bandwidth_bps, queue_limit_bytes)
         self.links.append(link)
-        self.hosts[a].attach_link(link, b)
-        self.hosts[b].attach_link(link, a)
+        host_a, host_b = self.hosts[a], self.hosts[b]
+        # Face ids count up from 1 per host; a link from a node to itself
+        # takes two of its faces.
+        face_a = len(host_a.face_link) + 1
+        face_b = face_a + 1 if host_b is host_a else len(host_b.face_link) + 1
+        host_a.attach_link(face_a, link, host_b, face_b)
+        host_b.attach_link(face_b, link, host_a, face_a)
         return link
 
     def link_between(self, a: str, b: str) -> Link:
@@ -324,7 +336,7 @@ class NetworkSim:
             if not isinstance(host, ConsumerHost):
                 continue
             gateways = (fch or {}).get(
-                host.node_id, [peer for _, peer in host.face_link.values()]
+                host.node_id, [peer for _, peer, _, _ in host.face_link.values()]
             )
             for prefix in prefixes:
                 for gateway in gateways:
@@ -353,15 +365,12 @@ class NetworkSim:
     # -- traffic -------------------------------------------------------------
 
     def send(self, src: str, face: int, packet: Packet, from_producer: bool) -> None:
-        host = self.hosts[src]
-        link, peer = host.face_link[face]
+        link, peer, peer_host, from_face = self.hosts[src].face_link[face]
         if isinstance(packet, Data) and self.data_tap is not None:
             packet = self.data_tap(packet, src, peer)
         arrival = link.transmit(src, peer, encoded_size(packet), self.engine.now)
         if isinstance(arrival, Dropped):
             return
-        peer_host = self.hosts[peer]
-        from_face = peer_host.peer_face[src]
         self.engine.schedule(
             arrival, lambda: peer_host.receive(from_face, packet, from_producer)
         )
@@ -404,7 +413,8 @@ def fetch_file_via(
     """Fetch one file through the simulated network and run it to completion.
 
     Returns (payload, chunk timings). This is the resource-request seam:
-    callers address content by name and get the reassembled bytes back.
+    callers address content by name and get the reassembled bytes back,
+    joined here from the chunks the fetch hands over.
     """
     from ..consumer import FetchEngine, FileFetch
 
@@ -420,7 +430,7 @@ def fetch_file_via(
         base,
         key,
         rng or random.Random(derive_seed(sim.seed, f"fetch:{base}")),
-        lambda payload, timings: result.update(payload=payload, timings=timings),
+        lambda chunks, timings: result.update(payload=b"".join(chunks), timings=timings),
         lambda exc: result.update(error=exc),
     )
     owner = SimpleNamespace(active_fetch=fetch)

@@ -16,10 +16,13 @@ the tags ``sign_data`` would.
 Every integer a packet carries other than the nonce (32 bits) lies in
 [0, 2**64), so any packet that builds also encodes, decodes and signs.
 
-An interest or data packet keeps its encoded size in ``_wire_size`` once
-``wire.encoded_size`` has computed it. The field takes no part in
-equality, hashing or ``repr``, and a copy made by ``dataclasses.replace``
-or by decoding starts without it.
+Interest and data packets keep their encoded size in ``_wire_size``. An
+interest knows it from construction: ``__post_init__`` computes it in
+closed form from the name's TLV length and the lifetime's varint size,
+so every interest, whether built, copied by ``dataclasses.replace`` or
+decoded, carries its exact size. A data packet is still measured on the
+first ``wire.encoded_size`` call, and a copy starts without the size.
+The field takes no part in equality, hashing or ``repr``.
 
 A data packet likewise remembers, in ``_verified_by``, the key object it
 last verified under. Only ``verify_data`` sets it, and only after the tag
@@ -39,7 +42,7 @@ from enum import Enum
 
 # name_format is not used here; it stays importable as packets.name_format
 # because bench/tracing.py patches it at that address.
-from .names import _U64_LIMIT, Name, VersionedChunkName, name_format  # noqa: F401
+from .names import _U64_LIMIT, Name, VersionedChunkName, _varint_size, name_format  # noqa: F401
 
 DEFAULT_INTEREST_LIFETIME_MS = 4000
 DEFAULT_FRESHNESS_MS = 3_600_000
@@ -59,13 +62,21 @@ class Interest:
     can_be_prefix: bool = False
     nonce: int = 0
     lifetime_ms: int = DEFAULT_INTEREST_LIFETIME_MS
-    _wire_size: int | None = field(default=None, init=False, compare=False, repr=False)
+    _wire_size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.nonce < 2**32:
             raise ValueError("nonce must fit in 32 bits")
         if not 0 <= self.lifetime_ms < _U64_LIMIT:
             raise ValueError("lifetime_ms must lie in [0, 2**64)")
+        # The wire layout (see ``wire``): the kind byte, then (tag, length
+        # varint, value) for the name, the 1-byte CanBePrefix flag, the
+        # 4-byte nonce and the lifetime varint, whose length fits one byte.
+        # Besides the name's length and value and the lifetime's value that
+        # is 1 + 1 + (1 + 1 + 1) + (1 + 1 + 4) + (1 + 1) = 13 bytes.
+        tlv_len = self.name._tlv_len
+        size = 13 + _varint_size(tlv_len) + tlv_len + _varint_size(self.lifetime_ms)
+        object.__setattr__(self, "_wire_size", size)
 
 
 @dataclass(frozen=True, slots=True)

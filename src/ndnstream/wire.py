@@ -11,7 +11,10 @@ packet's own bounds.
 Link serialization delay in the emulator is computed from the encoded
 length; ``encoded_size`` computes that length without materializing the
 bytes and is property-tested against ``len(encode_packet(...))``. An
-interest or data packet computes it once and keeps it.
+interest is sized when it is built (``Interest.__post_init__``); a data
+packet is measured on its first ``encoded_size`` and keeps the result.
+``data_size`` is that measurement from the fields alone, so a content
+store's share of a file can be sized before any chunk exists.
 """
 
 from __future__ import annotations
@@ -87,8 +90,9 @@ def encode_packet(pkt: Packet) -> bytes:
 def encoded_size(pkt: Packet) -> int:
     """Length of ``encode_packet(pkt)`` without building the bytes.
 
-    An interest or data packet is measured on the first call and keeps the
-    result, so a packet that crosses many links is measured once.
+    An interest carries its size from construction. A data packet is
+    measured on the first call and keeps the result, so a packet that
+    crosses many links is measured once.
     """
     if isinstance(pkt, (Interest, Data)):
         size = pkt._wire_size
@@ -101,23 +105,25 @@ def encoded_size(pkt: Packet) -> int:
     raise TypeError(f"not a packet: {pkt!r}")
 
 
-def _measure(pkt: Interest | Data) -> int:
-    if isinstance(pkt, Interest):
-        return (
-            1
-            + _field_size(pkt.name._tlv_len)
-            + _field_size(1)
-            + _field_size(4)
-            + _field_size(_varint_size(pkt.lifetime_ms))
-        )
+def _measure(pkt: Data) -> int:
+    name = pkt.name
+    return data_size(
+        name.base, name.version, name.chunk, pkt.final_chunk, pkt.freshness_ms, len(pkt.content)
+    )
+
+
+def data_size(
+    base: Name, version: int, chunk: int, final_chunk: int, freshness_ms: int, content_len: int
+) -> int:
+    """Encoded length of a data packet with these fields and content length."""
     return (
         1
-        + _field_size(pkt.name.base._tlv_len)
-        + _field_size(_varint_size(pkt.name.version))
-        + _field_size(_varint_size(pkt.name.chunk))
-        + _field_size(_varint_size(pkt.final_chunk))
-        + _field_size(_varint_size(pkt.freshness_ms))
-        + _field_size(len(pkt.content))
+        + _field_size(base._tlv_len)
+        + _field_size(_varint_size(version))
+        + _field_size(_varint_size(chunk))
+        + _field_size(_varint_size(final_chunk))
+        + _field_size(_varint_size(freshness_ms))
+        + _field_size(content_len)
         + _field_size(TAG_LEN)
     )
 

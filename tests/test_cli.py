@@ -3,6 +3,8 @@ import json
 import pytest
 
 from ndnstream.cli import main
+from ndnstream.errors import CapacityExceeded
+from ndnstream.netsim.scenario import ScenarioRun, parse_scenario
 
 GOOD = """
 scenario cli-test
@@ -76,6 +78,9 @@ BAD_VALUES = [
     pytest.param("gw /p srv", "gw p srv", id="route-prefix-malformed"),
     pytest.param(SESSION, SESSION + "\n[prewarm]\ngw foo 999p 0.5", id="prewarm-tier-undeclared"),
     pytest.param(SESSION, SESSION + "\n[throttles]\nc1 srv at-s=1 bw=1Mbps", id="throttle-no-link"),
+    pytest.param(
+        "cs=8MB", "cs=1KB\n[prewarm]\ngw foo 240p 1.0\n[nodes]", id="prewarm-over-capacity"
+    ),
 ]
 
 
@@ -88,6 +93,29 @@ def test_validate_rejects_bad_value(tmp_path, capsys, old, new):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+def test_validate_prewarm_capacity_boundary_agrees_with_run(tmp_path, capsys):
+    # The bytes the prewarm set takes, measured by loading it into a store
+    # that holds it all.
+    warm = GOOD + "\n[prewarm]\ngw foo 240p 1.0\n"
+    need = ScenarioRun(parse_scenario(warm)).sim.hosts["gw"].node.cs.used_bytes
+    for capacity, ok in ((need, True), (need - 1, False)):
+        text = warm.replace("cs=8MB", f"cs={capacity}")
+        scn = tmp_path / f"cs{capacity}.scn"
+        scn.write_text(text)
+        assert main(["validate", str(scn)]) == (0 if ok else 1)
+        assert main(["run", str(scn), "--out", str(tmp_path / f"o{capacity}")]) == (0 if ok else 1)
+        assert capsys.readouterr().err.count("content store too small") == (0 if ok else 2)
+        # prewarm_cache draws the same line on the real packets: build a
+        # scenario validated at the full size with the store cut to this one.
+        scenario = parse_scenario(warm)
+        next(n for n in scenario.nodes if n.node_id == "gw").cs_bytes = capacity
+        if ok:
+            ScenarioRun(scenario)
+        else:
+            with pytest.raises(CapacityExceeded, match="gw"):
+                ScenarioRun(scenario)
 
 
 def test_run_missing_file_is_config_error(tmp_path, capsys):

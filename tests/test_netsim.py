@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from ndnstream.names import name_parse
 from ndnstream.netsim.engine import EventEngine
 from ndnstream.netsim.link import Dropped, Link
 from ndnstream.netsim.scenario import (
+    load_scenario,
     parse_scenario,
     parse_bandwidth,
     parse_size,
@@ -274,6 +276,26 @@ def test_unreachable_prefix_detected(key):
         sim.validate_reachability([name_parse("/q")])
 
 
+@pytest.mark.parametrize("scn", ["golden.scn", "fanout.scn", "lossy.scn"])
+def test_every_face_resolves_back_to_its_sender(scn):
+    # A send reads link, peer and the peer's receiving face from one face
+    # entry; a wrong back-face would deliver on the wrong face.
+    run = ScenarioRun(load_scenario(Path(__file__).parent / "data" / scn))
+    hosts = run.sim.hosts
+    ends = []
+    for node_id, host in hosts.items():
+        assert set(host.face_link) == set(range(1, len(host.face_link) + 1))
+        for face, (link, peer, peer_host, peer_face) in host.face_link.items():
+            assert peer_host is hosts[peer]
+            assert {link.a, link.b} == {node_id, peer}
+            back_link, back_peer, back_host, back_face = peer_host.face_link[peer_face]
+            assert back_link is link
+            assert back_peer == node_id and back_host is host and back_face == face
+            ends.append(link)
+    # Every link has exactly its two ends.
+    assert sorted(map(id, ends)) == sorted(map(id, run.sim.links * 2))
+
+
 # -- fch ---------------------------------------------------------------------------
 
 
@@ -352,6 +374,72 @@ def test_scenario_prewarm_into_a_store_smaller_than_a_chunk_raises():
     text = MINIMAL.replace("cs=8MB", "cs=1KB") + "\n[prewarm]\ngw foo 240p 1.0\n"
     with pytest.raises(CapacityExceeded, match="gw"):
         ScenarioRun(parse_scenario(text))
+
+
+PREWARM_CHAIN = """
+scenario warm
+seed 3
+
+[nodes]
+consumer c1
+forwarder gw cs=CS_GW
+forwarder gw2 cs=CS_GW2
+producer srv
+
+[links]
+c1 gw prop-ms=5 bw=50Mbps
+gw srv prop-ms=15 bw=20Mbps
+gw2 srv prop-ms=15 bw=20Mbps
+
+[routes]
+gw /p srv
+
+[videos]
+video foo server=srv prefix=/p duration-s=5 segment-s=2 chunk-bytes=1000 freshness-ms=5000
+tier foo 240p height=240 min-bw=0.6Mbps
+tier foo 480p height=480 min-bw=1.8Mbps
+
+[sessions]
+session s1 consumer=c1 videos=foo
+
+[prewarm]
+"""
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["gw foo 240p 1.0"],
+        ["gw foo 240p 0.5", "gw foo 240p 1.0"],
+        ["gw foo 240p 1.0", "gw foo 240p 0.5"],
+        ["gw foo 240p 1.0", "gw foo 240p 0.5", "gw foo 240p 1.0"],
+        ["gw foo 240p 0.3", "gw foo 480p 0.6"],
+        ["gw foo 480p 0.6", "gw2 foo 480p 1.0", "gw2 foo 240p 0.01"],
+    ],
+)
+def test_validate_sizes_prewarm_sets_as_prewarm_cache_loads_them(lines):
+    # The bytes each store takes, measured by loading the real packets
+    # into stores that hold everything; distinct chunks count once.
+    text = PREWARM_CHAIN + "\n".join(lines) + "\n"
+    big = text.replace("CS_GW2", "1GB").replace("CS_GW", "1GB")
+    hosts = ScenarioRun(parse_scenario(big)).sim.hosts
+    need = {node: hosts[node].node.cs.used_bytes for node in ("gw", "gw2")}
+    for node in {line.split()[0] for line in lines}:
+        for capacity, ok in ((need[node], True), (need[node] - 1, False)):
+            caps = {**need, node: capacity}
+            edited = text.replace("CS_GW2", str(caps["gw2"])).replace("CS_GW", str(caps["gw"]))
+            scenario = parse_scenario(big)
+            for spec in scenario.nodes:
+                if spec.node_id in caps:
+                    spec.cs_bytes = caps[spec.node_id]
+            if ok:
+                parse_scenario(edited)
+                ScenarioRun(scenario)
+            else:
+                with pytest.raises(CapacityExceeded, match=node):
+                    parse_scenario(edited)
+                with pytest.raises(CapacityExceeded, match=node):
+                    ScenarioRun(scenario)
 
 
 # -- throttle through a scenario ------------------------------------------------------

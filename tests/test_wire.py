@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ndnstream.errors import MalformedName, MalformedPacket
-from ndnstream.names import VersionedChunkName, name_parse
+from ndnstream.names import Name, VersionedChunkName, name_parse
 from ndnstream.packets import Data, Interest, Nack, NackReason, sign_data, sign_file, verify_data
 from ndnstream.wire import decode_packet, encode_packet, encoded_size
 
@@ -175,20 +175,57 @@ def _copies(packet, rng):
         yield replace(packet, name=packet.name.append(b"x" * 200))
 
 
+def _assert_sized_at_birth(packet):
+    # An interest carries its exact size before encoded_size ever sees it.
+    if isinstance(packet, Interest):
+        assert packet._wire_size == len(encode_packet(packet))
+
+
+# Lifetimes and name TLV lengths on each side of the 1-, 2- and 3-byte
+# varint boundaries, up to the largest lifetime.
+_BOUNDARY_LIFETIMES = [0, 127, 128, 2**14 - 1, 2**14, 2**64 - 1]
+_BOUNDARY_NAMES = [
+    Name(),
+    Name((b"x" * 125,)),  # TLV length 127
+    Name((b"x" * 126,)),  # TLV length 128
+    Name((b"x" * 128,)),  # a component length of two varint bytes
+    Name((b"x" * 16380,)),  # TLV length 2**14 - 1
+    Name((b"x" * 16381,)),  # TLV length 2**14
+    Name((b"c",) * 126),
+    Name((b"c",) * 127),
+    Name((b"c",) * 128),
+    Name((b"y" * 200,) * 130),
+]
+
+
 def test_cached_size_stays_exact():
     rng = random.Random(2718)
     for _ in range(300):
         packet = random_packet(rng)
+        _assert_sized_at_birth(packet)
         text = repr(packet)
         assert encoded_size(packet) == len(encode_packet(packet))
         assert repr(packet) == text
         decoded = decode_packet(encode_packet(packet))
+        _assert_sized_at_birth(decoded)
         # The copy has no size yet; the cached field must not tell them apart.
         assert decoded == packet and hash(decoded) == hash(packet)
         assert repr(decoded) == text
         for copy in _copies(packet, rng):
+            _assert_sized_at_birth(copy)
             assert encoded_size(copy) == len(encode_packet(copy))
             assert encoded_size(copy) == len(encode_packet(copy))
+    for name in _BOUNDARY_NAMES:
+        for lifetime in _BOUNDARY_LIFETIMES:
+            interest = Interest(name, rng.random() < 0.5, rng.randrange(1 << 32), lifetime)
+            _assert_sized_at_birth(interest)
+            for copy in (
+                decode_packet(encode_packet(interest)),
+                replace(interest, lifetime_ms=_BOUNDARY_LIFETIMES[-1] - lifetime),
+                replace(interest, name=name.append(b"z" * 128)),
+            ):
+                _assert_sized_at_birth(copy)
+                assert encoded_size(copy) == len(encode_packet(copy))
 
 
 U64_MAX = 2**64 - 1

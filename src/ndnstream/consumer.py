@@ -51,7 +51,7 @@ class FetchEngine:
             raise ValueError("rto_ms must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class ChunkTiming:
     chunk: int | None  # None while it times a discovery no data has answered
     first_sent: float

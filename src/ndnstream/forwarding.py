@@ -90,18 +90,34 @@ class _CsEntry:
     inserted: float
 
 
+def _first_of_newest(slots: dict[tuple[int, int], Name]) -> tuple[int, int]:
+    """The (version, chunk) slot of the lowest chunk of the highest version."""
+    version = max(slots)[0]
+    return version, min(chunk for v, chunk in slots if v == version)
+
+
 class ContentStore:
     """Byte-capacity LRU cache of data packets keyed by full name.
 
     ``by_base`` indexes the cached full names by file base and then by
     (version, chunk), so a discovery interest finds its file's chunks and
     the prefetcher tests a chunk slot without building or scanning names.
+
+    ``_bounds`` keeps, per base, a lower bound on the insert times and on
+    the freshness of that base's entries: ``insert`` lowers it, ``_drop``
+    leaves it (still a lower bound) and deletes it with the base's last
+    entry, and a staleness scan sets it exactly from the entries it keeps.
+    While ``(now - earliest) * 1000.0 <= least`` no entry of the base can
+    be stale, since float subtraction and multiplication are monotone, so
+    discovery and prefetch planning skip the per-entry staleness test.
     """
 
     def __init__(self, capacity_bytes: int):
         self.capacity_bytes = capacity_bytes
         self.entries: OrderedDict[Name, _CsEntry] = OrderedDict()
         self.by_base: dict[Name, dict[tuple[int, int], Name]] = {}
+        # base -> (earliest insert time, least freshness_ms) of its entries
+        self._bounds: dict[Name, tuple[float, int]] = {}
         self.used_bytes = 0
 
     def __len__(self) -> int:
@@ -109,6 +125,12 @@ class ContentStore:
 
     def _stale(self, entry: _CsEntry, now: float) -> bool:
         return (now - entry.inserted) * 1000.0 > entry.data.freshness_ms
+
+    def all_fresh(self, base: Name, now: float) -> bool:
+        """True if the store holds some chunk of ``base`` and none of them
+        can be stale at ``now``."""
+        bound = self._bounds.get(base)
+        return bound is not None and (now - bound[0]) * 1000.0 <= bound[1]
 
     def _drop(self, full_name: Name) -> None:
         entry = self.entries.pop(full_name)
@@ -118,22 +140,24 @@ class ContentStore:
         del chunks[vc.version, vc.chunk]
         if not chunks:
             del self.by_base[vc.base]
+            del self._bounds[vc.base]
 
     def lookup(self, interest: Interest, now: float) -> Data | None:
         """The fresh packet named exactly, else, for a CanBePrefix interest
         on a file base, that file's lowest fresh chunk of its highest fresh
-        version. Stale entries met on the way are dropped."""
+        version. Stale entries met on the way are dropped; when the base's
+        bound shows none can be stale, the file's entries are not visited."""
         full_name = interest.name
         if interest.can_be_prefix and full_name not in self.entries:
-            fresh: dict[tuple[int, int], Name] = {}
-            for (version, chunk), cached in list(self.by_base.get(full_name, {}).items()):
-                if self._stale(self.entries[cached], now):
-                    self._drop(cached)
-                else:
-                    fresh[-version, chunk] = cached
-            if not fresh:
+            chunks = self.by_base.get(full_name)
+            if chunks is None:
                 return None
-            full_name = fresh[min(fresh)]
+            if self.all_fresh(full_name, now):
+                full_name = chunks[_first_of_newest(chunks)]
+            else:
+                full_name = self._fresh_scan(full_name, chunks, now)
+                if full_name is None:
+                    return None
         entry = self.entries.get(full_name)
         if entry is None:
             return None
@@ -142,6 +166,24 @@ class ContentStore:
             return None
         self.entries.move_to_end(full_name)
         return entry.data
+
+    def _fresh_scan(
+        self, base: Name, chunks: dict[tuple[int, int], Name], now: float
+    ) -> Name | None:
+        """Drop the base's stale entries, set its bound from the rest and
+        return the full name of its lowest chunk of the highest version
+        left, or None if none is left."""
+        for cached in list(chunks.values()):
+            if self._stale(self.entries[cached], now):
+                self._drop(cached)  # deletes it from ``chunks``
+        if not chunks:
+            return None
+        kept = [self.entries[cached] for cached in chunks.values()]
+        self._bounds[base] = (
+            min(entry.inserted for entry in kept),
+            min(entry.data.freshness_ms for entry in kept),
+        )
+        return chunks[_first_of_newest(chunks)]
 
     def insert(self, data: Data, now: float) -> list[Name]:
         """Store a packet, evicting least-recently-accessed entries as needed.
@@ -157,7 +199,10 @@ class ContentStore:
             self._drop(full_name)
         self.entries[full_name] = _CsEntry(data, size, now)
         vc = data.name
-        self.by_base.setdefault(vc.base, {})[vc.version, vc.chunk] = full_name
+        base = vc.base
+        self.by_base.setdefault(base, {})[vc.version, vc.chunk] = full_name
+        bound = self._bounds.get(base, (now, data.freshness_ms))
+        self._bounds[base] = (min(bound[0], now), min(bound[1], data.freshness_ms))
         self.used_bytes += size
         evicted: list[Name] = []
         while self.used_bytes > self.capacity_bytes:
@@ -321,21 +366,25 @@ class ForwarderNode:
         """Interests for the next chunks of the trigger's file, skipping
         anything already cached or pending. Each slot of the window is
         tested in turn: fresh in the CS (through its (version, chunk)
-        index), skip; in the prefetch index, skip; otherwise its name is
-        built (or taken from a stale CS entry) and tested in the PIT."""
+        index, and with no staleness test while the base's bound shows
+        every entry fresh), skip; in the prefetch index, skip; otherwise
+        its name is built (or taken from a stale CS entry) and tested in
+        the PIT."""
         if not isinstance(self.strategy, GatewayPrefetch):
             return []
         vc = trigger.name
         base, version = vc.base, vc.version
-        held = self.cs.by_base.get(base, {})
-        cs_entries, stale = self.cs.entries, self.cs._stale
+        cs = self.cs
+        held = cs.by_base.get(base, {})
+        all_fresh = cs.all_fresh(base, now)
+        cs_entries, stale = cs.entries, cs._stale
         prefetching = self.prefetching.get(base, {})
         plan: list[Interest] = []
         last = min(vc.chunk + self.strategy.depth, trigger.final_chunk)
         for chunk in range(vc.chunk + 1, last + 1):
             slot = (version, chunk)
             full = held.get(slot)
-            if full is not None and not stale(cs_entries[full], now):
+            if full is not None and (all_fresh or not stale(cs_entries[full], now)):
                 continue
             if slot in prefetching:
                 continue

@@ -33,9 +33,15 @@ def _escape(component: bytes) -> str:
 
 _ONE_BYTE = [bytes((i,)) for i in range(0x80)]
 
+# Frozen names are built and filled in through these, bound once.
+_new = object.__new__
+_set = object.__setattr__
+
 
 def _varint_size(value: int) -> int:
     """``len(_varint(value))`` without building the bytes."""
+    if value < 0x80:
+        return 1  # every name length and most counts
     size = 1
     while value > 0x7F:
         value >>= 7
@@ -100,8 +106,8 @@ class Name:
             if not isinstance(c, bytes) or len(c) == 0:
                 raise MalformedName("components must be non-empty byte strings")
             size += _varint_size(len(c)) + len(c)
-        object.__setattr__(self, "_hash", hash(self.components))
-        object.__setattr__(self, "_tlv_len", size)
+        _set(self, "_hash", hash(self.components))
+        _set(self, "_tlv_len", size)
 
     def __hash__(self) -> int:
         return self._hash
@@ -127,10 +133,10 @@ class Name:
 def _checked_name(components: tuple[bytes, ...], tlv_len: int) -> Name:
     """A name from components the caller has already checked, and the
     length of its TLV form, built without running ``Name.__post_init__``."""
-    name = object.__new__(Name)
-    object.__setattr__(name, "components", components)
-    object.__setattr__(name, "_hash", hash(components))
-    object.__setattr__(name, "_tlv_len", tlv_len)
+    name = _new(Name)
+    _set(name, "components", components)
+    _set(name, "_hash", hash(components))
+    _set(name, "_tlv_len", tlv_len)
     return name
 
 
@@ -235,8 +241,8 @@ class VersionedChunkName:
     def __post_init__(self) -> None:
         _check_chunk_name(self.base, self.version, self.chunk)
         full = chunk_name(self.base, self.version, self.chunk)
-        object.__setattr__(self, "_full", full)
-        object.__setattr__(self, "_full_tlv", _encode_name(full))
+        _set(self, "_full", full)
+        _set(self, "_full_tlv", _encode_name(full))
 
     @classmethod
     def file_chunks(cls, base: Name, version: int, count: int) -> list[VersionedChunkName]:
@@ -250,17 +256,16 @@ class VersionedChunkName:
         _check_chunk_name(base, version, count - 1)
         head = base.components + (b"v=%d" % version,)
         head_tlv = _encode_components(head, len(head) + 1)
-        new, set_ = object.__new__, object.__setattr__
         names = []
         for k in range(count):
             marker = b"c=%d" % k  # at most 22 bytes: a one-byte length
-            vc = new(cls)
-            set_(vc, "base", base)
-            set_(vc, "version", version)
-            set_(vc, "chunk", k)
+            vc = _new(cls)
+            _set(vc, "base", base)
+            _set(vc, "version", version)
+            _set(vc, "chunk", k)
             tlv = head_tlv + _ONE_BYTE[len(marker)] + marker
-            set_(vc, "_full", _checked_name(head + (marker,), len(tlv)))
-            set_(vc, "_full_tlv", tlv)
+            _set(vc, "_full", _checked_name(head + (marker,), len(tlv)))
+            _set(vc, "_full_tlv", tlv)
             names.append(vc)
         return names
 

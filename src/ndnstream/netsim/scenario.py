@@ -405,15 +405,23 @@ def _validate(scenario: Scenario) -> None:
         raise InvalidConfig("duplicate node id")
     known = set(ids)
     kinds = {n.node_id: n.kind for n in scenario.nodes}
+    # Routes, gateways and throttles each name a pair that one link joins.
+    linked: set[frozenset[str]] = set()
     for link in scenario.links:
         for end in (link.a, link.b):
             if end not in known:
                 raise InvalidConfig(f"link references unknown node {end!r}")
+        pair = frozenset((link.a, link.b))
+        if pair in linked:
+            raise InvalidConfig(f"second link between {link.a} and {link.b}")
+        linked.add(pair)
     for route in scenario.routes:
         if route.node not in known or route.via not in known:
             raise InvalidConfig(f"route {route.node}->{route.via} references unknown node")
         if kinds[route.node] != "forwarder":
             raise InvalidConfig(f"route node {route.node!r} is not a forwarder")
+        if frozenset((route.node, route.via)) not in linked:
+            raise InvalidConfig(f"route {route.prefix}: {route.node} has no link to {route.via}")
     video_ids = set()
     for video in scenario.videos:
         if video.video_id in video_ids:
@@ -444,6 +452,8 @@ def _validate(scenario: Scenario) -> None:
         for gw in gateways:
             if gw not in known:
                 raise InvalidConfig(f"fch references unknown node {gw!r}")
+            if frozenset((consumer, gw)) not in linked:
+                raise InvalidConfig(f"fch: {consumer} has no link to {gw}")
     for pw in scenario.prewarm:
         if pw.node not in known or kinds[pw.node] != "forwarder":
             raise InvalidConfig(f"prewarm node {pw.node!r} is not a forwarder")
@@ -459,7 +469,7 @@ def _validate(scenario: Scenario) -> None:
     for throttle in scenario.throttles:
         if throttle.src not in known or throttle.dst not in known:
             raise InvalidConfig("throttle references unknown node")
-        if not any({link.a, link.b} == {throttle.src, throttle.dst} for link in scenario.links):
+        if frozenset((throttle.src, throttle.dst)) not in linked:
             raise InvalidConfig(f"throttle {throttle.src}->{throttle.dst}: no link between them")
         direction = (throttle.src, throttle.dst)
         if direction in last_at and throttle.at_s <= last_at[direction]:

@@ -110,7 +110,7 @@ class ProducerHost(_FacedHost):
         response = self.repo.resolve(packet)
         delay = self.repo.processing_delay_ms / 1000.0
         self.sim.engine.schedule_in(
-            delay, lambda: self.sim.send(self.node_id, from_face, response, True)
+            delay, self.sim.send, (self.node_id, from_face, response, True)
         )
 
 
@@ -206,7 +206,8 @@ class ConsumerHost(_FacedHost):
             self._on_attached = None
 
     def _handle_probe_data(self, from_face: int, data: Data) -> bool:
-        if self._probe_name is None or self.gateway_face is not None:
+        """Record a probe's answer; called only while no gateway is chosen."""
+        if self._probe_name is None:
             return False
         hit = False
         for probe in self._probes:
@@ -222,7 +223,8 @@ class ConsumerHost(_FacedHost):
 
     def receive(self, from_face: int, packet: Packet, from_producer: bool) -> None:
         if isinstance(packet, Data):
-            if self._handle_probe_data(from_face, packet):
+            # Only a host not yet attached can be probing its gateways.
+            if self.gateway_face is None and self._handle_probe_data(from_face, packet):
                 return
             for session in self.sessions:
                 fetch = session.active_fetch
@@ -298,6 +300,8 @@ class NetworkSim:
         for node_id in (a, b):
             if node_id not in self.hosts:
                 raise InvalidTopology(f"link references unknown node {node_id}")
+        if b in self.hosts[a].peer_face:
+            raise InvalidTopology(f"second link between {a} and {b}")
         link = Link(a, b, propagation_ms, bandwidth_bps, queue_limit_bytes)
         self.links.append(link)
         host_a, host_b = self.hosts[a], self.hosts[b]
@@ -372,7 +376,7 @@ class NetworkSim:
         if isinstance(arrival, Dropped):
             return
         self.engine.schedule(
-            arrival, lambda: peer_host.receive(from_face, packet, from_producer)
+            arrival, peer_host.receive, None, (from_face, packet, from_producer)
         )
 
     # -- housekeeping ----------------------------------------------------------

@@ -16,8 +16,15 @@ the tags ``sign_data`` would.
 Every integer a packet carries other than the nonce (32 bits) lies in
 [0, 2**64), so any packet that builds also encodes, decodes and signs.
 
+Interest and data packets are frozen, slotted dataclasses with a
+hand-written ``__init__``: it makes the range checks above, then sets
+each slot once through ``object.__setattr__``, with no ``__post_init__``
+call, since one packet is built for every chunk sent or published.
+``dataclasses.replace``, ``repr`` and equality work as for any dataclass,
+and assigning a field raises ``FrozenInstanceError``.
+
 Interest and data packets keep their encoded size in ``_wire_size``. An
-interest knows it from construction: ``__post_init__`` computes it in
+interest knows it from construction: its ``__init__`` computes it in
 closed form from the name's TLV length and the lifetime's varint size,
 so every interest, whether built, copied by ``dataclasses.replace`` or
 decoded, carries its exact size. A data packet is still measured on the
@@ -56,7 +63,12 @@ def _check_freshness(freshness_ms: int) -> None:
         raise ValueError("freshness_ms must lie in [0, 2**64)")
 
 
-@dataclass(frozen=True, slots=True)
+# Frozen packets set their fields through this in their own ``__init__``.
+_set = object.__setattr__
+_NONCE_LIMIT = 1 << 32
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Interest:
     name: Name
     can_be_prefix: bool = False
@@ -64,22 +76,31 @@ class Interest:
     lifetime_ms: int = DEFAULT_INTEREST_LIFETIME_MS
     _wire_size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.nonce < 2**32:
+    def __init__(
+        self,
+        name: Name,
+        can_be_prefix: bool = False,
+        nonce: int = 0,
+        lifetime_ms: int = DEFAULT_INTEREST_LIFETIME_MS,
+    ) -> None:
+        if not 0 <= nonce < _NONCE_LIMIT:
             raise ValueError("nonce must fit in 32 bits")
-        if not 0 <= self.lifetime_ms < _U64_LIMIT:
+        if not 0 <= lifetime_ms < _U64_LIMIT:
             raise ValueError("lifetime_ms must lie in [0, 2**64)")
+        _set(self, "name", name)
+        _set(self, "can_be_prefix", can_be_prefix)
+        _set(self, "nonce", nonce)
+        _set(self, "lifetime_ms", lifetime_ms)
         # The wire layout (see ``wire``): the kind byte, then (tag, length
         # varint, value) for the name, the 1-byte CanBePrefix flag, the
         # 4-byte nonce and the lifetime varint, whose length fits one byte.
         # Besides the name's length and value and the lifetime's value that
         # is 1 + 1 + (1 + 1 + 1) + (1 + 1 + 4) + (1 + 1) = 13 bytes.
-        tlv_len = self.name._tlv_len
-        size = 13 + _varint_size(tlv_len) + tlv_len + _varint_size(self.lifetime_ms)
-        object.__setattr__(self, "_wire_size", size)
+        tlv_len = name._tlv_len
+        _set(self, "_wire_size", 13 + _varint_size(tlv_len) + tlv_len + _varint_size(lifetime_ms))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Data:
     name: VersionedChunkName
     content: bytes = b""
@@ -89,12 +110,26 @@ class Data:
     _wire_size: int | None = field(default=None, init=False, compare=False, repr=False)
     _verified_by: KeyMaterial | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not self.name.chunk <= self.final_chunk < _U64_LIMIT:
+    def __init__(
+        self,
+        name: VersionedChunkName,
+        content: bytes = b"",
+        final_chunk: int = 0,
+        freshness_ms: int = DEFAULT_FRESHNESS_MS,
+        integrity_tag: bytes = _ZERO_TAG,
+    ) -> None:
+        if not name.chunk <= final_chunk < _U64_LIMIT:
             raise ValueError("final_chunk must lie in [chunk, 2**64)")
-        _check_freshness(self.freshness_ms)
-        if len(self.integrity_tag) != TAG_LEN:
+        _check_freshness(freshness_ms)
+        if len(integrity_tag) != TAG_LEN:
             raise ValueError("integrity tag must be 32 bytes")
+        _set(self, "name", name)
+        _set(self, "content", content)
+        _set(self, "final_chunk", final_chunk)
+        _set(self, "freshness_ms", freshness_ms)
+        _set(self, "integrity_tag", integrity_tag)
+        _set(self, "_wire_size", None)
+        _set(self, "_verified_by", None)
 
 
 class NackReason(Enum):
@@ -175,5 +210,5 @@ def verify_data(data: Data, key: KeyMaterial) -> bool:
         return True
     if data.integrity_tag != _tag(data, key):
         return False
-    object.__setattr__(data, "_verified_by", key)
+    _set(data, "_verified_by", key)
     return True

@@ -11,7 +11,7 @@ packet's own bounds.
 Link serialization delay in the emulator is computed from the encoded
 length; ``encoded_size`` computes that length without materializing the
 bytes and is property-tested against ``len(encode_packet(...))``. An
-interest is sized when it is built (``Interest.__post_init__``); a data
+interest is sized when it is built (``Interest.__init__``); a data
 packet is measured on its first ``encoded_size`` and keeps the result.
 ``data_size`` is that measurement from the fields alone, so a content
 store's share of a file can be sized before any chunk exists.

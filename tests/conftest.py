@@ -1,10 +1,30 @@
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from ndnstream.names import Name, name_parse
 from ndnstream.packets import Data, Interest, KeyMaterial, Nack, NackReason, sign_data
 from ndnstream.names import VersionedChunkName
+
+# Tier-1 runs every property test on the same examples each time, with no
+# example database, so its result depends on the tree alone. The
+# ``explore`` profile (HYPOTHESIS_PROFILE=explore) draws fresh random
+# examples, five times as many, to look for new failures.
+EXPLORE_FACTOR = 5
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile(
+    "explore", derandomize=False, database=None, max_examples=EXPLORE_FACTOR * 100
+)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
+settings.load_profile(PROFILE)
+
+
+def examples(count: int) -> int:
+    """A property test's example count: ``count`` in tier-1, five times
+    that when exploring."""
+    return count * EXPLORE_FACTOR if PROFILE == "explore" else count
 
 
 @pytest.fixture

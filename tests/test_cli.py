@@ -81,6 +81,15 @@ BAD_VALUES = [
     pytest.param(
         "cs=8MB", "cs=1KB\n[prewarm]\ngw foo 240p 1.0\n[nodes]", id="prewarm-over-capacity"
     ),
+    pytest.param(
+        "gw srv prop-ms=15 bw=20Mbps",
+        "gw srv prop-ms=15 bw=20Mbps\nsrv gw prop-ms=15 bw=1Mbps",
+        id="link-duplicate-pair",
+    ),
+    pytest.param(
+        "gw /p srv", "gw /p srv\ngw /r p2\n[nodes]\nproducer p2", id="route-via-not-linked"
+    ),
+    pytest.param(SESSION, SESSION + "\n[fch]\nc1 srv", id="fch-gateway-not-linked"),
 ]
 
 

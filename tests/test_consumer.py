@@ -26,6 +26,8 @@ from ndnstream.producer import (
     package_video,
 )
 
+from conftest import examples
+
 PAPER_TIERS = [
     Representation("240p", 240, 600_000, 600_000),
     Representation("360p", 360, 900_000, 900_000),
@@ -300,6 +302,15 @@ def test_pipelined_reassembly_random_sizes(key):
     assert reordered
 
 
+def test_chunk_timing_is_slotted():
+    timing = ChunkTiming(None, first_sent=0.0, last_sent=0.5)
+    assert not hasattr(timing, "__dict__")
+    with pytest.raises(AttributeError):
+        timing.retransmitted = True
+    timing.chunk, timing.received = 3, 0.75
+    assert timing.rtt_ms == 250.0
+
+
 # -- one retransmission timer per fetch ------------------------------------------------
 
 
@@ -361,7 +372,7 @@ class TimerCountingLoopback(Loopback):
 # t + rto arrives at t + rto + rtt, the deadline of a request first sent at
 # t + rtt. The example pins one such tie, where the fetch must retransmit
 # before taking the reply, as the request's own timer would have.
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @example(chunks=12, window=3, rto_ms=100.0, rtt_s=0.0371, max_retx=1, dropped={4, 7})
 @given(
     chunks=st.integers(1, 12),

@@ -68,6 +68,41 @@ def test_randomized_insertion_matches_sort_oracle():
     assert executed == expected
 
 
+def test_events_with_arguments_and_tickets_run_in_at_seq_order():
+    rng = random.Random(5)
+    engine = EventEngine()
+    executed = []
+    expected = []  # (at, seq, label) of every event
+    tickets = []
+    for i in range(400):
+        at = rng.choice([1.0, 2.0, rng.uniform(0, 3)])
+        kind = rng.randrange(3)
+        if kind == 0:  # a callable plus its arguments
+            seq = engine.schedule(at, executed.append, None, (i,))
+        elif kind == 1:  # a zero-argument callable
+            seq = engine.schedule(at, lambda i=i: executed.append(i))
+        else:  # a ticket now, the event later (in reverse order below)
+            tickets.append((at, engine.ticket(), i))
+            continue
+        expected.append((at, seq, i))
+    for at, seq, i in reversed(tickets):
+        assert engine.schedule(at, executed.append, seq, (i,)) == seq
+        expected.append((at, seq, i))
+    assert engine.pending() == 400
+    engine.run()
+    assert executed == [i for _at, _seq, i in sorted(expected)]
+
+
+def test_schedule_in_passes_arguments_and_rejects_the_past():
+    engine = EventEngine()
+    got = []
+    engine.schedule(1.0, lambda: engine.schedule_in(0.5, got.append, ("late",)))
+    engine.run()
+    assert got == ["late"] and engine.now == 1.5
+    with pytest.raises(SchedulingInPast):
+        engine.schedule(1.0, got.append, None, ("never",))
+
+
 # -- links ---------------------------------------------------------------------
 
 
@@ -294,6 +329,17 @@ def test_every_face_resolves_back_to_its_sender(scn):
             ends.append(link)
     # Every link has exactly its two ends.
     assert sorted(map(id, ends)) == sorted(map(id, run.sim.links * 2))
+
+
+def test_second_link_between_one_pair_rejected():
+    sim = NetworkSim()
+    for node_id in ("gw", "srv"):
+        sim.add_forwarder(node_id)
+    sim.add_link("gw", "srv", propagation_ms=5)
+    for a, b in (("gw", "srv"), ("srv", "gw")):
+        with pytest.raises(InvalidTopology, match="second link"):
+            sim.add_link(a, b)
+    assert len(sim.links) == 1
 
 
 # -- fch ---------------------------------------------------------------------------

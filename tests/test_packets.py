@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,8 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from ndnstream import names, packets
 from ndnstream.errors import MalformedName
 from ndnstream.names import Name, VersionedChunkName, _encode_name, name_parse
-from ndnstream.packets import Data, KeyMaterial, sign_data, sign_file, verify_data
+from ndnstream.packets import Data, Interest, KeyMaterial, sign_data, sign_file, verify_data
 from ndnstream.wire import decode_packet, encode_packet, encoded_size
+
+from conftest import examples
 
 
 def small_data():
@@ -73,6 +75,56 @@ def test_chunk_beyond_final_rejected():
         Data(VersionedChunkName(name_parse("/f"), 1, 3), b"", final_chunk=2)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("name", name_parse("/g")), ("can_be_prefix", True), ("nonce", 9), ("lifetime_ms", 1)],
+)
+def test_interest_fields_are_frozen(field, value):
+    interest = Interest(name_parse("/f"), nonce=3)
+    with pytest.raises(FrozenInstanceError):
+        setattr(interest, field, value)
+    assert interest == Interest(name_parse("/f"), nonce=3)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("content", b"x"), ("final_chunk", 5), ("freshness_ms", 1), ("integrity_tag", bytes(32))],
+)
+def test_data_fields_are_frozen(field, value):
+    data = Data(VersionedChunkName(name_parse("/f"), 1, 0), b"c", final_chunk=2)
+    with pytest.raises(FrozenInstanceError):
+        setattr(data, field, value)
+    assert data == Data(VersionedChunkName(name_parse("/f"), 1, 0), b"c", final_chunk=2)
+
+
+def test_constructors_check_like_the_generated_ones():
+    vc = VersionedChunkName(name_parse("/f"), 1, 0)
+    for kwargs, message in (
+        ({"nonce": 1 << 32}, "nonce must fit in 32 bits"),
+        ({"nonce": -1}, "nonce must fit in 32 bits"),
+        ({"lifetime_ms": 1 << 64}, "lifetime_ms must lie in"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Interest(name_parse("/f"), **kwargs)
+    for kwargs, message in (
+        ({"final_chunk": 1 << 64}, "final_chunk must lie in"),
+        ({"freshness_ms": -1}, "freshness_ms must lie in"),
+        ({"integrity_tag": b"short"}, "integrity tag must be 32 bytes"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Data(vc, **kwargs)
+    interest = Interest(name_parse("/f"), True, 7, 100)
+    assert repr(interest) == (
+        f"Interest(name={name_parse('/f')!r}, can_be_prefix=True, nonce=7, lifetime_ms=100)"
+    )
+    moved = replace(interest, lifetime_ms=1 << 20)
+    assert moved.lifetime_ms == 1 << 20 and moved.nonce == 7
+    assert encoded_size(moved) == len(encode_packet(moved))
+    data = Data(vc, b"c", 3)
+    assert replace(data, final_chunk=4) == Data(vc, b"c", 4)
+    assert data._wire_size is None and data._verified_by is None
+
+
 def _signed(key, base: str, version: int, chunk: int) -> Data:
     vc = VersionedChunkName(name_parse(base), version, chunk)
     return sign_data(Data(vc, b"same content", final_chunk=20), key)
@@ -120,7 +172,7 @@ _COMPONENT = st.one_of(st.binary(min_size=1, max_size=8), st.binary(min_size=120
 _PLAIN = _COMPONENT.filter(lambda c: not c.startswith((b"v=", b"c=")))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     components=st.lists(_PLAIN, min_size=1, max_size=130),
     version=st.integers(0, 2**64 - 1),

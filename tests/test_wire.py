@@ -9,7 +9,7 @@ from ndnstream.names import Name, VersionedChunkName, name_parse
 from ndnstream.packets import Data, Interest, Nack, NackReason, sign_data, sign_file, verify_data
 from ndnstream.wire import decode_packet, encode_packet, encoded_size
 
-from conftest import random_packet
+from conftest import examples, random_packet
 
 
 def test_round_trip_simple_interest():
@@ -145,7 +145,7 @@ _edits = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(
     st.one_of(
         st.tuples(st.integers(0, 2**32), _edits).map(

@@ -165,6 +165,11 @@ class FileFetch:
     the instants, and in the order, that one timer per send would give
     them.
 
+    Discovery's data also hands over its base: from then on ``base`` is
+    the producer's own ``Name``, equal to the one the fetch began with, so
+    ``chunk_name`` gives each chunk interest the very name the producer
+    stored it under, and base checks on later data hit on identity.
+
     ``on_complete`` receives the file's chunk contents as a list in chunk
     order, not their join: a caller that needs the bytes (a playlist
     parser, ``fetch_file_via``) joins them itself, and one that needs only
@@ -266,11 +271,15 @@ class FileFetch:
         if not verify_data(data, self.key):
             self._fail(IntegrityFailure(f"bad tag on {data.name}"))
             return
-        if data.name.base != self.base:
+        base = data.name.base
+        if base is not self.base and base != self.base:
             return
         chunk = data.name.chunk
         if self.version is None:
-            # Data answering discovery: learn the version and total size.
+            # Data answering discovery: learn the version and total size,
+            # and adopt the producer's base, so chunk interests carry the
+            # names it published (see ``names``).
+            self.base = base
             self.version = data.name.version
             self.final_chunk = data.final_chunk
             del self._outstanding[None]

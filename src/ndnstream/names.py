@@ -8,7 +8,14 @@ length-prefixed components; the wire format carries it and integrity tags
 are computed over it.
 
 ``VersionedChunkName.file_chunks`` names every chunk of one file version
-at once; each name equals the one ``VersionedChunkName`` builds.
+at once; each name equals the one ``VersionedChunkName`` builds. It also
+records those full names on the base ``Name`` itself, and ``chunk_name``
+hands them back for that base and version. So a published chunk has one
+``Name`` object, shared by the producer's store, the consumers' interests,
+the prefetcher's plans and the gateway's PIT and CS wherever they name it
+from the producer's base: their dict lookups and base checks hit on
+identity. The record lives and dies with the base; it takes no part in
+``==``, ``hash`` or ``repr``.
 """
 
 from __future__ import annotations
@@ -94,11 +101,15 @@ class Name:
     CS and the PIT is hashed once however often it is looked up. So is
     the length of the TLV form, ``_tlv_len``, which sizes every packet
     that carries the name.
+
+    ``_chunks`` is ``(version, full names by chunk)`` on a base that
+    ``VersionedChunkName.file_chunks`` last named, else None.
     """
 
     components: tuple[bytes, ...] = ()
     _hash: int = field(init=False, compare=False, repr=False)
     _tlv_len: int = field(init=False, compare=False, repr=False)
+    _chunks: tuple[int, list[Name]] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         size = _varint_size(len(self.components))
@@ -108,6 +119,7 @@ class Name:
             size += _varint_size(len(c)) + len(c)
         _set(self, "_hash", hash(self.components))
         _set(self, "_tlv_len", size)
+        _set(self, "_chunks", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -137,6 +149,7 @@ def _checked_name(components: tuple[bytes, ...], tlv_len: int) -> Name:
     _set(name, "components", components)
     _set(name, "_hash", hash(components))
     _set(name, "_tlv_len", tlv_len)
+    _set(name, "_chunks", None)
     return name
 
 
@@ -188,10 +201,17 @@ def name_is_prefix_of(a: Name, b: Name) -> bool:
 def chunk_name(base: Name, version: int, chunk: int) -> Name:
     """The full name of one chunk: the base plus "v=<version>" and "c=<chunk>".
 
-    The base is a checked name and neither marker can be empty, so the
-    result skips re-validation. Each marker is at most 22 bytes, so its
-    length takes one byte, and the TLV length follows from the base's.
+    When ``VersionedChunkName.file_chunks`` last named this very base
+    object at this version and the chunk exists, the result is the name it
+    built, the one the producer stores the chunk under. Otherwise (another
+    version, a chunk past the end, an equal base decoded or built by hand)
+    a new name is built: the base is a checked name and neither marker can
+    be empty, so it skips re-validation. Each marker is at most 22 bytes,
+    so its length takes one byte, and the TLV length follows from the base's.
     """
+    published = base._chunks
+    if published is not None and published[0] == version and 0 <= chunk < len(published[1]):
+        return published[1][chunk]
     v, c = b"v=%d" % version, b"c=%d" % chunk
     tlv_len = base._tlv_len + 2 + len(v) + len(c)
     count = len(base.components)
@@ -251,12 +271,15 @@ class VersionedChunkName:
 
         The base and version are checked once, with the last chunk index,
         and the TLV head (component count, base components, "v=" marker) is
-        encoded once; each name appends only its "c=" component.
+        encoded once; each name appends only its "c=" component. The full
+        names are recorded on ``base``, replacing any earlier version's, so
+        ``chunk_name`` returns them (see the module docstring).
         """
         _check_chunk_name(base, version, count - 1)
         head = base.components + (b"v=%d" % version,)
         head_tlv = _encode_components(head, len(head) + 1)
         names = []
+        fulls = []
         for k in range(count):
             marker = b"c=%d" % k  # at most 22 bytes: a one-byte length
             vc = _new(cls)
@@ -264,9 +287,12 @@ class VersionedChunkName:
             _set(vc, "version", version)
             _set(vc, "chunk", k)
             tlv = head_tlv + _ONE_BYTE[len(marker)] + marker
-            _set(vc, "_full", _checked_name(head + (marker,), len(tlv)))
+            full = _checked_name(head + (marker,), len(tlv))
+            _set(vc, "_full", full)
             _set(vc, "_full_tlv", tlv)
             names.append(vc)
+            fulls.append(full)
+        _set(base, "_chunks", (version, fulls))
         return names
 
     def full(self) -> Name:

@@ -226,9 +226,11 @@ class ConsumerHost(_FacedHost):
             # Only a host not yet attached can be probing its gateways.
             if self.gateway_face is None and self._handle_probe_data(from_face, packet):
                 return
+            # A fetch past discovery holds the producer's base object itself.
+            base = packet.name.base
             for session in self.sessions:
                 fetch = session.active_fetch
-                if fetch is not None and fetch.base == packet.name.base:
+                if fetch is not None and (fetch.base is base or fetch.base == base):
                     fetch.handle_data(packet, not from_producer)
         elif isinstance(packet, Nack):
             for session in self.sessions:
@@ -419,6 +421,10 @@ def fetch_file_via(
     Returns (payload, chunk timings). This is the resource-request seam:
     callers address content by name and get the reassembled bytes back,
     joined here from the chunks the fetch hands over.
+
+    The engine runs only until the fetch completes or fails: the clock
+    stops at that event, and every later event (a session's, a stale
+    timer's) stays queued for whoever runs the engine next.
     """
     from ..consumer import FetchEngine, FileFetch
 
@@ -441,7 +447,8 @@ def fetch_file_via(
     host.sessions.append(owner)
     try:
         fetch.start()
-        sim.engine.run()
+        while not result and sim.engine.advance():
+            pass
     finally:
         host.sessions.remove(owner)
     if "error" in result:

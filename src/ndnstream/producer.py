@@ -212,11 +212,14 @@ class Repository:
         return len(chunks)
 
     def file_chunk_names(self, base: Name) -> list[Name]:
-        """Full names of the chunks of a file's latest version, in chunk order."""
+        """Full names of the chunks of a file's latest version, in chunk
+        order: the names the store keys them under when the file was
+        published here, found through chunk 0's own base."""
         version = self.latest[base]
         first = self.store.get(chunk_name(base, version, 0))
         if first is None:
             return []
+        base = first.name.base
         return [chunk_name(base, version, k) for k in range(first.final_chunk + 1)]
 
     def resolve(self, interest: Interest) -> Data | Nack:

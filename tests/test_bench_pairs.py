@@ -1,0 +1,71 @@
+"""The summary of ``tools/bench_pairs.py``, on synthetic results only."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "events_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def _result(run_s: float, events_per_s: float) -> dict:
+    return {
+        "correct": True,
+        "attempted": 10,
+        "failed": 0,
+        "metrics": {
+            "run_s": {"value": run_s, "unit": "s"},
+            "events_per_s": {"value": events_per_s, "unit": "1/s"},
+        },
+    }
+
+
+def test_summary_medians_quartiles_and_wins():
+    base = [_result(s, 100.0 / s) for s in (1.0, 1.2, 1.1, 1.4, 1.3)]
+    # The change is faster in four pairs and slower in the last one.
+    change = [_result(s, 100.0 / s) for s in (0.9, 1.05, 1.05, 1.2, 1.5)]
+    run_s, events = bench_pairs.summarize(base, change, METRICS)
+
+    assert run_s["name"] == "run_s" and run_s["pairs"] == 5
+    assert run_s["base"] == pytest.approx((1.1, 1.2, 1.3))
+    assert run_s["change"] == pytest.approx((1.05, 1.05, 1.2))
+    assert run_s["relative"] == pytest.approx(-0.125)
+    assert run_s["wins"] == 4
+    # The median gap, 0.15, is narrower than the base's IQR, 0.2.
+    assert not run_s["gap_over_base_iqr"]
+
+    # Higher is better here: a win is a larger value.
+    assert events["wins"] == 4
+    assert events["base"][1] == pytest.approx(100 / 1.2)
+    assert events["relative"] > 0
+
+    text = bench_pairs.format_rows([run_s, events])
+    assert "run_s (s)" in text and "4/5" in text and "-12.5%" in text
+
+
+def test_summary_counts_ties_as_losses_and_flags_a_clear_gap():
+    base = [_result(1.0, 10.0), _result(1.0, 10.0), _result(1.02, 10.0)]
+    change = [_result(1.0, 10.0), _result(0.5, 20.0), _result(0.5, 20.0)]
+    run_s, events = bench_pairs.summarize(base, change, METRICS)
+    assert run_s["wins"] == events["wins"] == 2
+    assert run_s["gap_over_base_iqr"] and events["gap_over_base_iqr"]
+
+
+def test_summary_of_one_pair_and_bad_inputs():
+    [row] = bench_pairs.summarize([_result(2.0, 5.0)], [_result(1.0, 5.0)], METRICS[:1])
+    assert row["base"] == (2.0, 2.0, 2.0) and row["wins"] == 1
+    [zero] = bench_pairs.summarize([_result(0.0, 5.0)], [_result(1.0, 5.0)], METRICS[:1])
+    assert math.isnan(zero["relative"])
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([_result(1.0, 1.0)], [], METRICS)
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([], [], METRICS)

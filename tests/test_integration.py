@@ -11,6 +11,7 @@ from ndnstream.consumer import FetchEngine
 from ndnstream.errors import IntegrityFailure
 from ndnstream.names import name_parse
 from ndnstream.netsim.scenario import ScenarioRun, parse_scenario, run_scenario
+from ndnstream.netsim.topology import ConsumerHost
 from ndnstream.packets import Data
 from ndnstream.producer import segment_payload
 from ndnstream.wire import encode_packet, encoded_size
@@ -40,6 +41,11 @@ tier foo 720p height=720 min-bw=3.3Mbps
 [sessions]
 session s1 consumer=c1 videos=foo window=8
 """
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = (DATA / "golden.scn").read_text()
+FANOUT = (DATA / "fanout.scn").read_text()
+LOSSY = (DATA / "lossy.scn").read_text()
 
 # Same chain without a player session, for driving fetches directly.
 CHAIN_IDLE = CHAIN.split("[sessions]")[0]
@@ -123,20 +129,65 @@ def test_two_sessions_on_one_consumer_both_play():
         assert s.media_played_s == pytest.approx(10.0)
 
 
-def test_in_flight_bound_holds_through_network(monkeypatch):
-    fetches = []
+@pytest.fixture
+def fetches(monkeypatch):
+    """Every ``FileFetch`` built while the test runs, in order."""
+    made = []
 
     class RecordingFetch(consumer.FileFetch):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            fetches.append(self)
+            made.append(self)
 
     monkeypatch.setattr(consumer, "FileFetch", RecordingFetch)
+    return made
+
+
+def test_in_flight_bound_holds_through_network(fetches):
     run = ScenarioRun(parse_scenario(CHAIN.replace("window=8", "window=3")))
     report = run.run()
     assert report.sessions[0].aborted is None
     assert len(fetches) > 1
     assert all(f.max_in_flight <= 3 for f in fetches)
+
+
+def test_resource_request_stops_when_its_fetch_ends(fetches):
+    # A resource request runs the engine only as far as its own fetch: the
+    # session scheduled in the scenario is not played out as a side effect.
+    run = ScenarioRun(parse_scenario(GOLDEN))
+    live = run.live_sessions
+    payload = run.resource_request("c1", "foo/playlist.m3u8")
+    assert payload.decode().startswith("#EXTM3U")
+    request = fetches[0]  # built before the engine runs any session event
+    assert run.sim.engine.now == max(t.received for t in request.timings.values())
+    assert run.live_sessions == live == 1
+    report = run.run()
+    assert report.sessions[0].aborted is None
+
+
+def test_published_names_are_shared_through_the_network(fetches, monkeypatch):
+    # Every chunk interest a consumer sends, every gateway CS key and every
+    # fetch's base is the producer's own object, not an equal copy.
+    chunk_interests = []
+    send_interest = ConsumerHost.send_interest
+
+    def recording_send(host, interest):
+        if not interest.can_be_prefix:
+            chunk_interests.append(interest.name)
+        send_interest(host, interest)
+
+    monkeypatch.setattr(ConsumerHost, "send_interest", recording_send)
+    run = ScenarioRun(parse_scenario(FANOUT))
+    report = run.run()
+    assert all(s.aborted is None for s in report.sessions)
+    repo = run.repos["srv"]
+    stored = {name: name for name in repo.store}
+    published = {base: base for base in repo.latest}
+    entries = run.sim.hosts["gw"].node.cs.entries
+    assert entries and chunk_interests and fetches
+    assert all(stored[name] is name for name in entries)
+    assert all(stored[name] is name for name in chunk_interests)
+    assert all(published[f.base] is f.base for f in fetches)
 
 
 def test_corrupted_data_aborts_with_integrity_failure():
@@ -386,9 +437,6 @@ def test_mid_stream_throttle_causes_rebuffering():
     # accounting holds even across stalls
     assert s.media_played_s + s.final_buffer_s == pytest.approx(s.media_downloaded_s)
     assert s.media_downloaded_s == pytest.approx(40.0)
-
-
-LOSSY = (Path(__file__).parent / "data" / "lossy.scn").read_text()
 
 
 # Report digests of lossy.scn variants that retransmit: a gw-srv queue

@@ -195,3 +195,55 @@ def test_versioned_full_name_built_once():
     assert moved.full_tlv() == _encode_name(moved.full())
     with pytest.raises(FrozenInstanceError):
         vc.chunk = 13
+
+
+# -- one Name object per published chunk ----------------------------------------------------------
+
+
+def _assert_built_anew(got: Name, base: Name, version: int, chunk: int, published) -> None:
+    """``got`` is the chunk's name built as if nothing were published, and
+    none of the published objects."""
+    fresh = Name(base.components + (b"v=%d" % version, b"c=%d" % chunk))
+    assert got == fresh and fresh == got and hash(got) == hash(fresh)
+    assert got._tlv_len == fresh._tlv_len == len(_encode_name(fresh))
+    assert repr(got) == repr(fresh)
+    assert all(got is not p for p in published)
+
+
+@given(
+    _tlv_bases,
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 40),
+    st.integers(0, 2**20),
+    st.integers(1, 40),
+)
+def test_published_chunk_names_are_shared(base, version, count, past, newer_count):
+    other = version ^ 1  # another version, still below 2**64
+    before = (hash(base), repr(base))
+    names = VersionedChunkName.file_chunks(base, version, count)
+    published = [vc.full() for vc in names]
+    for k in range(count):
+        assert chunk_name(base, version, k) is published[k]
+        assert VersionedChunkName(base, version, k).full() is published[k]
+
+    # The record takes no part in equality, hashing or repr.
+    distinct = name_parse(name_format(base))
+    assert distinct is not base and distinct._chunks is None
+    assert (hash(base), repr(base)) == before == (hash(distinct), repr(distinct))
+    assert base == distinct and distinct == base and {distinct: 1}[base] == 1
+
+    # A chunk past the end, another version, an equal but distinct base:
+    # each is built anew, equal to the name built from nothing.
+    end = count + past
+    _assert_built_anew(chunk_name(base, version, end), base, version, end, published)
+    for k in (0, count - 1):
+        _assert_built_anew(chunk_name(base, other, k), base, other, k, published)
+        _assert_built_anew(chunk_name(distinct, version, k), base, version, k, published)
+
+    # Naming another version switches the record to it.
+    newer = [vc.full() for vc in VersionedChunkName.file_chunks(base, other, newer_count)]
+    for k in range(newer_count):
+        assert chunk_name(base, other, k) is newer[k]
+    for k in range(count):
+        _assert_built_anew(chunk_name(base, version, k), base, version, k, published + newer)
+    assert (hash(base), repr(base)) == before

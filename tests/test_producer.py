@@ -116,6 +116,11 @@ def test_publish_names_and_final_chunk(key):
         "/ndn/web/video/foo/playlist.m3u8/v=1/c=2",
     ]
     assert all(repo.store[n].final_chunk == 2 for n in names)
+    # Asked with an equal base parsed afresh, it still hands back the very
+    # names the store is keyed by.
+    keys = {n: n for n in repo.store}
+    again = repo.file_chunk_names(name_parse(str(base)))
+    assert again == names and all(keys[n] is n for n in again)
 
 
 def test_publish_catalog_layout(key):

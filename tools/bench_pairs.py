@@ -1,0 +1,158 @@
+"""Alternating benchmark pairs: a base revision against the working tree.
+
+Run it from anywhere inside the repository:
+
+    python3 tools/bench_pairs.py --base HEAD~1 --workload fanout --pairs 10 --seconds 40 --seed 1
+
+The base revision is checked out with ``git worktree add --detach`` into a
+temporary directory, and the worktree is removed on exit. Each pair runs
+``python3 bench/run.py --workload W --seed K --seconds S --trace 0`` once in
+each tree, one after the other; the side that goes first alternates from
+pair to pair, so a drift in machine speed falls on both sides alike.
+
+The script stops with a non-zero exit at the first run that fails, prints
+``"correct": false`` or counts a failed operation. Otherwise it prints, for
+every end-to-end metric in ``BENCHMARK.json``, the median and [Q1, Q3] on
+each side, the change's relative move, and the pairs the change won in the
+metric's ``better`` direction, and says whether both sides gave the same
+report digest and event count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class BenchFailure(Exception):
+    pass
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One ``--trace 0`` run in ``tree``: its info line and its result line."""
+    cmd = [
+        sys.executable, "bench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise BenchFailure(f"{tree}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    info, result = json.loads(lines[-2]), json.loads(lines[-1])
+    if result.get("correct") is not True:
+        raise BenchFailure(f"{tree}: correct: {result.get('correct')}")
+    if result.get("failed", 0) > 0:
+        raise BenchFailure(f"{tree}: {result['failed']} failed operations")
+    return info, result
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(Q1, median, Q3), by the inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(base: list[dict], change: list[dict], metrics: list[dict]) -> list[dict]:
+    """One row per metric from the result lines of paired runs: ``base[i]``
+    and ``change[i]`` are pair i. A pair is a win when the change's value
+    is strictly better in the metric's ``better`` direction."""
+    if len(base) != len(change) or not base:
+        raise ValueError("need the same non-zero number of runs on each side")
+    rows = []
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        before = [r["metrics"][name]["value"] for r in base]
+        after = [r["metrics"][name]["value"] for r in change]
+        wins = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
+        b_q, a_q = quartiles(before), quartiles(after)
+        rows.append(
+            {
+                "name": name,
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "base": b_q,
+                "change": a_q,
+                "relative": (a_q[1] - b_q[1]) / b_q[1] if b_q[1] else float("nan"),
+                "wins": wins,
+                "pairs": len(before),
+                "gap_over_base_iqr": abs(a_q[1] - b_q[1]) > b_q[2] - b_q[0],
+            }
+        )
+    return rows
+
+
+def format_rows(rows: list[dict]) -> str:
+    def cell(q: tuple[float, float, float]) -> str:
+        return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+    head = ("metric", "base median [Q1, Q3]", "change median [Q1, Q3]", "change")
+    lines = [f"{head[0]:<26} {head[1]:<34} {head[2]:<34} {head[3]:>8}  wins"]
+    for r in rows:
+        label = f"{r['name']} ({r['unit']})"
+        gap = ", gap > base IQR" if r["gap_over_base_iqr"] else ""
+        lines.append(
+            f"{label:<26} {cell(r['base']):<34} {cell(r['change']):<34} {r['relative']:>+8.1%}  "
+            f"{r['wins']}/{r['pairs']} ({r['better']} is better{gap})"
+        )
+    return "\n".join(lines)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    runs: dict[str, list[tuple[dict, dict]]] = {"base": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        tree = Path(tmp) / "base"
+        subprocess.run(
+            ["git", "-C", str(ROOT), "worktree", "add", "--detach", str(tree), args.base],
+            check=True, capture_output=True,
+        )
+        try:
+            for i in range(args.pairs):
+                sides = [("base", tree), ("change", ROOT)]
+                for side, path in sides if i % 2 == 0 else sides[::-1]:
+                    runs[side].append(run_bench(path, args.workload, args.seed, args.seconds))
+                print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+        except BenchFailure as exc:
+            print(f"bench_pairs: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            subprocess.run(
+                ["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                capture_output=True,
+            )
+    print(
+        f"{args.workload} seed {args.seed}, {args.pairs} pairs at --seconds {args.seconds:g}, "
+        f"base {args.base}"
+    )
+    outputs = {
+        side: {(info["report_sha256"], info["events"]) for info, _ in pairs}
+        for side, pairs in runs.items()
+    }
+    same = outputs["base"] == outputs["change"] and len(outputs["base"]) == 1
+    print(f"report digest and event count: {'same on both sides' if same else 'DIFFER'}")
+    results = {side: [result for _, result in pairs] for side, pairs in runs.items()}
+    print(format_rows(summarize(results["base"], results["change"], metrics)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,10 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import InvalidConfig, InvalidTopology, NdnStreamError
+from .errors import InvalidConfig, NdnStreamError
 from .experiments import EXPERIMENTS, experiment_scenario
 from .metrics import export_report
-from .netsim.scenario import load_scenario, run_scenario
+from .netsim.scenario import check_scenario, load_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -41,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            load_scenario(args.scenario)
+            check_scenario(load_scenario(args.scenario))
             print(f"{args.scenario}: ok")
             return EXIT_OK
         if args.command == "run":
@@ -53,14 +53,14 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InvalidConfig, InvalidTopology) as exc:
+    except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
         report = run_scenario(scenario)
         written = export_report(report, args.out)
-    except (InvalidConfig, InvalidTopology) as exc:
+    except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NdnStreamError as exc:

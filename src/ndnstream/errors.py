@@ -33,7 +33,7 @@ class SchedulingInPast(NdnStreamError):
     """An event was scheduled before the engine's current time."""
 
 
-class InvalidTopology(NdnStreamError):
+class InvalidTopology(InvalidConfig):
     """Topology construction failed validation."""
 
 

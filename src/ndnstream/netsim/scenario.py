@@ -27,6 +27,15 @@ sections or keys are configuration errors, not warnings. Example::
     session s1 consumer=c1 videos=foo start-s=0 window=8
 
 Optional sections: [fch], [prewarm], [throttles], [metrics].
+
+Parsing checks what the text alone shows. A run is built in two phases:
+``build_network`` adds the nodes, links and routes, announces each video
+prefix at its server, checks that every consumer reaches every prefix
+through each of its gateways, and applies the throttles; ``ScenarioRun``
+then packages and publishes the videos, prewarms the caches and sets up
+the sessions. ``check_scenario``, the CLI's ``validate``, runs the first
+phase and sizes the prewarm sets, so it rejects what a run would reject
+while building, without making any content.
 """
 
 from __future__ import annotations
@@ -400,77 +409,37 @@ def load_scenario(path) -> Scenario:
 
 
 def _validate(scenario: Scenario) -> None:
-    ids = [n.node_id for n in scenario.nodes]
-    if len(set(ids)) != len(ids):
-        raise InvalidConfig("duplicate node id")
-    known = set(ids)
+    """The checks the text alone shows. ``build_network`` checks the
+    topology: node ids, links, routes, gateways and throttle links."""
     kinds = {n.node_id: n.kind for n in scenario.nodes}
-    # Routes, gateways and throttles each name a pair that one link joins.
-    linked: set[frozenset[str]] = set()
-    for link in scenario.links:
-        for end in (link.a, link.b):
-            if end not in known:
-                raise InvalidConfig(f"link references unknown node {end!r}")
-        pair = frozenset((link.a, link.b))
-        if pair in linked:
-            raise InvalidConfig(f"second link between {link.a} and {link.b}")
-        linked.add(pair)
-    for route in scenario.routes:
-        if route.node not in known or route.via not in known:
-            raise InvalidConfig(f"route {route.node}->{route.via} references unknown node")
-        if kinds[route.node] != "forwarder":
-            raise InvalidConfig(f"route node {route.node!r} is not a forwarder")
-        if frozenset((route.node, route.via)) not in linked:
-            raise InvalidConfig(f"route {route.prefix}: {route.node} has no link to {route.via}")
-    video_ids = set()
+    videos: dict[str, VideoSpec] = {}
     for video in scenario.videos:
-        if video.video_id in video_ids:
+        if video.video_id in videos:
             raise InvalidConfig(f"duplicate video {video.video_id!r}")
-        video_ids.add(video.video_id)
-        if video.server not in known or kinds[video.server] != "producer":
-            raise InvalidConfig(f"video {video.video_id!r} needs a producer server")
         if not video.tiers:
             raise InvalidConfig(f"video {video.video_id!r} has no tiers")
+        videos[video.video_id] = video
     for session in scenario.sessions:
-        if session.consumer not in known or kinds[session.consumer] != "consumer":
+        if kinds.get(session.consumer) != "consumer":
             raise InvalidConfig(f"session {session.session_id!r} needs a consumer")
         if not session.videos:
             raise InvalidConfig(f"session {session.session_id!r} lists no videos")
-        prefixes = set()
         for vid in session.videos:
-            if vid not in video_ids:
+            if vid not in videos:
                 raise InvalidConfig(f"session references unknown video {vid!r}")
-            spec = next(v for v in scenario.videos if v.video_id == vid)
-            prefixes.add(spec.prefix)
-        if len(prefixes) != 1:
+        if len({videos[vid].prefix for vid in session.videos}) != 1:
             raise InvalidConfig("a session's videos must share one prefix")
-    for consumer, gateways in scenario.fch.items():
-        if consumer not in known or kinds[consumer] != "consumer":
-            raise InvalidConfig(f"fch entry for non-consumer {consumer!r}")
-        if not gateways:
-            raise InvalidConfig(f"fch entry for {consumer!r} lists no gateways")
-        for gw in gateways:
-            if gw not in known:
-                raise InvalidConfig(f"fch references unknown node {gw!r}")
-            if frozenset((consumer, gw)) not in linked:
-                raise InvalidConfig(f"fch: {consumer} has no link to {gw}")
     for pw in scenario.prewarm:
-        if pw.node not in known or kinds[pw.node] != "forwarder":
+        if kinds.get(pw.node) != "forwarder":
             raise InvalidConfig(f"prewarm node {pw.node!r} is not a forwarder")
-        if pw.video not in video_ids:
+        if pw.video not in videos:
             raise InvalidConfig(f"prewarm references unknown video {pw.video!r}")
-        video = next(v for v in scenario.videos if v.video_id == pw.video)
-        if pw.tier not in {t.label for t in video.tiers}:
+        if pw.tier not in {t.label for t in videos[pw.video].tiers}:
             raise InvalidConfig(f"prewarm tier {pw.tier!r} is not a tier of {pw.video!r}")
         if not 0 <= pw.fraction <= 1:
             raise InvalidConfig("prewarm fraction must be within [0, 1]")
-    _check_prewarm_capacity(scenario)
     last_at: dict[tuple[str, str], float] = {}
     for throttle in scenario.throttles:
-        if throttle.src not in known or throttle.dst not in known:
-            raise InvalidConfig("throttle references unknown node")
-        if frozenset((throttle.src, throttle.dst)) not in linked:
-            raise InvalidConfig(f"throttle {throttle.src}->{throttle.dst}: no link between them")
         direction = (throttle.src, throttle.dst)
         if direction in last_at and throttle.at_s <= last_at[direction]:
             raise InvalidConfig(
@@ -478,6 +447,65 @@ def _validate(scenario: Scenario) -> None:
                 "throttle timestamps must be strictly increasing"
             )
         last_at[direction] = throttle.at_s
+
+
+def build_network(scenario: Scenario) -> NetworkSim:
+    """Build a scenario's network without its content: nodes, links and
+    routes, each video's prefix announced at its server, reachability
+    checked and throttles applied or scheduled. Each producer gets an
+    empty repository. Raises InvalidTopology where the topology is at
+    fault."""
+    sim = NetworkSim(scenario.seed)
+    for node in scenario.nodes:
+        if node.kind == "forwarder":
+            sim.add_forwarder(
+                node.node_id,
+                cs_capacity_bytes=node.cs_bytes,
+                strategy=node.strategy,
+                aggregate_interests=node.aggregate,
+            )
+        elif node.kind == "producer":
+            key = KeyMaterial(
+                key_id=f"{node.node_id}-key",
+                secret=derive_seed(scenario.seed, f"key:{node.node_id}").to_bytes(8, "big"),
+            )
+            sim.add_producer(node.node_id, Repository(key, processing_delay_ms=node.delay_ms))
+        else:
+            sim.add_consumer(node.node_id)
+    for link in scenario.links:
+        sim.add_link(
+            link.a,
+            link.b,
+            propagation_ms=link.prop_ms,
+            bandwidth_bps=link.bw_bps,
+            queue_limit_bytes=link.queue_bytes,
+        )
+    for route in scenario.routes:
+        sim.add_route(route.node, name_parse(route.prefix), route.via, route.cost)
+    prefixes = []
+    for video in scenario.videos:
+        server = sim.hosts.get(video.server)
+        if not isinstance(server, ProducerHost):
+            raise InvalidTopology(f"video {video.video_id!r} needs a producer server")
+        prefix = name_parse(video.prefix)
+        server.announce(prefix)
+        prefixes.append(prefix)
+    sim.validate_reachability(prefixes, scenario.fch)
+    for throttle in scenario.throttles:
+        link = sim.link_between(throttle.src, throttle.dst)
+        args = (throttle.src, throttle.dst, throttle.bw_bps)
+        if throttle.at_s <= 0:
+            link.set_bandwidth(*args)
+        else:
+            sim.engine.schedule(throttle.at_s, link.set_bandwidth, None, args)
+    return sim
+
+
+def check_scenario(scenario: Scenario) -> None:
+    """Raise InvalidConfig where building ``scenario`` would: build its
+    network and size its prewarm sets, but package and publish nothing."""
+    build_network(scenario)
+    _check_prewarm_capacity(scenario)
 
 
 def _check_prewarm_capacity(scenario: Scenario) -> None:
@@ -555,66 +583,28 @@ class ScenarioRun:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.sim = NetworkSim(scenario.seed)
+        self.sim = sim = build_network(scenario)
         self.sessions: list[PlayerSession] = []
         self.live_sessions = 0  # sessions built and not yet ended
         self._session_hosts: dict[str, ConsumerHost] = {}
         self.catalogs: dict[str, VideoCatalog] = {}
-        self.repos: dict[str, Repository] = {}
-        self._build()
-
-    def _build(self) -> None:
-        scenario = self.scenario
-        sim = self.sim
-        for node in scenario.nodes:
-            if node.kind == "forwarder":
-                sim.add_forwarder(
-                    node.node_id,
-                    cs_capacity_bytes=node.cs_bytes,
-                    strategy=node.strategy,
-                    aggregate_interests=node.aggregate,
-                )
-            elif node.kind == "producer":
-                key = KeyMaterial(
-                    key_id=f"{node.node_id}-key",
-                    secret=derive_seed(scenario.seed, f"key:{node.node_id}").to_bytes(8, "big"),
-                )
-                repo = Repository(key, processing_delay_ms=node.delay_ms)
-                self.repos[node.node_id] = repo
-                sim.add_producer(node.node_id, repo)
-            else:
-                sim.add_consumer(node.node_id)
-        for link in scenario.links:
-            sim.add_link(
-                link.a,
-                link.b,
-                propagation_ms=link.prop_ms,
-                bandwidth_bps=link.bw_bps,
-                queue_limit_bytes=link.queue_bytes,
-            )
-        for route in scenario.routes:
-            sim.add_route(route.node, name_parse(route.prefix), route.via, route.cost)
-
+        self.repos: dict[str, Repository] = {
+            node_id: host.repo
+            for node_id, host in sim.hosts.items()
+            if isinstance(host, ProducerHost)
+        }
         for video in scenario.videos:
             catalog = package_video(
                 video.video_id, video.duration_s, video.segment_s, video.tiers
             )
             self.catalogs[video.video_id] = catalog
-            repo = self.repos[video.server]
             publish(
-                repo,
+                self.repos[video.server],
                 catalog,
                 video.prefix,
                 chunk_size=video.chunk_bytes,
                 freshness_ms=video.freshness_ms,
             )
-            producer_host = sim.hosts[video.server]
-            assert isinstance(producer_host, ProducerHost)
-            producer_host.announce(name_parse(video.prefix))
-
-        prefixes = [name_parse(v.prefix) for v in scenario.videos]
-        sim.validate_reachability(prefixes, scenario.fch)
-
         for pw in scenario.prewarm:
             video = next(v for v in scenario.videos if v.video_id == pw.video)
             prewarm_cache(
@@ -626,18 +616,6 @@ class ScenarioRun:
                 pw.tier,
                 pw.fraction,
             )
-
-        for throttle in scenario.throttles:
-            link = sim.link_between(throttle.src, throttle.dst)
-
-            def apply(link=link, t=throttle) -> None:
-                link.set_bandwidth(t.src, t.dst, t.bw_bps)
-
-            if throttle.at_s <= 0:
-                apply()
-            else:
-                sim.engine.schedule(throttle.at_s, apply)
-
         for spec in scenario.sessions:
             self._setup_session(spec)
 

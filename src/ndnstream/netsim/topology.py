@@ -322,7 +322,7 @@ class NetworkSim:
         raise InvalidTopology(f"no link between {a} and {b}")
 
     def add_route(self, node_id: str, prefix: Name, via: str, cost: int = 1) -> None:
-        host = self.hosts[node_id]
+        host = self.hosts.get(node_id)
         if not isinstance(host, ForwarderHost):
             raise InvalidTopology(f"routes only apply to forwarders, not {node_id}")
         face = host.peer_face.get(via)
@@ -336,16 +336,29 @@ class NetworkSim:
         self, prefixes: list[Name], fch: dict[str, list[str]] | None = None
     ) -> None:
         """Every consumer must reach a producer serving each prefix through
-        each of its candidate gateways: its ``fch`` entry if it has one,
-        else every linked peer."""
+        each of its candidate gateways. Those are its ``fch`` entry, a
+        non-empty list of linked peers, if it has one; else the one peer of
+        its one link, to which it attaches directly."""
+        fch = fch or {}
+        for node_id in fch:
+            if not isinstance(self.hosts.get(node_id), ConsumerHost):
+                raise InvalidTopology(f"fch entry for non-consumer {node_id!r}")
         for host in self.hosts.values():
             if not isinstance(host, ConsumerHost):
                 continue
-            gateways = (fch or {}).get(
-                host.node_id, [peer for _, peer, _, _ in host.face_link.values()]
-            )
-            for prefix in prefixes:
-                for gateway in gateways:
+            gateways = fch.get(host.node_id)
+            if gateways is None:
+                if len(host.face_link) != 1:
+                    raise InvalidTopology(
+                        f"{host.node_id}: direct attach needs exactly one link"
+                    )
+                gateways = list(host.peer_face)
+            elif not gateways:
+                raise InvalidTopology(f"fch entry for {host.node_id!r} lists no gateways")
+            for gateway in gateways:
+                if gateway not in host.peer_face:
+                    raise InvalidTopology(f"fch: {host.node_id} has no link to {gateway}")
+                for prefix in prefixes:
                     if not self._walk(gateway, prefix):
                         raise InvalidTopology(
                             f"{host.node_id} cannot reach {prefix} via {gateway}"

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ndnstream.cli import main
-from ndnstream.errors import CapacityExceeded
+from ndnstream.errors import CapacityExceeded, InvalidConfig
 from ndnstream.netsim.scenario import ScenarioRun, parse_scenario
 
 GOOD = """
@@ -90,6 +90,12 @@ BAD_VALUES = [
         "gw /p srv", "gw /p srv\ngw /r p2\n[nodes]\nproducer p2", id="route-via-not-linked"
     ),
     pytest.param(SESSION, SESSION + "\n[fch]\nc1 srv", id="fch-gateway-not-linked"),
+    pytest.param("gw /p srv", "gw /other srv", id="prefix-unreachable"),
+    pytest.param(
+        "gw srv prop-ms=15 bw=20Mbps",
+        "gw srv prop-ms=15 bw=20Mbps\nc1 srv prop-ms=1",
+        id="direct-consumer-two-links",
+    ),
 ]
 
 
@@ -102,6 +108,9 @@ def test_validate_rejects_bad_value(tmp_path, capsys, old, new):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    # run rejects it too, while building and before any event runs.
+    with pytest.raises(InvalidConfig):
+        ScenarioRun(parse_scenario(GOOD.replace(old, new)))
 
 
 def test_validate_prewarm_capacity_boundary_agrees_with_run(tmp_path, capsys):

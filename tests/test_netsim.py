@@ -14,6 +14,7 @@ from ndnstream.names import name_parse
 from ndnstream.netsim.engine import EventEngine
 from ndnstream.netsim.link import Dropped, Link
 from ndnstream.netsim.scenario import (
+    check_scenario,
     load_scenario,
     parse_scenario,
     parse_bandwidth,
@@ -222,7 +223,7 @@ def test_unknown_section_rejected():
 def test_dangling_link_rejected():
     bad = MINIMAL.replace("c1 gw prop-ms=5 bw=50Mbps", "c1 ghost prop-ms=5 bw=50Mbps")
     with pytest.raises(InvalidConfig, match="ghost"):
-        parse_scenario(bad)
+        check_scenario(parse_scenario(bad))
 
 
 def test_unreachable_prefix_rejected():
@@ -331,6 +332,19 @@ def test_every_face_resolves_back_to_its_sender(scn):
     assert sorted(map(id, ends)) == sorted(map(id, run.sim.links * 2))
 
 
+def test_route_on_unknown_node_rejected(key):
+    sim, repo = make_chain_sim(key)
+    with pytest.raises(InvalidTopology, match="ghost"):
+        sim.add_route("ghost", name_parse("/p"), "srv")
+
+
+def test_fch_gateway_that_is_not_a_node_rejected(key):
+    sim, repo = make_chain_sim(key)
+    sim.hosts["srv"].announce(name_parse("/p"))
+    with pytest.raises(InvalidTopology, match="ghost"):
+        sim.validate_reachability([name_parse("/p")], {"c1": ["ghost"]})
+
+
 def test_second_link_between_one_pair_rejected():
     sim = NetworkSim()
     for node_id in ("gw", "srv"):
@@ -352,7 +366,7 @@ def test_fch_returns_configured_candidates():
 
 def test_fch_unknown_consumer():
     with pytest.raises(InvalidConfig, match="c9"):
-        parse_scenario(MINIMAL + "\n[fch]\nc9 gw\n")
+        check_scenario(parse_scenario(MINIMAL + "\n[fch]\nc9 gw\n"))
 
 
 # -- prewarm -------------------------------------------------------------------------
@@ -479,11 +493,11 @@ def test_validate_sizes_prewarm_sets_as_prewarm_cache_loads_them(lines):
                 if spec.node_id in caps:
                     spec.cs_bytes = caps[spec.node_id]
             if ok:
-                parse_scenario(edited)
+                check_scenario(parse_scenario(edited))
                 ScenarioRun(scenario)
             else:
                 with pytest.raises(CapacityExceeded, match=node):
-                    parse_scenario(edited)
+                    check_scenario(parse_scenario(edited))
                 with pytest.raises(CapacityExceeded, match=node):
                     ScenarioRun(scenario)
 

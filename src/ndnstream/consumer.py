@@ -213,10 +213,10 @@ class FileFetch:
     def _send(self, chunk: int | None) -> None:
         now = self.transport.now()
         name = self.base if chunk is None else chunk_name(self.base, self.version, chunk)
-        interest = Interest(name, can_be_prefix=chunk is None, nonce=self.rng.getrandbits(32))
+        interest = Interest(name, chunk is None, self.rng.getrandbits(32))
         timing = self.timings.get(chunk)
         if timing is None:
-            self.timings[chunk] = ChunkTiming(chunk, first_sent=now, last_sent=now)
+            self.timings[chunk] = ChunkTiming(chunk, now, now)
         else:
             timing.last_sent = now
             timing.retx_count += 1
@@ -226,7 +226,8 @@ class FileFetch:
         self._outstanding[chunk] = (deadline, ticket)
         if self._timer_ticket is None:
             self._arm(deadline, ticket)
-        self.max_in_flight = max(self.max_in_flight, len(self._outstanding))
+        if len(self._outstanding) > self.max_in_flight:
+            self.max_in_flight = len(self._outstanding)
 
     def _arm(self, deadline: float, ticket: int) -> None:
         self._timer_ticket = ticket
@@ -271,21 +272,22 @@ class FileFetch:
         if not verify_data(data, self.key):
             self._fail(IntegrityFailure(f"bad tag on {data.name}"))
             return
-        base = data.name.base
+        vc = data.name
+        base = vc.base
         if base is not self.base and base != self.base:
             return
-        chunk = data.name.chunk
+        chunk = vc.chunk
         if self.version is None:
             # Data answering discovery: learn the version and total size,
             # and adopt the producer's base, so chunk interests carry the
             # names it published (see ``names``).
             self.base = base
-            self.version = data.name.version
+            self.version = vc.version
             self.final_chunk = data.final_chunk
             del self._outstanding[None]
             timing = self.timings[chunk] = self.timings.pop(None)
             timing.chunk = chunk
-        elif data.name.version == self.version and chunk in self._outstanding:
+        elif vc.version == self.version and chunk in self._outstanding:
             del self._outstanding[chunk]
             timing = self.timings[chunk]
         else:
@@ -294,7 +296,8 @@ class FileFetch:
         timing.from_cache_hint = from_cache
         self.contents[chunk] = data.content
         self._fill_window()
-        self._maybe_finish()
+        if len(self.contents) > self.final_chunk:
+            self._finish()
 
     def handle_nack(self, nack: Nack) -> None:
         if self._done:
@@ -304,10 +307,7 @@ class FileFetch:
         else:
             self._fail(FetchError(f"no route for {nack.interest_name}"))
 
-    def _maybe_finish(self) -> None:
-        assert self.final_chunk is not None
-        if len(self.contents) < self.final_chunk + 1:
-            return
+    def _finish(self) -> None:
         self._done = True
         chunks = [self.contents[i] for i in range(self.final_chunk + 1)]
         timings = [self.timings[i] for i in sorted(self.timings)]

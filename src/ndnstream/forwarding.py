@@ -83,7 +83,7 @@ class PitEntry:
     prefetch_slot: tuple[Name, tuple[int, int]] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _CsEntry:
     data: Data
     size: int
@@ -284,21 +284,20 @@ class ForwarderNode:
         return None
 
     def on_interest(self, from_face: int, interest: Interest, now: float) -> list[Action]:
-        self._check_face(from_face)
+        if from_face not in self.faces:
+            raise UnknownFace(f"{self.node_id}: no face {from_face}")
         self.stats.interests_in += 1
         existing = self.pit.get(interest.name)
         if existing is not None and interest.nonce in existing.seen_nonces:
             return []  # looped interest
 
-        actions: list[Action] = []
         cached = self.cs.lookup(interest, now)
         if cached is not None:
             self.stats.cs_hits += 1
-            actions.append((from_face, cached))
             self.stats.data_out += 1
             if isinstance(self.strategy, GatewayPrefetch):
-                actions.extend(self._prefetch(cached, now))
-            return actions
+                return [(from_face, cached), *self._prefetch(cached, now)]
+            return [(from_face, cached)]
         self.stats.cs_misses += 1
 
         if existing is not None:

@@ -20,7 +20,7 @@ identity. The record lives and dies with the base; it takes no part in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import MalformedName
 
@@ -40,9 +40,13 @@ def _escape(component: bytes) -> str:
 
 _ONE_BYTE = [bytes((i,)) for i in range(0x80)]
 
-# Frozen names are built and filled in through these, bound once.
 _new = object.__new__
-_set = object.__setattr__
+
+
+def _slot_setters(cls: type) -> list:
+    """Each field's slot-descriptor ``__set__``, bound, in field order: it stores
+    past the frozen ``__setattr__`` at about half ``object.__setattr__``'s cost."""
+    return [vars(cls)[f.name].__set__ for f in fields(cls)]
 
 
 def _varint_size(value: int) -> int:
@@ -117,9 +121,9 @@ class Name:
             if not isinstance(c, bytes) or len(c) == 0:
                 raise MalformedName("components must be non-empty byte strings")
             size += _varint_size(len(c)) + len(c)
-        _set(self, "_hash", hash(self.components))
-        _set(self, "_tlv_len", size)
-        _set(self, "_chunks", None)
+        _n_hash(self, hash(self.components))
+        _n_tlv_len(self, size)
+        _n_chunks(self, None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -142,14 +146,17 @@ class Name:
         return Name(self.components + extra)
 
 
+_n_components, _n_hash, _n_tlv_len, _n_chunks = _slot_setters(Name)
+
+
 def _checked_name(components: tuple[bytes, ...], tlv_len: int) -> Name:
     """A name from components the caller has already checked, and the
     length of its TLV form, built without running ``Name.__post_init__``."""
     name = _new(Name)
-    _set(name, "components", components)
-    _set(name, "_hash", hash(components))
-    _set(name, "_tlv_len", tlv_len)
-    _set(name, "_chunks", None)
+    _n_components(name, components)
+    _n_hash(name, hash(components))
+    _n_tlv_len(name, tlv_len)
+    _n_chunks(name, None)
     return name
 
 
@@ -261,8 +268,8 @@ class VersionedChunkName:
     def __post_init__(self) -> None:
         _check_chunk_name(self.base, self.version, self.chunk)
         full = chunk_name(self.base, self.version, self.chunk)
-        _set(self, "_full", full)
-        _set(self, "_full_tlv", _encode_name(full))
+        _v_full(self, full)
+        _v_full_tlv(self, _encode_name(full))
 
     @classmethod
     def file_chunks(cls, base: Name, version: int, count: int) -> list[VersionedChunkName]:
@@ -283,16 +290,16 @@ class VersionedChunkName:
         for k in range(count):
             marker = b"c=%d" % k  # at most 22 bytes: a one-byte length
             vc = _new(cls)
-            _set(vc, "base", base)
-            _set(vc, "version", version)
-            _set(vc, "chunk", k)
+            _v_base(vc, base)
+            _v_version(vc, version)
+            _v_chunk(vc, k)
             tlv = head_tlv + _ONE_BYTE[len(marker)] + marker
             full = _checked_name(head + (marker,), len(tlv))
-            _set(vc, "_full", full)
-            _set(vc, "_full_tlv", tlv)
+            _v_full(vc, full)
+            _v_full_tlv(vc, tlv)
             names.append(vc)
             fulls.append(full)
-        _set(base, "_chunks", (version, fulls))
+        _n_chunks(base, (version, fulls))
         return names
 
     def full(self) -> Name:
@@ -305,3 +312,5 @@ class VersionedChunkName:
     def __str__(self) -> str:
         return name_format(self.full())
 
+
+_v_base, _v_version, _v_chunk, _v_full, _v_full_tlv = _slot_setters(VersionedChunkName)

@@ -82,7 +82,7 @@ class Link:
             if d.backlog_bytes(now) > d.queue_limit_bytes:
                 d.drops += 1
                 return Dropped()
-        start = max(now, d.busy_until)
+        start = d.busy_until if d.busy_until > now else now
         serialization = size_bytes * 8.0 / d.bandwidth_bps
         d.busy_until = start + serialization
         if d.queue_limit_bytes is not None:

@@ -75,18 +75,19 @@ class ForwarderHost(_FacedHost):
         self.node.add_face(face)
 
     def receive(self, from_face: int, packet: Packet, from_producer: bool) -> None:
-        now = self.sim.engine.now
-        if isinstance(packet, Interest):
-            actions = self.node.on_interest(from_face, packet, now)
-        elif isinstance(packet, Data):
-            actions = self.node.on_data(from_face, packet, now)
+        sim, node, kind = self.sim, self.node, packet.__class__
+        now = sim.engine.now
+        if kind is Interest:
+            actions = node.on_interest(from_face, packet, now)
+        elif kind is Data:
+            actions = node.on_data(from_face, packet, now)
         else:
-            actions = self.node.on_nack(from_face, packet, now)
+            actions = node.on_nack(from_face, packet, now)
+        send, node_id = sim.send, self.node_id
         for face, out in actions:
             # Forwarded data keeps its upstream origin; data answered from
             # the content store, interests and nacks do not come from a producer.
-            origin = from_producer and out is packet and isinstance(out, Data)
-            self.sim.send(self.node_id, face, out, origin)
+            send(node_id, face, out, from_producer and kind is Data and out is packet)
 
 
 class ProducerHost(_FacedHost):
@@ -222,7 +223,7 @@ class ConsumerHost(_FacedHost):
     # -- incoming ----------------------------------------------------------
 
     def receive(self, from_face: int, packet: Packet, from_producer: bool) -> None:
-        if isinstance(packet, Data):
+        if packet.__class__ is Data:
             # Only a host not yet attached can be probing its gateways.
             if self.gateway_face is None and self._handle_probe_data(from_face, packet):
                 return
@@ -232,7 +233,7 @@ class ConsumerHost(_FacedHost):
                 fetch = session.active_fetch
                 if fetch is not None and (fetch.base is base or fetch.base == base):
                     fetch.handle_data(packet, not from_producer)
-        elif isinstance(packet, Nack):
+        elif packet.__class__ is Nack:
             for session in self.sessions:
                 fetch = session.active_fetch
                 if fetch is not None and name_is_prefix_of(fetch.base, packet.interest_name):
@@ -385,14 +386,13 @@ class NetworkSim:
 
     def send(self, src: str, face: int, packet: Packet, from_producer: bool) -> None:
         link, peer, peer_host, from_face = self.hosts[src].face_link[face]
-        if isinstance(packet, Data) and self.data_tap is not None:
+        if self.data_tap is not None and isinstance(packet, Data):
             packet = self.data_tap(packet, src, peer)
-        arrival = link.transmit(src, peer, encoded_size(packet), self.engine.now)
-        if isinstance(arrival, Dropped):
+        engine = self.engine
+        arrival = link.transmit(src, peer, encoded_size(packet), engine.now)
+        if arrival.__class__ is Dropped:
             return
-        self.engine.schedule(
-            arrival, peer_host.receive, None, (from_face, packet, from_producer)
-        )
+        engine.schedule(arrival, peer_host.receive, None, (from_face, packet, from_producer))
 
     # -- housekeeping ----------------------------------------------------------
 

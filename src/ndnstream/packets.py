@@ -17,19 +17,20 @@ Every integer a packet carries other than the nonce (32 bits) lies in
 [0, 2**64), so any packet that builds also encodes, decodes and signs.
 
 Interest and data packets are frozen, slotted dataclasses with a
-hand-written ``__init__``: it makes the range checks above, then sets
-each slot once through ``object.__setattr__``, with no ``__post_init__``
-call, since one packet is built for every chunk sent or published.
-``dataclasses.replace``, ``repr`` and equality work as for any dataclass,
-and assigning a field raises ``FrozenInstanceError``.
+hand-written ``__init__``: it makes the range checks above, then stores
+each slot once through its descriptor (``names._slot_setters``), as does
+``sign_file``, with no ``__post_init__`` call: a packet is built for
+every chunk sent or published. ``dataclasses.replace``, ``repr`` and
+equality work as for any dataclass, and assigning a field raises
+``FrozenInstanceError``.
 
 Interest and data packets keep their encoded size in ``_wire_size``. An
 interest knows it from construction: its ``__init__`` computes it in
 closed form from the name's TLV length and the lifetime's varint size,
 so every interest, whether built, copied by ``dataclasses.replace`` or
-decoded, carries its exact size. A data packet is still measured on the
-first ``wire.encoded_size`` call, and a copy starts without the size.
-The field takes no part in equality, hashing or ``repr``.
+decoded, carries its exact size. So does each chunk ``sign_file`` signs;
+any other data packet is measured on its first ``wire.encoded_size``
+call. The field takes no part in equality, hashing or ``repr``.
 
 A data packet likewise remembers, in ``_verified_by``, the key object it
 last verified under. Only ``verify_data`` sets it, and only after the tag
@@ -50,6 +51,7 @@ from enum import Enum
 # name_format is not used here; it stays importable as packets.name_format
 # because bench/tracing.py patches it at that address.
 from .names import _U64_LIMIT, Name, VersionedChunkName, _varint_size, name_format  # noqa: F401
+from .names import _new, _slot_setters
 
 DEFAULT_INTEREST_LIFETIME_MS = 4000
 DEFAULT_FRESHNESS_MS = 3_600_000
@@ -63,8 +65,6 @@ def _check_freshness(freshness_ms: int) -> None:
         raise ValueError("freshness_ms must lie in [0, 2**64)")
 
 
-# Frozen packets set their fields through this in their own ``__init__``.
-_set = object.__setattr__
 _NONCE_LIMIT = 1 << 32
 
 
@@ -87,17 +87,20 @@ class Interest:
             raise ValueError("nonce must fit in 32 bits")
         if not 0 <= lifetime_ms < _U64_LIMIT:
             raise ValueError("lifetime_ms must lie in [0, 2**64)")
-        _set(self, "name", name)
-        _set(self, "can_be_prefix", can_be_prefix)
-        _set(self, "nonce", nonce)
-        _set(self, "lifetime_ms", lifetime_ms)
+        _i_name(self, name)
+        _i_can_be_prefix(self, can_be_prefix)
+        _i_nonce(self, nonce)
+        _i_lifetime_ms(self, lifetime_ms)
         # The wire layout (see ``wire``): the kind byte, then (tag, length
         # varint, value) for the name, the 1-byte CanBePrefix flag, the
         # 4-byte nonce and the lifetime varint, whose length fits one byte.
         # Besides the name's length and value and the lifetime's value that
         # is 1 + 1 + (1 + 1 + 1) + (1 + 1 + 4) + (1 + 1) = 13 bytes.
         tlv_len = name._tlv_len
-        _set(self, "_wire_size", 13 + _varint_size(tlv_len) + tlv_len + _varint_size(lifetime_ms))
+        _i_size(self, 13 + _varint_size(tlv_len) + tlv_len + _varint_size(lifetime_ms))
+
+
+_i_name, _i_can_be_prefix, _i_nonce, _i_lifetime_ms, _i_size = _slot_setters(Interest)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -123,13 +126,16 @@ class Data:
         _check_freshness(freshness_ms)
         if len(integrity_tag) != TAG_LEN:
             raise ValueError("integrity tag must be 32 bytes")
-        _set(self, "name", name)
-        _set(self, "content", content)
-        _set(self, "final_chunk", final_chunk)
-        _set(self, "freshness_ms", freshness_ms)
-        _set(self, "integrity_tag", integrity_tag)
-        _set(self, "_wire_size", None)
-        _set(self, "_verified_by", None)
+        _d_name(self, name)
+        _d_content(self, content)
+        _d_final(self, final_chunk)
+        _d_fresh(self, freshness_ms)
+        _d_tag(self, integrity_tag)
+        _d_size(self, None)
+        _d_verified_by(self, None)
+
+
+_d_name, _d_content, _d_final, _d_fresh, _d_tag, _d_size, _d_verified_by = _slot_setters(Data)
 
 
 class NackReason(Enum):
@@ -188,15 +194,30 @@ def sign_file(
 ) -> list[Data]:
     """The signed chunks of one file, piece k under names[k], with the last
     index as final chunk: each equals ``sign_data(Data(...), key)`` but is
-    built once, with its tag. The keyed hash state and the trailer are
-    built once and the state is copied for each chunk."""
+    built once, sized and unverified, raising what ``Data`` would. The keyed
+    hash state and the trailer are built once; the state is copied per chunk."""
+    from .wire import data_size  # wire imports this module
     _check_freshness(freshness_ms)  # before the trailer packs it
     final = len(pieces) - 1
     keyed, trailer = _keyed(key), _trailer(final, freshness_ms)
-    return [
-        Data(name, piece, final, freshness_ms, _digest(keyed.copy(), name.full_tlv(), piece, trailer))
-        for name, piece in zip(names, pieces, strict=True)
-    ]
+    signed, base, version = [], None, None
+    for vc, piece in zip(names, pieces, strict=True):
+        chunk, size = vc.chunk, len(piece)
+        if chunk > final:
+            raise ValueError("final_chunk must lie in [chunk, 2**64)")
+        if vc.base is not base or vc.version != version:
+            base, version = vc.base, vc.version
+            empty_chunk0 = data_size(base, version, 0, final, freshness_ms, 0)
+        data = _new(Data)
+        _d_name(data, vc)
+        _d_content(data, piece)
+        _d_final(data, final)
+        _d_fresh(data, freshness_ms)
+        _d_tag(data, _digest(keyed.copy(), vc._full_tlv, piece, trailer))
+        _d_size(data, empty_chunk0 + _varint_size(chunk) - 1 + _varint_size(size) - 1 + size)
+        _d_verified_by(data, None)
+        signed.append(data)
+    return signed
 
 
 def verify_data(data: Data, key: KeyMaterial) -> bool:
@@ -210,5 +231,5 @@ def verify_data(data: Data, key: KeyMaterial) -> bool:
         return True
     if data.integrity_tag != _tag(data, key):
         return False
-    _set(data, "_verified_by", key)
+    _d_verified_by(data, key)
     return True

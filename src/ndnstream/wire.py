@@ -10,9 +10,9 @@ packet's own bounds.
 
 Link serialization delay in the emulator is computed from the encoded
 length; ``encoded_size`` computes that length without materializing the
-bytes and is property-tested against ``len(encode_packet(...))``. An
-interest is sized when it is built (``Interest.__init__``); a data
-packet is measured on its first ``encoded_size`` and keeps the result.
+bytes and is property-tested against ``len(encode_packet(...))``.
+Interests and ``sign_file``'s packets are sized when built; any other
+data packet is measured on its first ``encoded_size`` and keeps it.
 ``data_size`` is that measurement from the fields alone, so a content
 store's share of a file can be sized before any chunk exists.
 """
@@ -90,9 +90,9 @@ def encode_packet(pkt: Packet) -> bytes:
 def encoded_size(pkt: Packet) -> int:
     """Length of ``encode_packet(pkt)`` without building the bytes.
 
-    An interest carries its size from construction. A data packet is
-    measured on the first call and keeps the result, so a packet that
-    crosses many links is measured once.
+    An interest or a ``sign_file`` packet carries its size from birth. Any
+    other data packet is measured on the first call and keeps the result,
+    so a packet that crosses many links is measured once.
     """
     if isinstance(pkt, (Interest, Data)):
         size = pkt._wire_size

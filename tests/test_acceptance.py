@@ -29,7 +29,7 @@ from ndnstream.experiments import (
 )
 from ndnstream.forwarding import ContentStore
 from ndnstream.names import name_parse
-from ndnstream.netsim.scenario import parse_scenario, run_scenario
+from ndnstream.netsim.scenario import ScenarioRun, parse_scenario, run_scenario
 from ndnstream.netsim.topology import NetworkSim
 from ndnstream.packets import Data, Interest, KeyMaterial
 from ndnstream.producer import Repository
@@ -45,6 +45,7 @@ TIER_MIN_BW = {
     "1080p": 6.3e6,
 }
 TIER_ORDER = ["240p", "360p", "480p", "720p", "1080p"]
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _target_tier(rate_bps: float, safety: float = 0.95) -> str:
@@ -84,6 +85,17 @@ def with_cache_run():
 @pytest.fixture(scope="module")
 def prefetch_run():
     return run_scenario(experiment_scenario("prefetch"))
+
+
+@pytest.fixture(scope="module")
+def data_scenario_runs():
+    """Each scenario file pinned in tests/data/scenario_digests.json, run
+    once: its report.json text and its event count."""
+    runs = {}
+    for name in json.loads((DATA / "scenario_digests.json").read_text()):
+        run = ScenarioRun(parse_scenario((DATA / name).read_text()))
+        runs[name] = (run.run().to_json(), run.sim.engine.executed)
+    return runs
 
 
 def _segments(report):
@@ -415,19 +427,30 @@ def test_criterion_9_report_digests(staircase_run, no_cache_run, with_cache_run,
     _announce(9, f"{len(pinned)} canned and extra report.json digests match the pinned table")
 
 
-def test_criterion_9_data_scenario_digests():
-    """Scenario files under tests/data (the lossy bottleneck and four
-    consumers behind one caching gateway) hash to their pinned digests."""
-    data = pathlib.Path(__file__).parent / "data"
-    pinned = json.loads((data / "scenario_digests.json").read_text())
+def test_criterion_9_data_scenario_digests(data_scenario_runs):
+    """Scenario files under tests/data hash to their pinned digests: the
+    lossy bottleneck, four consumers behind one caching gateway, and the
+    benchmark's sixteen-consumer ``fanout`` workload at seed 1."""
+    pinned = json.loads((DATA / "scenario_digests.json").read_text())
     got = {
-        name: hashlib.sha256(run_scenario(parse_scenario((data / name).read_text())).to_json().encode()).hexdigest()
-        for name in pinned
+        name: hashlib.sha256(text.encode()).hexdigest()
+        for name, (text, _events) in data_scenario_runs.items()
     }
     if got != pinned:
         print(json.dumps(got, indent=2))
     assert got == pinned
     _announce(9, f"{len(pinned)} tests/data scenario report.json digests match the pinned table")
+
+
+# Events the benchmark's ``fanout`` workload runs at seed 1: the text of
+# ``fanout(1)`` in bench/workloads.py is saved as tests/data/fanout16.scn.
+FANOUT16_EVENTS = 108_910
+
+
+def test_criterion_9_fanout16_event_count(data_scenario_runs):
+    _text, events = data_scenario_runs["fanout16.scn"]
+    assert events == FANOUT16_EVENTS
+    _announce(9, f"fanout16.scn ran its pinned {FANOUT16_EVENTS} events")
 
 
 # -- criterion 10: micro-oracles ----------------------------------------------------------------

@@ -69,3 +69,39 @@ def test_summary_of_one_pair_and_bad_inputs():
         bench_pairs.summarize([_result(1.0, 1.0)], [], METRICS)
     with pytest.raises(ValueError):
         bench_pairs.summarize([], [], METRICS)
+
+
+def test_workload_list_splits_in_order_and_rejects_gaps_and_repeats():
+    assert bench_pairs.split_workloads("fanout") == ["fanout"]
+    assert bench_pairs.split_workloads("staircase, prefetch,fanout") == [
+        "staircase",
+        "prefetch",
+        "fanout",
+    ]
+    for bad in ("", "fanout,", "a,,b", "fanout,fanout"):
+        with pytest.raises(ValueError):
+            bench_pairs.split_workloads(bad)
+
+
+def _run(digest: str, run_s: float) -> tuple[dict, dict]:
+    return {"report_sha256": digest, "events": 10}, _result(run_s, 1.0 / run_s)
+
+
+def test_report_has_one_table_per_workload_from_its_own_runs():
+    runs = {
+        # The change wins both staircase pairs and loses both fanout pairs.
+        "staircase": {
+            "base": [_run("s", 2.0), _run("s", 2.2)],
+            "change": [_run("s", 1.0), _run("s", 1.1)],
+        },
+        "fanout": {
+            "base": [_run("f", 1.0), _run("f", 1.0)],
+            "change": [_run("f", 1.5), _run("g", 1.5)],
+        },
+    }
+    text = bench_pairs.format_report(runs, METRICS)
+    staircase, fanout = text.split("\n\n")
+    assert staircase.startswith("staircase: report digest and event count: same on both sides")
+    assert fanout.startswith("fanout: report digest and event count: DIFFER")
+    assert "-50.0%" in staircase and "2/2" in staircase and "0/2" not in staircase
+    assert "+50.0%" in fanout and "0/2" in fanout and "2/2" not in fanout

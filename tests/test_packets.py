@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -123,6 +123,36 @@ def test_constructors_check_like_the_generated_ones():
     data = Data(vc, b"c", 3)
     assert replace(data, final_chunk=4) == Data(vc, b"c", 4)
     assert data._wire_size is None and data._verified_by is None
+
+    # Objects whose slots are stored through their member descriptors keep
+    # the frozen-dataclass contract of their constructor-built equals.
+    base = name_parse("/f/g")
+    filed = VersionedChunkName.file_chunks(base, 3, 2)
+    [signed, _] = sign_file(filed, [b"ab", b"c"], 500, FILE_KEY)
+    full = base.components + (b"v=3", b"c=0")
+    built = [
+        # chunk_name of an equal but distinct base builds with _checked_name
+        (names.chunk_name(Name(base.components), 3, 0), Name(full)),
+        (filed[0].full(), Name(full)),
+        (filed[0], VersionedChunkName(base, 3, 0)),
+        (interest, Interest(name_parse("/f"), True, 7, 100)),
+        (signed, Data(filed[0], b"ab", 1, 500, signed.integrity_tag)),
+    ]
+    for obj, ref in built:
+        assert obj == ref and hash(obj) == hash(ref) and repr(obj) == repr(ref)
+        for f in fields(obj):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, getattr(ref, f.name))
+        copy = replace(obj)
+        assert copy == obj and hash(copy) == hash(obj) and repr(copy) == repr(obj)
+    # Every compared field feeds the hash, as in a generated __hash__.
+    assert hash(interest) == hash((name_parse("/f"), True, 7, 100))
+    assert hash(signed) == hash((filed[0], b"ab", 1, 500, signed.integrity_tag))
+    assert filed[0].full() is names.chunk_name(base, 3, 0)
+    assert replace(base)._chunks is None and replace(filed[0].full())._chunks is None
+    assert verify_data(signed, FILE_KEY) and signed._wire_size == len(encode_packet(signed))
+    copy = replace(signed)
+    assert copy._wire_size is None and copy._verified_by is None
 
 
 def _signed(key, base: str, version: int, chunk: int) -> Data:

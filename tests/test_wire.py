@@ -2,11 +2,20 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ndnstream.errors import MalformedName, MalformedPacket
 from ndnstream.names import Name, VersionedChunkName, name_parse
-from ndnstream.packets import Data, Interest, Nack, NackReason, sign_data, sign_file, verify_data
+from ndnstream.packets import (
+    Data,
+    Interest,
+    KeyMaterial,
+    Nack,
+    NackReason,
+    sign_data,
+    sign_file,
+    verify_data,
+)
 from ndnstream.wire import decode_packet, encode_packet, encoded_size
 
 from conftest import examples, random_packet
@@ -229,6 +238,35 @@ def test_cached_size_stays_exact():
 
 
 U64_MAX = 2**64 - 1
+_FILE_KEY = KeyMaterial("file-key", b"sized")
+# Content lengths on each side of the 1-, 2- and 3-byte varint boundaries.
+_CONTENT_LENGTHS = [0, 127, 128, 2**14 - 1, 2**14]
+
+
+@settings(max_examples=examples(15), deadline=None)
+@given(
+    base=st.sampled_from(_BOUNDARY_NAMES),
+    version=st.sampled_from(_BOUNDARY_LIFETIMES),
+    # 128 chunks end at final chunk 127, one varint byte; 129 and 130 at 128
+    # and 129, two bytes; 130 chunks also number chunks 127 and 128.
+    count=st.sampled_from([1, 128, 129, 130]),
+    lengths=st.permutations(_CONTENT_LENGTHS),
+    freshness_ms=st.sampled_from(_BOUNDARY_LIFETIMES),
+)
+@example(Name((b"f",)), U64_MAX, 130, _CONTENT_LENGTHS, U64_MAX)
+@example(Name((b"c",) * 128), 128, 129, _CONTENT_LENGTHS, 0)
+def test_signed_file_packets_are_sized_and_unverified_at_birth(
+    base, version, count, lengths, freshness_ms
+):
+    # sign_file's final chunk is its piece count less one, so its varint
+    # boundary is met here at 127/128; the constructor path reaches 2**64 - 1
+    # in test_packet_integers_bounded_below_2_64.
+    pieces = [bytes(lengths[k % len(lengths)]) for k in range(count)]
+    names = VersionedChunkName.file_chunks(base, version, count)
+    for data in sign_file(names, pieces, freshness_ms, _FILE_KEY):
+        assert data._verified_by is None
+        assert data._wire_size == len(encode_packet(data)) == encoded_size(data)
+
 
 
 def test_packet_integers_bounded_below_2_64(key):
@@ -238,6 +276,7 @@ def test_packet_integers_bounded_below_2_64(key):
     signed = sign_data(data, key)
     assert verify_data(signed, key)
     assert decode_packet(encode_packet(signed)) == signed
+    assert encoded_size(signed) == len(encode_packet(signed))
     interest = Interest(base, lifetime_ms=U64_MAX)
     assert decode_packet(encode_packet(interest)) == interest
     [top] = VersionedChunkName.file_chunks(base, U64_MAX, 1)

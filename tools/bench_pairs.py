@@ -3,19 +3,20 @@
 Run it from anywhere inside the repository:
 
     python3 tools/bench_pairs.py --base HEAD~1 --workload fanout --pairs 10 --seconds 40 --seed 1
+    python3 tools/bench_pairs.py --base HEAD~1 --workload staircase,prefetch,fanout --pairs 8 --seconds 40 --seed 1
 
-The base revision is checked out with ``git worktree add --detach`` into a
-temporary directory, and the worktree is removed on exit. Each pair runs
-``python3 bench/run.py --workload W --seed K --seconds S --trace 0`` once in
-each tree, one after the other; the side that goes first alternates from
-pair to pair, so a drift in machine speed falls on both sides alike.
+The base revision's files are extracted with ``git archive`` into a
+temporary directory, removed on exit. Each pair runs ``python3 bench/run.py
+--workload W --seed K --seconds S --trace 0`` once in each tree for every
+listed workload W, one after the other; the side that goes first alternates
+from pair to pair, so a drift in machine speed falls on both sides alike.
 
 The script stops with a non-zero exit at the first run that fails, prints
-``"correct": false`` or counts a failed operation. Otherwise it prints, for
-every end-to-end metric in ``BENCHMARK.json``, the median and [Q1, Q3] on
-each side, the change's relative move, and the pairs the change won in the
-metric's ``better`` direction, and says whether both sides gave the same
-report digest and event count.
+``"correct": false`` or counts a failed operation. Otherwise it prints one
+table per workload: for every end-to-end metric in ``BENCHMARK.json``, the
+median and [Q1, Q3] on each side, the change's relative move, and the pairs
+the change won in the metric's ``better`` direction, after a line that says
+whether both sides gave the same report digest and event count.
 """
 
 from __future__ import annotations
@@ -106,51 +107,70 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def split_workloads(text: str) -> list[str]:
+    """The workload names of a comma-separated ``--workload`` value, in order."""
+    names = [name.strip() for name in text.split(",")]
+    if "" in names or len(set(names)) != len(names):
+        raise ValueError(f"workload list {text!r} has an empty or repeated name")
+    return names
+
+
+def format_report(runs: dict[str, dict[str, list[tuple[dict, dict]]]], metrics: list[dict]) -> str:
+    """One block per workload, in ``runs`` order, from its (info, result)
+    lines per side: the workload, whether both sides gave one and the same
+    report digest and event count, and its table of ``summarize`` rows."""
+    blocks = []
+    for workload, sides in runs.items():
+        outputs = {
+            side: {(info["report_sha256"], info["events"]) for info, _ in pairs}
+            for side, pairs in sides.items()
+        }
+        same = outputs["base"] == outputs["change"] and len(outputs["base"]) == 1
+        results = {side: [result for _, result in pairs] for side, pairs in sides.items()}
+        blocks.append(
+            f"{workload}: report digest and event count: "
+            f"{'same on both sides' if same else 'DIFFER'}\n"
+            + format_rows(summarize(results["base"], results["change"], metrics))
+        )
+    return "\n\n".join(blocks)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="a workload, or several split by commas")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    try:
+        workloads = split_workloads(args.workload)
+    except ValueError as exc:
+        parser.error(str(exc))
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    runs: dict[str, list[tuple[dict, dict]]] = {"base": [], "change": []}
+    runs = {workload: {"base": [], "change": []} for workload in workloads}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        tree = Path(tmp) / "base"
-        subprocess.run(
-            ["git", "-C", str(ROOT), "worktree", "add", "--detach", str(tree), args.base],
-            check=True, capture_output=True,
-        )
+        tree = Path(tmp)
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", args.base], check=True, capture_output=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
         try:
             for i in range(args.pairs):
                 sides = [("base", tree), ("change", ROOT)]
-                for side, path in sides if i % 2 == 0 else sides[::-1]:
-                    runs[side].append(run_bench(path, args.workload, args.seed, args.seconds))
+                for workload in workloads:
+                    for side, path in sides if i % 2 == 0 else sides[::-1]:
+                        result = run_bench(path, workload, args.seed, args.seconds)
+                        runs[workload][side].append(result)
                 print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
         except BenchFailure as exc:
             print(f"bench_pairs: {exc}", file=sys.stderr)
             return 1
-        finally:
-            subprocess.run(
-                ["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
-                capture_output=True,
-            )
-    print(
-        f"{args.workload} seed {args.seed}, {args.pairs} pairs at --seconds {args.seconds:g}, "
-        f"base {args.base}"
-    )
-    outputs = {
-        side: {(info["report_sha256"], info["events"]) for info, _ in pairs}
-        for side, pairs in runs.items()
-    }
-    same = outputs["base"] == outputs["change"] and len(outputs["base"]) == 1
-    print(f"report digest and event count: {'same on both sides' if same else 'DIFFER'}")
-    results = {side: [result for _, result in pairs] for side, pairs in runs.items()}
-    print(format_rows(summarize(results["base"], results["change"], metrics)))
+    print(f"seed {args.seed}, {args.pairs} pairs at --seconds {args.seconds:g}, base {args.base}")
+    print(format_report(runs, metrics))
     return 0
 
 

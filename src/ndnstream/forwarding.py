@@ -9,12 +9,18 @@ synchronous and directly testable.
 
 Face 0 is reserved on every node as an internal face: prefetch-created
 PIT entries list it as their only downstream so the fetched data lands in
-the content store without being forwarded anywhere. The node also indexes
-those entries by file base and then by (version, chunk), as the content
-store indexes its packets, so a prefetch plan tests each slot of its window
-by dict lookups: a slot fresh in the CS is skipped, then a slot in the
-prefetch index; only the rest build a chunk name and test the PIT, which
-catches consumer-made entries and slots the CS holds only stale.
+the content store without being forwarded anywhere.
+
+A prefetch plan skips each window slot that is fresh in the CS or pending
+in the PIT. Per file base, the node keeps a coverage frontier ``(version,
+lo, hi, losses)``: chunks ``lo..hi`` of that version were each covered
+while ``cs.drops + _pit_losses`` was ``losses``. A slot loses cover only
+through a CS drop, a PIT removal whose chunk the CS did not keep, or its
+cached copy going stale. The first two move the count; the third fails
+``all_fresh``, as a stale packet stays stale until dropped. So while the
+count holds and the base's cached chunks are all fresh (or none is
+cached), a plan whose window starts in ``lo..hi + 1`` tests only the
+slots past ``hi``.
 
 A retransmission (a fresh nonce from a face already downstream of the PIT
 entry) is forwarded upstream and extends the entry's expiry, as in NFD; an
@@ -34,7 +40,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import UnknownFace
-from .names import Name, chunk_index, chunk_name, name_is_prefix_of
+from .names import Name, chunk_name, name_is_prefix_of
 from .packets import Data, Interest, Nack, NackReason, Packet
 from .wire import encoded_size
 
@@ -73,14 +79,12 @@ class FibEntry:
             raise ValueError("next hop costs must be strictly ascending")
 
 
-@dataclass
+@dataclass(slots=True)
 class PitEntry:
     downstream: set[int]
     seen_nonces: set[int]
     expiry: float
     can_be_prefix: bool  # of the interest that created the entry
-    # (base, (version, chunk)) of an entry the prefetcher created, else None
-    prefetch_slot: tuple[Name, tuple[int, int]] | None = None
 
 
 @dataclass(slots=True)
@@ -88,6 +92,9 @@ class _CsEntry:
     data: Data
     size: int
     inserted: float
+
+
+_NO_BOUND = (float("inf"), float("inf"))  # the bound of a base with no entries
 
 
 def _first_of_newest(slots: dict[tuple[int, int], Name]) -> tuple[int, int]:
@@ -119,6 +126,7 @@ class ContentStore:
         # base -> (earliest insert time, least freshness_ms) of its entries
         self._bounds: dict[Name, tuple[float, int]] = {}
         self.used_bytes = 0
+        self.drops = 0  # entries removed: evicted, stale or replaced
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -133,6 +141,7 @@ class ContentStore:
         return bound is not None and (now - bound[0]) * 1000.0 <= bound[1]
 
     def _drop(self, full_name: Name) -> None:
+        self.drops += 1
         entry = self.entries.pop(full_name)
         self.used_bytes -= entry.size
         vc = entry.data.name
@@ -201,8 +210,9 @@ class ContentStore:
         vc = data.name
         base = vc.base
         self.by_base.setdefault(base, {})[vc.version, vc.chunk] = full_name
-        bound = self._bounds.get(base, (now, data.freshness_ms))
-        self._bounds[base] = (min(bound[0], now), min(bound[1], data.freshness_ms))
+        earliest, least = self._bounds.get(base, _NO_BOUND)
+        if now < earliest or data.freshness_ms < least:
+            self._bounds[base] = (min(earliest, now), min(least, data.freshness_ms))
         self.used_bytes += size
         evicted: list[Name] = []
         while self.used_bytes > self.capacity_bytes:
@@ -239,9 +249,9 @@ class ForwarderNode:
         self.node_id = node_id
         self.faces: set[int] = {INTERNAL_FACE}
         self.pit: dict[Name, PitEntry] = {}
-        # The PIT entries the prefetcher created (downstream includes face 0),
-        # by base and then by (version, chunk), as ``ContentStore.by_base``.
-        self.prefetching: dict[Name, dict[tuple[int, int], Name]] = {}
+        self._pit_losses = 0  # PIT removals whose chunk the CS did not keep
+        # base -> (version, lo, hi, losses), written by prefetch_plan
+        self._frontier: dict[Name, tuple[int, int, int, int]] = {}
         self.fib: dict[Name, FibEntry] = {}
         self.cs = ContentStore(cs_capacity_bytes)
         self.strategy = strategy
@@ -332,7 +342,8 @@ class ForwarderNode:
         self._check_face(from_face)
         self.stats.data_in += 1
         faces: set[int] = set()
-        entry = self._pit_pop(data.name.full())
+        full = data.name.full()
+        entry = self.pit.pop(full, None)
         if entry is not None:
             faces |= entry.downstream
         base = data.name.base
@@ -346,15 +357,18 @@ class ForwarderNode:
         self.stats.data_out += len(actions)
         self.cs.insert(data, now)
         if isinstance(self.strategy, GatewayPrefetch):
+            if full not in self.cs.entries:
+                self._pit_losses += 1
             actions.extend(self._prefetch(data, now))
         return actions
 
     def on_nack(self, from_face: int, nack: Nack, now: float) -> list[Action]:
         self._check_face(from_face)
         self.stats.nacks_in += 1
-        entry = self._pit_pop(nack.interest_name)
+        entry = self.pit.pop(nack.interest_name, None)
         if entry is None:
             return []
+        self._pit_losses += 1
         actions: list[Action] = [
             (face, nack) for face in sorted(entry.downstream) if face != INTERNAL_FACE
         ]
@@ -363,73 +377,62 @@ class ForwarderNode:
 
     def prefetch_plan(self, trigger: Data, now: float) -> list[Interest]:
         """Interests for the next chunks of the trigger's file, skipping
-        anything already cached or pending. Each slot of the window is
-        tested in turn: fresh in the CS (through its (version, chunk)
-        index, and with no staleness test while the base's bound shows
-        every entry fresh), skip; in the prefetch index, skip; otherwise
-        its name is built (or taken from a stale CS entry) and tested in
-        the PIT."""
+        anything already cached or pending. Slots the base's frontier shows
+        covered are not tested; any other slot fresh in the CS (with no
+        staleness test while the base's bound shows every entry fresh) is
+        skipped, and the rest are tested in the PIT. The plan then records
+        the covered run up to its first planned slot as the frontier, the
+        only state it writes."""
         if not isinstance(self.strategy, GatewayPrefetch):
             return []
         vc = trigger.name
         base, version = vc.base, vc.version
         cs = self.cs
         held = cs.by_base.get(base, {})
-        all_fresh = cs.all_fresh(base, now)
-        cs_entries, stale = cs.entries, cs._stale
-        prefetching = self.prefetching.get(base, {})
-        plan: list[Interest] = []
+        all_fresh = not held or cs.all_fresh(base, now)
+        cs_entries, stale, pit = cs.entries, cs._stale, self.pit
+        losses = cs.drops + self._pit_losses
+        first = vc.chunk + 1
         last = min(vc.chunk + self.strategy.depth, trigger.final_chunk)
-        for chunk in range(vc.chunk + 1, last + 1):
-            slot = (version, chunk)
-            full = held.get(slot)
+        f_version, lo, hi, f_losses = self._frontier.get(base, (None, 0, -1, None))
+        reused = all_fresh and f_version == version and f_losses == losses and lo <= first <= hi + 1
+        if not reused:
+            lo, hi = first, vc.chunk
+        covered = max(hi, last)
+        plan: list[Interest] = []
+        for chunk in range(hi + 1, last + 1):
+            full = held.get((version, chunk))
             if full is not None and (all_fresh or not stale(cs_entries[full], now)):
-                continue
-            if slot in prefetching:
                 continue
             if full is None:
                 full = chunk_name(base, version, chunk)
-            if full in self.pit:
+            if full in pit:
                 continue
+            if not plan:
+                covered = chunk - 1
             plan.append(Interest(name=full, can_be_prefix=False, nonce=self._rng.getrandbits(32)))
+        if not reused or covered != hi:
+            self._frontier[base] = (version, lo, covered, losses)
         return plan
 
     def _prefetch(self, trigger: Data, now: float) -> list[Action]:
         actions: list[Action] = []
-        base, version = trigger.name.base, trigger.name.version
         for interest in self.prefetch_plan(trigger, now):
             upstream = self._next_hop(interest.name, exclude=INTERNAL_FACE)
             if upstream is None:
                 continue
-            slot = (version, chunk_index(interest.name))
             self.pit[interest.name] = PitEntry(
-                downstream={INTERNAL_FACE},
-                seen_nonces={interest.nonce},
-                expiry=now + interest.lifetime_ms / 1000.0,
-                can_be_prefix=False,
-                prefetch_slot=(base, slot),
+                {INTERNAL_FACE}, {interest.nonce}, now + interest.lifetime_ms / 1000.0, False
             )
-            self.prefetching.setdefault(base, {})[slot] = interest.name
             self.stats.interests_out += 1
             self.stats.prefetch_sent += 1
             actions.append((upstream, interest))
         return actions
 
-    def _pit_pop(self, name: Name) -> PitEntry | None:
-        """Remove and return the PIT entry at ``name``, keeping the prefetch
-        index in step; None if there is none."""
-        entry = self.pit.pop(name, None)
-        if entry is not None and entry.prefetch_slot is not None:
-            base, slot = entry.prefetch_slot
-            slots = self.prefetching[base]
-            del slots[slot]
-            if not slots:
-                del self.prefetching[base]
-        return entry
-
     def pit_expire(self, now: float) -> list[Name]:
         """Drop entries whose expiry is at or before ``now``; return their names."""
         expired = [n for n, e in self.pit.items() if e.expiry <= now]
         for name in expired:
-            self._pit_pop(name)
+            del self.pit[name]
+        self._pit_losses += len(expired)
         return expired

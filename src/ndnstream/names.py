@@ -227,11 +227,6 @@ def chunk_name(base: Name, version: int, chunk: int) -> Name:
     return _checked_name(base.components + (v, c), tlv_len)
 
 
-def chunk_index(full_name: Name) -> int:
-    """The chunk index of a name built by ``chunk_name``: its "c=" marker's number."""
-    return int(full_name.components[-1][2:])
-
-
 # Versions, chunk indices and every packet integer but the nonce lie below
 # this: the wire carries them as varints of at most 64 bits, and the tag
 # trailer as 8-byte integers.

@@ -453,6 +453,17 @@ def test_criterion_9_fanout16_event_count(data_scenario_runs):
     _announce(9, f"fanout16.scn ran its pinned {FANOUT16_EVENTS} events")
 
 
+# Events tests/data/prefetch_churn.scn ran before the prefetcher planned from
+# a coverage frontier; the frontier must not move one.
+PREFETCH_CHURN_EVENTS = 7_817
+
+
+def test_criterion_9_prefetch_churn_event_count(data_scenario_runs):
+    _text, events = data_scenario_runs["prefetch_churn.scn"]
+    assert events == PREFETCH_CHURN_EVENTS
+    _announce(9, f"prefetch_churn.scn ran its pinned {PREFETCH_CHURN_EVENTS} events")
+
+
 # -- criterion 10: micro-oracles ----------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """The summary of ``tools/bench_pairs.py``, on synthetic results only."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -105,3 +106,36 @@ def test_report_has_one_table_per_workload_from_its_own_runs():
     assert fanout.startswith("fanout: report digest and event count: DIFFER")
     assert "-50.0%" in staircase and "2/2" in staircase and "0/2" not in staircase
     assert "+50.0%" in fanout and "0/2" in fanout and "2/2" not in fanout
+
+
+@pytest.mark.parametrize("differ", [None, "digest", "events"])
+def test_main_prints_the_tables_then_exits_2_when_outputs_differ(monkeypatch, capsys, differ):
+    """``main`` on synthetic runs: no tree is extracted and no benchmark is
+    run. Status 0 when every run gives the same digest and event count,
+    2 when the change's fanout runs give another digest or event count."""
+
+    class Done:
+        stdout = b""
+
+    benchmark = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    names = [metric["name"] for metric in benchmark["end_to_end"]]
+
+    def run_bench(tree, workload, seed, seconds):
+        info, result = _run(workload, 1.0)
+        result["metrics"] = {name: {"value": 1.0} for name in names}
+        if tree == bench_pairs.ROOT and workload == "fanout" and differ:
+            info["report_sha256" if differ == "digest" else "events"] = 0
+        return info, result
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: Done())
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    argv = "--base HEAD --workload staircase,fanout --pairs 2 --seconds 1 --seed 1".split()
+    status = bench_pairs.main(argv)
+    out = capsys.readouterr().out
+    assert "staircase: report digest and event count: same on both sides" in out
+    assert out.count("run_s (s)") == 2
+    if differ:
+        assert status == 2 and "fanout: report digest and event count: DIFFER" in out
+    else:
+        assert status == 0 and "DIFFER" not in out
+

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndnstream.errors import UnknownFace
 from ndnstream.forwarding import (
@@ -14,7 +15,7 @@ from ndnstream.names import name_is_prefix_of, name_parse
 from ndnstream.packets import Data, Interest, Nack, NackReason
 from ndnstream.wire import encoded_size
 
-from conftest import make_data
+from conftest import examples, make_data
 
 
 def make_node(faces=(1, 2, 3), cs_bytes=1 << 20, strategy=None, aggregate=True):
@@ -416,8 +417,7 @@ def test_prefetch_plan_matches_brute_force_oracle_under_churn(key):
     """Two versions x 30 chunks under LRU eviction, short and long freshness,
     consumer and prefetch PIT entries, data, nacks and expiry: the plan is
     exactly the window's slots, in order, that are neither fresh in the CS
-    nor pending, and the prefetch index holds exactly the PIT entries whose
-    downstream includes the internal face."""
+    nor pending."""
     rng = random.Random(11)
     depth, final = 8, 29
     node = make_node(cs_bytes=2500, strategy=GatewayPrefetch(depth=depth))
@@ -437,15 +437,6 @@ def test_prefetch_plan_matches_brute_force_oracle_under_churn(key):
     def fresh(name, now):
         entry = node.cs.entries.get(name)
         return entry is not None and (now - entry.inserted) * 1000.0 <= entry.data.freshness_ms
-
-    def check_index():
-        indexed = [n for slots in node.prefetching.values() for n in slots.values()]
-        internal = {n for n, e in node.pit.items() if INTERNAL_FACE in e.downstream}
-        assert len(indexed) == len(set(indexed)) and set(indexed) == internal
-        for base, slots in node.prefetching.items():
-            assert slots
-            for (v, c), n in slots.items():
-                assert n == name_parse(f"/f/v={v}/c={c}") and base == name_parse("/f")
 
     skipped_fresh = skipped_pending = planned_stale = evictions = 0
     nacked_prefetch = 0
@@ -481,11 +472,72 @@ def test_prefetch_plan_matches_brute_force_oracle_under_churn(key):
             skipped_fresh += sum(fresh(n, now) for n in window)
             skipped_pending += sum(n in node.pit and not fresh(n, now) for n in window)
             planned_stale += sum(n in node.cs.entries and not fresh(n, now) for n in expected)
-        check_index()
     assert min(skipped_fresh, skipped_pending, planned_stale, evictions, nacked_prefetch) > 0
-    assert node.prefetching
+    assert any(INTERNAL_FACE in e.downstream for e in node.pit.values())
     node.pit_expire(max(e.expiry for e in node.pit.values()))
-    assert not node.pit and not node.prefetching
+    assert not node.pit
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(2, 10), cs_bytes=st.integers(1500, 6000))
+def test_prefetch_frontier_walk_matches_brute_force(seed, depth, cs_bytes):
+    """Triggers walk forward through one file, stepping -3..+2 chunks and
+    rarely flipping version, between churn: large packets of another file
+    that evict window slots, 30 ms freshness, consumer interests with 50 ms
+    and 4 s lifetimes, data for pending entries (some larger than the CS),
+    nacks and expiry. At each trigger the plan and the interests
+    ``_prefetch`` sends are exactly the window's slots that are neither
+    fresh in the CS nor pending, so the coverage frontier never skips a
+    slot that lost its cover."""
+    rng = random.Random(seed)
+    final = 60
+    node = make_node(cs_bytes=cs_bytes, strategy=GatewayPrefetch(depth=depth))
+    node.add_route(name_parse("/f"), 3)
+
+    def data(base, version, chunk, size):
+        freshness = rng.choice([30, 3_600_000, 3_600_000, 3_600_000])
+        return make_data(base, version, chunk, bytes(size), final, freshness_ms=freshness)
+
+    def fresh(name, now):
+        entry = node.cs.entries.get(name)
+        return entry is not None and (now - entry.inserted) * 1000.0 <= entry.data.freshness_ms
+
+    def pending():
+        """A PIT entry in the last trigger's window if there is one."""
+        return rng.choice([n for n in window if n in node.pit] or list(node.pit))
+
+    now, version, chunk, window = 0.0, 1, 0, []
+    for nonce in range(200):
+        now += rng.uniform(0.0, 0.05)
+        op = rng.random()
+        if op < 0.06:
+            size = rng.randrange(cs_bytes // 3, cs_bytes)
+            node.cs.insert(data("/g", 1, rng.randrange(final + 1), size), now)
+        elif op < 0.2:
+            c = min(chunk + depth + rng.randrange(0, 3), final)
+            name = name_parse(f"/f/v={version}/c={c}")
+            lifetime = rng.choice([50, 4000])
+            node.on_interest(1, Interest(name, nonce=nonce, lifetime_ms=lifetime), now)
+        elif op < 0.36 and node.pit:
+            v, c = (int(part[2:]) for part in pending().components[-2:])
+            size = cs_bytes + 1 if rng.random() < 0.2 else rng.randrange(200)
+            node.on_data(3, data("/f", v, c, size), now)
+        elif op < 0.39 and node.pit:
+            node.on_nack(3, Nack(pending(), NackReason.NO_ROUTE), now)
+        elif op < 0.54:
+            node.pit_expire(now)
+        else:
+            if rng.random() < 0.05:
+                version = 3 - version
+            chunk = min(max(chunk + rng.choice([-3, -2, -1, 0, 1, 1, 2, 2, 2]), 0), final)
+            trigger = make_data("/f", version=version, chunk=chunk, final=final)
+            window = [
+                name_parse(f"/f/v={version}/c={c}")
+                for c in range(chunk + 1, min(chunk + depth, final) + 1)
+            ]
+            expected = [n for n in window if not fresh(n, now) and n not in node.pit]
+            assert [i.name for i in node.prefetch_plan(trigger, now)] == expected
+            assert [p.name for _, p in node._prefetch(trigger, now)] == expected
 
 
 # -- pit expiry -----------------------------------------------------------------------

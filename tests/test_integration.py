@@ -480,3 +480,34 @@ def test_lossy_bottleneck_recovers_every_lost_chunk(queue_kb):
     assert s.media_played_s == pytest.approx(20.0)
     gw = report.node_counters["gw"]
     assert gw["interests_out"] == gw["interests_in"]
+
+
+def test_prefetch_churn_scenario_loses_cover_and_skips_covered_slots():
+    """tests/data/prefetch_churn.scn (small CS, 1.5 s freshness, a throttled
+    tail-drop upstream) makes the gateway drop cached chunks and lose PIT
+    entries, and some prefetch plans still start past their window's first
+    slot because the frontier shows it covered with no loss since."""
+    text = (Path(__file__).parent / "data" / "prefetch_churn.scn").read_text()
+    run = ScenarioRun(parse_scenario(text))
+    node = run.sim.hosts["gw"].node
+    plan = node.prefetch_plan
+    started_past_first = 0
+
+    def spy(trigger, now):
+        nonlocal started_past_first
+        vc = trigger.name
+        frontier = node._frontier.get(vc.base)
+        fresh = vc.base not in node.cs.by_base or node.cs.all_fresh(vc.base, now)
+        started_past_first += (
+            fresh
+            and frontier is not None
+            and frontier[0] == vc.version
+            and frontier[1] <= vc.chunk + 1 <= frontier[2]
+            and frontier[3] == node.cs.drops + node._pit_losses
+        )
+        return plan(trigger, now)
+
+    node.prefetch_plan = spy
+    run.run()
+    assert node.cs.drops > 0 and node._pit_losses > 0
+    assert started_past_first > 0

@@ -9,7 +9,6 @@ from ndnstream.names import (
     Name,
     VersionedChunkName,
     _encode_name,
-    chunk_index,
     chunk_name,
     name_format,
     name_is_prefix_of,
@@ -100,11 +99,6 @@ def test_versioned_full_form():
     vc = VersionedChunkName(name_parse("/a/b"), 3, 12)
     assert name_format(vc.full()) == "/a/b/v=3/c=12"
     assert chunk_name(name_parse("/a/b"), 3, 12) == vc.full()
-
-
-@pytest.mark.parametrize("chunk", [0, 9, 10, 12, 4095, 2**64 - 1])
-def test_chunk_index_inverts_chunk_name(chunk):
-    assert chunk_index(chunk_name(name_parse("/a/b"), 3, chunk)) == chunk
 
 
 _marker_free_base = st.lists(

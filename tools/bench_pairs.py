@@ -16,7 +16,9 @@ The script stops with a non-zero exit at the first run that fails, prints
 table per workload: for every end-to-end metric in ``BENCHMARK.json``, the
 median and [Q1, Q3] on each side, the change's relative move, and the pairs
 the change won in the metric's ``better`` direction, after a line that says
-whether both sides gave the same report digest and event count.
+whether both sides gave the same report digest and event count. When any
+workload's digests or event counts differ, it exits with status 2 after
+the tables.
 """
 
 from __future__ import annotations
@@ -115,21 +117,26 @@ def split_workloads(text: str) -> list[str]:
     return names
 
 
+def same_outputs(sides: dict[str, list[tuple[dict, dict]]]) -> bool:
+    """Whether every run of a workload, on both sides, gave one and the same
+    report digest and event count."""
+    outputs = {
+        side: {(info["report_sha256"], info["events"]) for info, _ in pairs}
+        for side, pairs in sides.items()
+    }
+    return outputs["base"] == outputs["change"] and len(outputs["base"]) == 1
+
+
 def format_report(runs: dict[str, dict[str, list[tuple[dict, dict]]]], metrics: list[dict]) -> str:
     """One block per workload, in ``runs`` order, from its (info, result)
     lines per side: the workload, whether both sides gave one and the same
     report digest and event count, and its table of ``summarize`` rows."""
     blocks = []
     for workload, sides in runs.items():
-        outputs = {
-            side: {(info["report_sha256"], info["events"]) for info, _ in pairs}
-            for side, pairs in sides.items()
-        }
-        same = outputs["base"] == outputs["change"] and len(outputs["base"]) == 1
         results = {side: [result for _, result in pairs] for side, pairs in sides.items()}
         blocks.append(
             f"{workload}: report digest and event count: "
-            f"{'same on both sides' if same else 'DIFFER'}\n"
+            f"{'same on both sides' if same_outputs(sides) else 'DIFFER'}\n"
             + format_rows(summarize(results["base"], results["change"], metrics))
         )
     return "\n\n".join(blocks)
@@ -171,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     print(f"seed {args.seed}, {args.pairs} pairs at --seconds {args.seconds:g}, base {args.base}")
     print(format_report(runs, metrics))
-    return 0
+    return 0 if all(same_outputs(sides) for sides in runs.values()) else 2
 
 
 if __name__ == "__main__":

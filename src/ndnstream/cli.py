@@ -8,7 +8,7 @@ import sys
 from .errors import InvalidConfig, NdnStreamError
 from .experiments import EXPERIMENTS, experiment_scenario
 from .metrics import export_report
-from .netsim.scenario import check_scenario, load_scenario, run_scenario
+from .netsim.scenario import ScenarioRun, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--seed", type=int, default=None)
     exp_p.add_argument("--out", default="out")
 
-    val_p = sub.add_parser("validate", help="check a scenario file without running it")
+    val_p = sub.add_parser("validate", help="build a scenario file without running it")
     val_p.add_argument("scenario", help="path to a scenario file")
     return parser
 
@@ -40,16 +40,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            check_scenario(load_scenario(args.scenario))
-            print(f"{args.scenario}: ok")
-            return EXIT_OK
-        if args.command == "run":
-            scenario = load_scenario(args.scenario)
-            if args.seed is not None:
-                scenario.seed = args.seed
-        else:
+        if args.command == "experiments":
             scenario = experiment_scenario(args.name, seed=args.seed)
+        else:
+            scenario = load_scenario(args.scenario)
+            if args.command == "run" and args.seed is not None:
+                scenario.seed = args.seed
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -57,8 +53,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # validate builds exactly what run builds and stops before the first event.
     try:
-        report = run_scenario(scenario)
+        built = ScenarioRun(scenario)
+        if args.command == "validate":
+            print(f"{args.scenario}: ok")
+            return EXIT_OK
+        report = built.run()
         written = export_report(report, args.out)
     except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -33,9 +33,8 @@ Parsing checks what the text alone shows. A run is built in two phases:
 prefix at its server, checks that every consumer reaches every prefix
 through each of its gateways, and applies the throttles; ``ScenarioRun``
 then packages and publishes the videos, prewarms the caches and sets up
-the sessions. ``check_scenario``, the CLI's ``validate``, runs the first
-phase and sizes the prewarm sets, so it rejects what a run would reject
-while building, without making any content.
+the sessions. The CLI's ``validate`` builds a ``ScenarioRun`` and runs no
+event, so it rejects exactly what a run rejects while building.
 """
 
 from __future__ import annotations
@@ -55,14 +54,11 @@ from ..names import Name, name_parse
 from ..packets import DEFAULT_FRESHNESS_MS, KeyMaterial
 from ..producer import (
     DEFAULT_CHUNK_SIZE,
-    DEFAULT_VERSION,
     Representation,
     Repository,
     VideoCatalog,
-    file_chunk_sizes,
     package_video,
     publish,
-    representation_file_sizes,
     representation_files,
 )
 from .topology import ConsumerHost, ForwarderHost, NetworkSim, ProducerHost, derive_seed
@@ -161,7 +157,10 @@ def parse_bandwidth(text: str) -> float | None:
     m = _BW_RE.match(text)
     if not m:
         raise InvalidConfig(f"bad bandwidth {text!r}")
-    return float(m.group(1)) * _SCALE[m.group(2).lower()]
+    bps = float(m.group(1)) * _SCALE[m.group(2).lower()]
+    if bps <= 0:
+        raise InvalidConfig(f"bandwidth must be positive, got {text!r}")
+    return bps
 
 
 def parse_size(text: str) -> int | None:
@@ -184,6 +183,14 @@ def _parse_strategy(text: str) -> Strategy:
     raise ValueError(f"unknown strategy {text!r}")
 
 
+def _non_negative(text: str, kind: Callable[[str], float] = float) -> float:
+    """A finite number that is not negative: a time, delay or duration."""
+    value = kind(text)
+    if not 0 <= value < math.inf:
+        raise ValueError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _parse_switch(text: str) -> bool:
     if text not in ("on", "off"):
         raise ValueError(f"expected on or off, got {text!r}")
@@ -200,31 +207,31 @@ _NODE_KEYS = {
         "strategy": ("strategy", _parse_strategy),
         "aggregate": ("aggregate", _parse_switch),
     },
-    "producer": {"delay-ms": ("delay_ms", float)},
+    "producer": {"delay-ms": ("delay_ms", _non_negative)},
 }
 _LINK_KEYS = {
-    "prop-ms": ("prop_ms", float),
+    "prop-ms": ("prop_ms", _non_negative),
     "bw": ("bw_bps", parse_bandwidth),
     "queue": ("queue_bytes", parse_size),
 }
 _ROUTE_KEYS = {"cost": ("cost", int)}
 _VIDEO_KEYS = {
-    "segment-s": ("segment_s", float),
+    "segment-s": ("segment_s", _non_negative),
     "chunk-bytes": ("chunk_bytes", int),
-    "freshness-ms": ("freshness_ms", int),
+    "freshness-ms": ("freshness_ms", lambda text: _non_negative(text, int)),
 }
-_SESSION_KEYS = {"start-s": ("start_s", float)}
+_SESSION_KEYS = {"start-s": ("start_s", _non_negative)}
 _ENGINE_KEYS = {
     "window": ("window", int),
-    "rto-ms": ("rto_ms", float),
+    "rto-ms": ("rto_ms", _non_negative),
     "max-retx": ("max_retx", int),
 }
 _PLAYER_KEYS = {
-    "safety": ("safety_factor", float),
-    "est-fast-s": ("half_life_fast_s", float),
-    "est-slow-s": ("half_life_slow_s", float),
-    "startup-s": ("startup_threshold_s", float),
-    "capacity-s": ("buffer_capacity_s", float),
+    "safety": ("safety_factor", _non_negative),
+    "est-fast-s": ("half_life_fast_s", _non_negative),
+    "est-slow-s": ("half_life_slow_s", _non_negative),
+    "startup-s": ("startup_threshold_s", _non_negative),
+    "capacity-s": ("buffer_capacity_s", _non_negative),
 }
 
 
@@ -333,7 +340,7 @@ def _parse_entry(
                 video_id=tokens[1],
                 server=kv["server"],
                 prefix=kv["prefix"],
-                duration_s=float(kv["duration-s"]),
+                duration_s=_non_negative(kv["duration-s"]),
                 **_fields(kv, _VIDEO_KEYS),
             )
             videos[spec.video_id] = spec
@@ -501,50 +508,6 @@ def build_network(scenario: Scenario) -> NetworkSim:
     return sim
 
 
-def check_scenario(scenario: Scenario) -> None:
-    """Raise InvalidConfig where building ``scenario`` would: build its
-    network and size its prewarm sets, but package and publish nothing."""
-    build_network(scenario)
-    _check_prewarm_capacity(scenario)
-
-
-def _check_prewarm_capacity(scenario: Scenario) -> None:
-    """Raise CapacityExceeded exactly when ``prewarm_cache`` would, sizing
-    each forwarder's prewarm set from the catalog sizes, the playlist text
-    and the chunk names alone: no payload is made and nothing is signed.
-
-    A store refuses or evicts iff the distinct chunks loaded into it
-    outgrow it. Each line loads a leading share of each file of its tier,
-    so lines on one node that load the same file load its longest share.
-    """
-    videos = {v.video_id: v for v in scenario.videos}
-    catalogs: dict[str, VideoCatalog] = {}
-    loaded: dict[str, dict[Name, list[int]]] = {}  # node -> file -> chunk sizes
-    for pw in scenario.prewarm:
-        video = videos[pw.video]
-        catalog = catalogs.get(pw.video)
-        if catalog is None:
-            catalog = catalogs[pw.video] = package_video(
-                video.video_id, video.duration_s, video.segment_s, video.tiers
-            )
-        files = loaded.setdefault(pw.node, {})
-        for base, size in zip(
-            representation_files(name_parse(video.prefix), catalog, pw.tier),
-            representation_file_sizes(catalog, pw.tier),
-            strict=True,
-        ):
-            sizes = file_chunk_sizes(
-                base, size, DEFAULT_VERSION, video.chunk_bytes, video.freshness_ms
-            )
-            keep = math.ceil(pw.fraction * len(sizes))
-            if keep > len(files.get(base, ())):
-                files[base] = sizes[:keep]
-    capacity = {n.node_id: n.cs_bytes for n in scenario.nodes}
-    for node, files in loaded.items():
-        if sum(map(sum, files.values())) > capacity[node]:
-            raise CapacityExceeded(f"{node}: content store too small for prewarm set")
-
-
 def prewarm_cache(
     sim: NetworkSim,
     node_id: str,
@@ -586,7 +549,6 @@ class ScenarioRun:
         self.sim = sim = build_network(scenario)
         self.sessions: list[PlayerSession] = []
         self.live_sessions = 0  # sessions built and not yet ended
-        self._session_hosts: dict[str, ConsumerHost] = {}
         self.catalogs: dict[str, VideoCatalog] = {}
         self.repos: dict[str, Repository] = {
             node_id: host.repo
@@ -640,7 +602,6 @@ class ScenarioRun:
         self.live_sessions += 1
         host.sessions.append(session)
         self.sessions.append(session)
-        self._session_hosts[spec.session_id] = host
 
         def begin() -> None:
             if host.gateway_face is not None:
@@ -711,7 +672,7 @@ class ScenarioRun:
                 )
         session_metrics = []
         for session in self.sessions:
-            host = self._session_hosts[session.session_id]
+            host = session.transport
             session_metrics.append(
                 SessionMetrics.from_session(
                     session,

@@ -329,6 +329,9 @@ class NetworkSim:
         face = host.peer_face.get(via)
         if face is None:
             raise InvalidTopology(f"{node_id} has no link to {via}")
+        entry = host.node.fib.get(prefix)
+        if entry is not None and any(c == cost for _, c in entry.next_hops):
+            raise InvalidTopology(f"{node_id} has two routes for {prefix} at cost {cost}")
         host.node.add_route(prefix, face, cost)
 
     # -- validation ---------------------------------------------------------

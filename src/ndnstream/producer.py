@@ -36,7 +36,7 @@ from .packets import (  # noqa: F401
     sign_file,
     verify_data,
 )
-from .wire import data_size, decode_packet, encode_packet
+from .wire import decode_packet, encode_packet
 
 DEFAULT_CHUNK_SIZE = 8000
 DEFAULT_VERSION = 1
@@ -157,20 +157,6 @@ def generate_media_playlist(catalog: VideoCatalog, representation: Representatio
     return "\n".join(lines) + "\n"
 
 
-def file_chunk_sizes(
-    base: Name, size: int, version: int, chunk_size: int, freshness_ms: int
-) -> list[int]:
-    """Encoded sizes, in chunk order, of the chunks ``publish_file`` makes
-    of a ``size``-byte file, without making or signing them."""
-    if chunk_size <= 0:
-        raise InvalidConfig("chunk_size must be positive")
-    final = max(0, -(-size // chunk_size) - 1)  # an empty file has one chunk
-    return [
-        data_size(base, version, k, final, freshness_ms, min(chunk_size, size - k * chunk_size))
-        for k in range(final + 1)
-    ]
-
-
 def chunk_payload(payload: bytes, chunk_size: int) -> list[bytes]:
     """Slice a payload into chunk_size pieces; an empty payload still yields
     one empty chunk so every file has a chunk 0."""
@@ -270,13 +256,6 @@ def representation_files(prefix: Name, catalog: VideoCatalog, label: str) -> lis
     files = [root.append("playlist.m3u8")]
     files.extend(root.append(f"seg{k}.m4s") for k in range(catalog.segment_count))
     return files
-
-
-def representation_file_sizes(catalog: VideoCatalog, label: str) -> list[int]:
-    """Byte sizes of ``representation_files``, in the same order, from the
-    playlist text and the catalog's segment sizes."""
-    playlist = generate_media_playlist(catalog, catalog.representation(label))
-    return [len(playlist.encode()), *catalog.segment_sizes[label]]
 
 
 def publish(

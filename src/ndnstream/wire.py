@@ -13,8 +13,7 @@ length; ``encoded_size`` computes that length without materializing the
 bytes and is property-tested against ``len(encode_packet(...))``.
 Interests and ``sign_file``'s packets are sized when built; any other
 data packet is measured on its first ``encoded_size`` and keeps it.
-``data_size`` is that measurement from the fields alone, so a content
-store's share of a file can be sized before any chunk exists.
+``data_size`` is that measurement from the fields alone.
 """
 
 from __future__ import annotations

@@ -96,6 +96,20 @@ BAD_VALUES = [
         "gw srv prop-ms=15 bw=20Mbps\nc1 srv prop-ms=1",
         id="direct-consumer-two-links",
     ),
+    # Values only the content build (package, publish) rejects.
+    pytest.param("segment-s=2", "segment-s=2 chunk-bytes=0", id="chunk-bytes-zero"),
+    pytest.param("duration-s=4", "duration-s=0", id="duration-zero"),
+    pytest.param("segment-s=2", "segment-s=0", id="segment-zero"),
+    # Values a run would crash on mid-run if parsing let them through.
+    pytest.param("bw=20Mbps", "bw=0Mbps", id="link-bw-zero"),
+    pytest.param(SESSION, SESSION + "\n[throttles]\ngw srv at-s=1 bw=0", id="throttle-bw-zero"),
+    pytest.param("prop-ms=15", "prop-ms=-15", id="prop-ms-negative"),
+    pytest.param("producer srv", "producer srv delay-ms=-1", id="delay-ms-negative"),
+    pytest.param(SESSION, SESSION + " start-s=-1", id="start-s-negative"),
+    pytest.param("segment-s=2", "segment-s=2 freshness-ms=-1", id="freshness-negative"),
+    pytest.param("duration-s=4", "duration-s=nan", id="duration-nan"),
+    pytest.param("segment-s=2", "segment-s=inf", id="segment-inf"),
+    pytest.param("gw /p srv", "gw /p srv\ngw /p srv", id="route-repeated"),
 ]
 
 

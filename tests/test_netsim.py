@@ -14,7 +14,6 @@ from ndnstream.names import name_parse
 from ndnstream.netsim.engine import EventEngine
 from ndnstream.netsim.link import Dropped, Link
 from ndnstream.netsim.scenario import (
-    check_scenario,
     load_scenario,
     parse_scenario,
     parse_bandwidth,
@@ -223,7 +222,7 @@ def test_unknown_section_rejected():
 def test_dangling_link_rejected():
     bad = MINIMAL.replace("c1 gw prop-ms=5 bw=50Mbps", "c1 ghost prop-ms=5 bw=50Mbps")
     with pytest.raises(InvalidConfig, match="ghost"):
-        check_scenario(parse_scenario(bad))
+        ScenarioRun(parse_scenario(bad))
 
 
 def test_unreachable_prefix_rejected():
@@ -366,7 +365,7 @@ def test_fch_returns_configured_candidates():
 
 def test_fch_unknown_consumer():
     with pytest.raises(InvalidConfig, match="c9"):
-        check_scenario(parse_scenario(MINIMAL + "\n[fch]\nc9 gw\n"))
+        ScenarioRun(parse_scenario(MINIMAL + "\n[fch]\nc9 gw\n"))
 
 
 # -- prewarm -------------------------------------------------------------------------
@@ -493,11 +492,11 @@ def test_validate_sizes_prewarm_sets_as_prewarm_cache_loads_them(lines):
                 if spec.node_id in caps:
                     spec.cs_bytes = caps[spec.node_id]
             if ok:
-                check_scenario(parse_scenario(edited))
+                ScenarioRun(parse_scenario(edited))
                 ScenarioRun(scenario)
             else:
                 with pytest.raises(CapacityExceeded, match=node):
-                    check_scenario(parse_scenario(edited))
+                    ScenarioRun(parse_scenario(edited))
                 with pytest.raises(CapacityExceeded, match=node):
                     ScenarioRun(scenario)
 

@@ -17,14 +17,7 @@ from .consumer import (
     SessionConfig,
 )
 from .errors import NdnStreamError
-from .forwarding import (
-    BestRoute,
-    ContentStore,
-    FibEntry,
-    ForwarderNode,
-    GatewayPrefetch,
-    PitEntry,
-)
+from .forwarding import ContentStore, FibEntry, ForwarderNode, PitEntry
 from .metrics import (
     CdfSeries,
     MetricsReport,
@@ -55,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbrController",
     "BandwidthEstimator",
-    "BestRoute",
     "CdfSeries",
     "ChunkTiming",
     "ContentStore",
@@ -65,7 +57,6 @@ __all__ = [
     "FibEntry",
     "FileFetch",
     "ForwarderNode",
-    "GatewayPrefetch",
     "Interest",
     "KeyMaterial",
     "Link",

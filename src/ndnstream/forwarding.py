@@ -1,4 +1,4 @@
-"""Per-node forwarding plane: PIT, FIB, content store and strategies.
+"""Per-node forwarding plane: PIT, FIB, content store and prefetching.
 
 A ForwarderNode is a single-owner state machine. Each handler takes the
 arrival face and current simulation time and returns an ordered list of
@@ -39,7 +39,7 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .errors import UnknownFace
+from .errors import InvalidTopology, UnknownFace
 from .names import Name, chunk_name, name_is_prefix_of
 from .packets import Data, Interest, Nack, NackReason, Packet
 from .wire import encoded_size
@@ -49,34 +49,10 @@ INTERNAL_FACE = 0
 Action = tuple[int, Packet]  # (face, packet to send on it)
 
 
-@dataclass(frozen=True)
-class BestRoute:
-    pass
-
-
-@dataclass(frozen=True)
-class GatewayPrefetch:
-    depth: int = 16
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("prefetch depth must be at least 1")
-
-
-Strategy = BestRoute | GatewayPrefetch
-
-
 @dataclass
 class FibEntry:
     prefix: Name
     next_hops: list[tuple[int, int]]  # (face, cost), costs strictly ascending
-
-    def __post_init__(self) -> None:
-        if not self.next_hops:
-            raise ValueError("next_hops must be non-empty")
-        costs = [c for _, c in self.next_hops]
-        if any(a >= b for a, b in zip(costs, costs[1:])):
-            raise ValueError("next hop costs must be strictly ascending")
 
 
 @dataclass(slots=True)
@@ -236,16 +212,20 @@ class NodeStats:
 
 
 class ForwarderNode:
-    """NDN forwarder with PIT aggregation, LPM forwarding and opportunistic caching."""
+    """NDN forwarder with PIT aggregation, LPM forwarding and opportunistic caching.
+    A positive ``prefetch_depth`` also prefetches up to that many chunks past
+    each data packet it sends downstream; 0 forwards by best route alone."""
 
     def __init__(
         self,
         node_id: str,
         cs_capacity_bytes: int = 0,
-        strategy: Strategy = BestRoute(),
+        prefetch_depth: int = 0,
         nonce_rng: random.Random | None = None,
         aggregate_interests: bool = True,
     ):
+        if prefetch_depth < 0:
+            raise ValueError("prefetch depth must not be negative")
         self.node_id = node_id
         self.faces: set[int] = {INTERNAL_FACE}
         self.pit: dict[Name, PitEntry] = {}
@@ -254,7 +234,7 @@ class ForwarderNode:
         self._frontier: dict[Name, tuple[int, int, int, int]] = {}
         self.fib: dict[Name, FibEntry] = {}
         self.cs = ContentStore(cs_capacity_bytes)
-        self.strategy = strategy
+        self.prefetch_depth = prefetch_depth
         self.stats = NodeStats()
         self.aggregate_interests = aggregate_interests
         self._rng = nonce_rng or random.Random(0)
@@ -265,12 +245,14 @@ class ForwarderNode:
         self.faces.add(face)
 
     def add_route(self, prefix: Name, face: int, cost: int = 1) -> None:
+        """Add a next hop; a prefix has at most one hop per cost."""
         entry = self.fib.get(prefix)
         if entry is None:
             self.fib[prefix] = FibEntry(prefix, [(face, cost)])
-        else:
-            hops = sorted(entry.next_hops + [(face, cost)], key=lambda fc: fc[1])
-            self.fib[prefix] = FibEntry(prefix, hops)
+            return
+        if any(c == cost for _, c in entry.next_hops):
+            raise InvalidTopology(f"{self.node_id} has two routes for {prefix} at cost {cost}")
+        entry.next_hops = sorted(entry.next_hops + [(face, cost)], key=lambda fc: fc[1])
 
     def fib_longest_prefix_match(self, name: Name) -> FibEntry | None:
         best: FibEntry | None = None
@@ -305,7 +287,7 @@ class ForwarderNode:
         if cached is not None:
             self.stats.cs_hits += 1
             self.stats.data_out += 1
-            if isinstance(self.strategy, GatewayPrefetch):
+            if self.prefetch_depth:
                 return [(from_face, cached), *self._prefetch(cached, now)]
             return [(from_face, cached)]
         self.stats.cs_misses += 1
@@ -356,7 +338,7 @@ class ForwarderNode:
         actions: list[Action] = [(face, data) for face in sorted(faces) if face != INTERNAL_FACE]
         self.stats.data_out += len(actions)
         self.cs.insert(data, now)
-        if isinstance(self.strategy, GatewayPrefetch):
+        if self.prefetch_depth:
             if full not in self.cs.entries:
                 self._pit_losses += 1
             actions.extend(self._prefetch(data, now))
@@ -383,7 +365,7 @@ class ForwarderNode:
         skipped, and the rest are tested in the PIT. The plan then records
         the covered run up to its first planned slot as the frontier, the
         only state it writes."""
-        if not isinstance(self.strategy, GatewayPrefetch):
+        if not self.prefetch_depth:
             return []
         vc = trigger.name
         base, version = vc.base, vc.version
@@ -393,7 +375,7 @@ class ForwarderNode:
         cs_entries, stale, pit = cs.entries, cs._stale, self.pit
         losses = cs.drops + self._pit_losses
         first = vc.chunk + 1
-        last = min(vc.chunk + self.strategy.depth, trigger.final_chunk)
+        last = min(vc.chunk + self.prefetch_depth, trigger.final_chunk)
         f_version, lo, hi, f_losses = self._frontier.get(base, (None, 0, -1, None))
         reused = all_fresh and f_version == version and f_losses == losses and lo <= first <= hi + 1
         if not reused:

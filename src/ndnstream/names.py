@@ -45,7 +45,7 @@ _new = object.__new__
 
 def _slot_setters(cls: type) -> list:
     """Each field's slot-descriptor ``__set__``, bound, in field order: it stores
-    past the frozen ``__setattr__`` at about half ``object.__setattr__``'s cost."""
+    past the frozen ``__setattr__`` at about half the cost of ``object``'s own setter."""
     return [vars(cls)[f.name].__set__ for f in fields(cls)]
 
 

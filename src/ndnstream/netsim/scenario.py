@@ -48,7 +48,6 @@ from typing import Any
 
 from ..consumer import FetchEngine, PlayerSession, SessionConfig
 from ..errors import CapacityExceeded, InvalidConfig, InvalidTopology, MalformedName
-from ..forwarding import BestRoute, GatewayPrefetch, Strategy
 from ..metrics import CacheStats, MetricsReport, ServerSummary, SessionMetrics
 from ..names import Name, name_parse
 from ..packets import DEFAULT_FRESHNESS_MS, KeyMaterial
@@ -64,6 +63,7 @@ from ..producer import (
 from .topology import ConsumerHost, ForwarderHost, NetworkSim, ProducerHost, derive_seed
 
 DEFAULT_HORIZON_S = 3600.0
+DEFAULT_PREFETCH_DEPTH = 16
 
 
 @dataclass
@@ -71,7 +71,7 @@ class NodeSpec:
     node_id: str
     kind: str  # consumer | forwarder | producer
     cs_bytes: int = 0
-    strategy: Strategy = field(default_factory=BestRoute)
+    prefetch_depth: int = 0
     aggregate: bool = True
     delay_ms: float = 1.0
 
@@ -172,15 +172,16 @@ def parse_size(text: str) -> int | None:
     return int(float(m.group(1)) * _SCALE[m.group(2).lower()])
 
 
-def _parse_strategy(text: str) -> Strategy:
+def _parse_strategy(text: str) -> int:
+    """The prefetch depth a forwarder's strategy names: 0 for best route."""
     if text == "best-route":
-        return BestRoute()
+        return 0
     if text == "prefetch":
-        return GatewayPrefetch()
+        return DEFAULT_PREFETCH_DEPTH
     kind, sep, depth = text.partition(":")
-    if kind == "prefetch" and sep:
-        return GatewayPrefetch(int(depth))
-    raise ValueError(f"unknown strategy {text!r}")
+    if kind == "prefetch" and sep and int(depth) >= 1:
+        return int(depth)
+    raise ValueError(f"unknown strategy {text!r}: a prefetch depth is at least 1")
 
 
 def _non_negative(text: str, kind: Callable[[str], float] = float) -> float:
@@ -189,6 +190,14 @@ def _non_negative(text: str, kind: Callable[[str], float] = float) -> float:
     if not 0 <= value < math.inf:
         raise ValueError(f"expected a finite number >= 0, got {text!r}")
     return value
+
+
+def _safe_component(text: str, what: str) -> str:
+    """A video id or tier label: one name component that the consumer can
+    parse back out of playlists and paths, and no version or chunk marker."""
+    if not all("!" <= ch <= "~" and ch not in '/%,"' for ch in text) or text[:2] in ("v=", "c="):
+        raise ValueError(f"{what} {text!r} is not one safe name component")
+    return text
 
 
 def _parse_switch(text: str) -> bool:
@@ -204,7 +213,7 @@ _NODE_KEYS = {
     "consumer": {},
     "forwarder": {
         "cs": ("cs_bytes", lambda text: parse_size(text) or 0),
-        "strategy": ("strategy", _parse_strategy),
+        "strategy": ("prefetch_depth", _parse_strategy),
         "aggregate": ("aggregate", _parse_switch),
     },
     "producer": {"delay-ms": ("delay_ms", _non_negative)},
@@ -304,7 +313,10 @@ def _parse_entry(
         elif tokens[0] == "seed" and len(tokens) == 2:
             scenario.seed = int(tokens[1])
         elif tokens[0] == "horizon" and len(tokens) == 2:
-            scenario.horizon_s = float(tokens[1])
+            horizon = float(tokens[1])
+            if not horizon >= 0:  # NaN too; inf runs until the sessions end
+                raise ValueError(f"horizon must be a number >= 0, got {tokens[1]!r}")
+            scenario.horizon_s = horizon
         else:
             raise InvalidConfig(f"{where}: unknown directive {tokens[0]!r}")
     elif section == "nodes":
@@ -337,7 +349,7 @@ def _parse_entry(
                     raise InvalidConfig(f"{where}: video needs {required}")
             name_parse(kv["prefix"])
             spec = VideoSpec(
-                video_id=tokens[1],
+                video_id=_safe_component(tokens[1], "video id"),
                 server=kv["server"],
                 prefix=kv["prefix"],
                 duration_s=_non_negative(kv["duration-s"]),
@@ -355,7 +367,7 @@ def _parse_entry(
             media = int(parse_bandwidth(kv["media"]) or 0) if "media" in kv else min_bw
             videos[tokens[1]].tiers.append(
                 Representation(
-                    label=tokens[2],
+                    label=_safe_component(tokens[2], "tier label"),
                     height=int(kv.get("height", "0")) or 1,
                     min_bandwidth_bps=min_bw,
                     media_bitrate_bps=media,
@@ -468,7 +480,7 @@ def build_network(scenario: Scenario) -> NetworkSim:
             sim.add_forwarder(
                 node.node_id,
                 cs_capacity_bytes=node.cs_bytes,
-                strategy=node.strategy,
+                prefetch_depth=node.prefetch_depth,
                 aggregate_interests=node.aggregate,
             )
         elif node.kind == "producer":

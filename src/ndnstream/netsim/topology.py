@@ -23,7 +23,7 @@ from typing import Callable
 
 from ..consumer import PlayerSession
 from ..errors import AllProbesFailed, InvalidTopology
-from ..forwarding import ForwarderNode, Strategy
+from ..forwarding import ForwarderNode
 from ..names import Name, name_is_prefix_of
 from ..packets import Data, Interest, Nack, Packet
 from ..producer import Repository
@@ -132,8 +132,8 @@ class ConsumerHost(_FacedHost):
         self.probe_results: dict[str, float] = {}
         self.chosen_gateway: str | None = None
         self._probes: list[_Probe] = []
-        self._probe_name: Name | None = None
-        self._on_attached: Callable[[], None] | None = None
+        # Callbacks of the running probe round, called once it attaches.
+        self._on_attached: list[Callable[[], None]] = []
 
     # -- transport protocol for sessions ---------------------------------
 
@@ -168,11 +168,14 @@ class ConsumerHost(_FacedHost):
         on_attached: Callable[[], None],
         timeout_s: float = 4.0,
     ) -> None:
-        """Send one probe per candidate, attach to the fastest responder."""
+        """Send one probe per candidate, attach to the fastest responder and
+        call ``on_attached``. A call while a round runs joins that round."""
+        if self._on_attached:
+            self._on_attached.append(on_attached)
+            return
         if not candidates:
             raise AllProbesFailed(f"{self.node_id}: empty candidate list")
-        self._probe_name = probe_name
-        self._on_attached = on_attached
+        self._on_attached = [on_attached]
         now = self.sim.engine.now
         for gateway in candidates:
             face = self.peer_face.get(gateway)
@@ -202,14 +205,12 @@ class ConsumerHost(_FacedHost):
         self.probe_results = {
             p.gateway: p.rtt_ms for p in self._probes if p.rtt_ms is not None
         }
-        if self._on_attached is not None:
-            self._on_attached()
-            self._on_attached = None
+        waiting, self._on_attached = self._on_attached, []
+        for on_attached in waiting:
+            on_attached()
 
     def _handle_probe_data(self, from_face: int, data: Data) -> bool:
         """Record a probe's answer; called only while no gateway is chosen."""
-        if self._probe_name is None:
-            return False
         hit = False
         for probe in self._probes:
             if probe.face == from_face and probe.rtt_ms is None:
@@ -260,15 +261,13 @@ class NetworkSim:
         self,
         node_id: str,
         cs_capacity_bytes: int = 0,
-        strategy: Strategy | None = None,
+        prefetch_depth: int = 0,
         aggregate_interests: bool = True,
     ) -> ForwarderHost:
-        from ..forwarding import BestRoute
-
         node = ForwarderNode(
             node_id,
             cs_capacity_bytes=cs_capacity_bytes,
-            strategy=strategy or BestRoute(),
+            prefetch_depth=prefetch_depth,
             nonce_rng=random.Random(derive_seed(self.seed, f"fw:{node_id}")),
             aggregate_interests=aggregate_interests,
         )
@@ -329,9 +328,6 @@ class NetworkSim:
         face = host.peer_face.get(via)
         if face is None:
             raise InvalidTopology(f"{node_id} has no link to {via}")
-        entry = host.node.fib.get(prefix)
-        if entry is not None and any(c == cost for _, c in entry.next_hops):
-            raise InvalidTopology(f"{node_id} has two routes for {prefix} at cost {cost}")
         host.node.add_route(prefix, face, cost)
 
     # -- validation ---------------------------------------------------------

@@ -24,13 +24,13 @@ every chunk sent or published. ``dataclasses.replace``, ``repr`` and
 equality work as for any dataclass, and assigning a field raises
 ``FrozenInstanceError``.
 
-Interest and data packets keep their encoded size in ``_wire_size``. An
-interest knows it from construction: its ``__init__`` computes it in
-closed form from the name's TLV length and the lifetime's varint size,
-so every interest, whether built, copied by ``dataclasses.replace`` or
-decoded, carries its exact size. So does each chunk ``sign_file`` signs;
-any other data packet is measured on its first ``wire.encoded_size``
-call. The field takes no part in equality, hashing or ``repr``.
+Interest and data packets keep their encoded size in ``_wire_size``,
+computed in closed form when the packet is built: from the name's TLV
+length and the lifetime's varint size for an interest, and by
+``data_size`` from the fields for a data packet. So every packet, whether
+built, copied by ``dataclasses.replace``, decoded or signed by
+``sign_file``, carries its exact size. The field takes no part in
+equality, hashing or ``repr``.
 
 A data packet likewise remembers, in ``_verified_by``, the key object it
 last verified under. Only ``verify_data`` sets it, and only after the tag
@@ -58,6 +58,27 @@ DEFAULT_FRESHNESS_MS = 3_600_000
 
 TAG_LEN = 32
 _ZERO_TAG = b"\x00" * TAG_LEN
+
+
+def _field_size(payload_len: int) -> int:
+    """Encoded length of one (tag, length varint, value) field."""
+    return 1 + _varint_size(payload_len) + payload_len
+
+
+def data_size(
+    base: Name, version: int, chunk: int, final_chunk: int, freshness_ms: int, content_len: int
+) -> int:
+    """Encoded length, in ``wire``'s layout, of a data packet with these fields."""
+    return (
+        1
+        + _field_size(base._tlv_len)
+        + _field_size(_varint_size(version))
+        + _field_size(_varint_size(chunk))
+        + _field_size(_varint_size(final_chunk))
+        + _field_size(_varint_size(freshness_ms))
+        + _field_size(content_len)
+        + _field_size(TAG_LEN)
+    )
 
 
 def _check_freshness(freshness_ms: int) -> None:
@@ -110,7 +131,7 @@ class Data:
     final_chunk: int = 0
     freshness_ms: int = DEFAULT_FRESHNESS_MS
     integrity_tag: bytes = _ZERO_TAG
-    _wire_size: int | None = field(default=None, init=False, compare=False, repr=False)
+    _wire_size: int = field(init=False, compare=False, repr=False)
     _verified_by: KeyMaterial | None = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(
@@ -131,7 +152,10 @@ class Data:
         _d_final(self, final_chunk)
         _d_fresh(self, freshness_ms)
         _d_tag(self, integrity_tag)
-        _d_size(self, None)
+        _d_size(
+            self,
+            data_size(name.base, name.version, name.chunk, final_chunk, freshness_ms, len(content)),
+        )
         _d_verified_by(self, None)
 
 
@@ -196,7 +220,6 @@ def sign_file(
     index as final chunk: each equals ``sign_data(Data(...), key)`` but is
     built once, sized and unverified, raising what ``Data`` would. The keyed
     hash state and the trailer are built once; the state is copied per chunk."""
-    from .wire import data_size  # wire imports this module
     _check_freshness(freshness_ms)  # before the trailer packs it
     final = len(pieces) - 1
     keyed, trailer = _keyed(key), _trailer(final, freshness_ms)

@@ -9,18 +9,17 @@ accepts re-encodes to itself and every packet field it reads fits the
 packet's own bounds.
 
 Link serialization delay in the emulator is computed from the encoded
-length; ``encoded_size`` computes that length without materializing the
+length; ``encoded_size`` gives that length without materializing the
 bytes and is property-tested against ``len(encode_packet(...))``.
-Interests and ``sign_file``'s packets are sized when built; any other
-data packet is measured on its first ``encoded_size`` and keeps it.
-``data_size`` is that measurement from the fields alone.
+Interests and data packets are sized when built (see ``packets``), so for
+them it reads the stored size; a nack's is computed from its name.
 """
 
 from __future__ import annotations
 
 from .errors import MalformedName, MalformedPacket
-from .names import Name, VersionedChunkName, _encode_name, _varint, _varint_size
-from .packets import TAG_LEN, Data, Interest, Nack, NackReason, Packet
+from .names import Name, VersionedChunkName, _encode_name, _varint
+from .packets import TAG_LEN, Data, Interest, Nack, NackReason, Packet, _field_size
 
 _KIND_INTEREST = 1
 _KIND_DATA = 2
@@ -44,10 +43,6 @@ _T_REASON = 2
 
 def _field(tag: int, value: bytes) -> bytes:
     return bytes([tag]) + _varint(len(value)) + value
-
-
-def _field_size(payload_len: int) -> int:
-    return 1 + _varint_size(payload_len) + payload_len
 
 
 def encode_packet(pkt: Packet) -> bytes:
@@ -87,44 +82,12 @@ def encode_packet(pkt: Packet) -> bytes:
 
 
 def encoded_size(pkt: Packet) -> int:
-    """Length of ``encode_packet(pkt)`` without building the bytes.
-
-    An interest or a ``sign_file`` packet carries its size from birth. Any
-    other data packet is measured on the first call and keeps the result,
-    so a packet that crosses many links is measured once.
-    """
+    """Length of ``encode_packet(pkt)`` without building the bytes."""
     if isinstance(pkt, (Interest, Data)):
-        size = pkt._wire_size
-        if size is None:
-            size = _measure(pkt)
-            object.__setattr__(pkt, "_wire_size", size)
-        return size
+        return pkt._wire_size
     if isinstance(pkt, Nack):
         return 1 + _field_size(pkt.interest_name._tlv_len) + _field_size(1)
     raise TypeError(f"not a packet: {pkt!r}")
-
-
-def _measure(pkt: Data) -> int:
-    name = pkt.name
-    return data_size(
-        name.base, name.version, name.chunk, pkt.final_chunk, pkt.freshness_ms, len(pkt.content)
-    )
-
-
-def data_size(
-    base: Name, version: int, chunk: int, final_chunk: int, freshness_ms: int, content_len: int
-) -> int:
-    """Encoded length of a data packet with these fields and content length."""
-    return (
-        1
-        + _field_size(base._tlv_len)
-        + _field_size(_varint_size(version))
-        + _field_size(_varint_size(chunk))
-        + _field_size(_varint_size(final_chunk))
-        + _field_size(_varint_size(freshness_ms))
-        + _field_size(content_len)
-        + _field_size(TAG_LEN)
-    )
 
 
 class _Reader:

@@ -110,6 +110,20 @@ BAD_VALUES = [
     pytest.param("duration-s=4", "duration-s=nan", id="duration-nan"),
     pytest.param("segment-s=2", "segment-s=inf", id="segment-inf"),
     pytest.param("gw /p srv", "gw /p srv\ngw /p srv", id="route-repeated"),
+    pytest.param("seed 2", "seed 2\nhorizon nan", id="horizon-nan"),
+    pytest.param("seed 2", "seed 2\nhorizon -5", id="horizon-negative"),
+    # Video ids and tier labels must each be one name component that the
+    # consumer can parse back out of playlists and resource paths.
+    pytest.param("foo", "a/b", id="video-id-slash"),
+    pytest.param("foo", "x%2Fy", id="video-id-escaped-slash"),
+    pytest.param("foo", "%zz", id="video-id-bad-escape"),
+    pytest.param("foo", "c=1", id="video-id-chunk-marker"),
+    pytest.param("foo", "v=2", id="video-id-version-marker"),
+    pytest.param("foo", 'a"b', id="video-id-quote"),
+    pytest.param("foo", "vidé", id="video-id-non-ascii"),
+    pytest.param("240p", "2,4p", id="tier-label-comma"),
+    pytest.param("240p", "c=3", id="tier-label-chunk-marker"),
+    pytest.param("240p", "24/0p", id="tier-label-slash"),
 ]
 
 

@@ -3,14 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ndnstream.errors import UnknownFace
-from ndnstream.forwarding import (
-    INTERNAL_FACE,
-    BestRoute,
-    ContentStore,
-    ForwarderNode,
-    GatewayPrefetch,
-)
+from ndnstream.errors import InvalidTopology, UnknownFace
+from ndnstream.forwarding import INTERNAL_FACE, ContentStore, ForwarderNode
 from ndnstream.names import name_is_prefix_of, name_parse
 from ndnstream.packets import Data, Interest, Nack, NackReason
 from ndnstream.wire import encoded_size
@@ -18,11 +12,11 @@ from ndnstream.wire import encoded_size
 from conftest import examples, make_data
 
 
-def make_node(faces=(1, 2, 3), cs_bytes=1 << 20, strategy=None, aggregate=True):
+def make_node(faces=(1, 2, 3), cs_bytes=1 << 20, prefetch_depth=0, aggregate=True):
     node = ForwarderNode(
         "n1",
         cs_capacity_bytes=cs_bytes,
-        strategy=strategy or BestRoute(),
+        prefetch_depth=prefetch_depth,
         nonce_rng=random.Random(1),
         aggregate_interests=aggregate,
     )
@@ -52,6 +46,20 @@ def test_lpm_no_match():
     node = make_node()
     node.add_route(name_parse("/a"), 1)
     assert node.fib_longest_prefix_match(name_parse("/b/c")) is None
+
+
+def test_add_route_keeps_one_hop_per_cost_in_cost_order():
+    node = make_node()
+    node.add_route(name_parse("/f"), 3, cost=2)
+    node.add_route(name_parse("/f"), 1, cost=1)
+    with pytest.raises(InvalidTopology, match="n1 has two routes for /f at cost 2"):
+        node.add_route(name_parse("/f"), 2, cost=2)
+    assert node.fib[name_parse("/f")].next_hops == [(1, 1), (3, 2)]
+
+
+def test_negative_prefetch_depth_rejected():
+    with pytest.raises(ValueError, match="prefetch depth"):
+        make_node(prefetch_depth=-1)
 
 
 def test_lpm_brute_force_oracle():
@@ -353,7 +361,7 @@ def test_nack_after_data_dropped(key):
 
 
 def test_prefetch_plan_covers_depth(key):
-    node = make_node(strategy=GatewayPrefetch(depth=4))
+    node = make_node(prefetch_depth=4)
     node.add_route(name_parse("/f"), 3)
     trigger = make_data("/f", version=1, chunk=0, final=10, key=key)
     plan = node.prefetch_plan(trigger, 0.0)
@@ -364,14 +372,14 @@ def test_prefetch_plan_covers_depth(key):
 
 
 def test_prefetch_stops_at_final_chunk(key):
-    node = make_node(strategy=GatewayPrefetch(depth=4))
+    node = make_node(prefetch_depth=4)
     node.add_route(name_parse("/f"), 3)
     trigger = make_data("/f", version=1, chunk=10, final=10, key=key)
     assert node.prefetch_plan(trigger, 0.0) == []
 
 
 def test_prefetch_skips_cached_and_pending(key):
-    node = make_node(strategy=GatewayPrefetch(depth=4))
+    node = make_node(prefetch_depth=4)
     node.add_route(name_parse("/f"), 3)
     node.cs.insert(make_data("/f", version=1, chunk=1, final=10, key=key), 0.0)
     node.cs.insert(make_data("/f", version=1, chunk=2, final=10, key=key), 0.0)
@@ -381,7 +389,7 @@ def test_prefetch_skips_cached_and_pending(key):
 
 
 def test_prefetch_data_cached_but_not_forwarded(key):
-    node = make_node(strategy=GatewayPrefetch(depth=2))
+    node = make_node(prefetch_depth=2)
     node.add_route(name_parse("/f"), 3)
     node.on_interest(1, chunk_interest("/f/v=1/c=0", nonce=1), 0.0)
     trigger = make_data("/f", version=1, chunk=0, final=4, key=key)
@@ -399,7 +407,7 @@ def test_prefetch_data_cached_but_not_forwarded(key):
 
 def test_prefetch_never_requests_cached_or_pending_property(key):
     rng = random.Random(3)
-    node = make_node(strategy=GatewayPrefetch(depth=8))
+    node = make_node(prefetch_depth=8)
     node.add_route(name_parse("/f"), 3)
     for _ in range(100):
         chunk = rng.randrange(30)
@@ -420,7 +428,7 @@ def test_prefetch_plan_matches_brute_force_oracle_under_churn(key):
     nor pending."""
     rng = random.Random(11)
     depth, final = 8, 29
-    node = make_node(cs_bytes=2500, strategy=GatewayPrefetch(depth=depth))
+    node = make_node(cs_bytes=2500, prefetch_depth=depth)
     node.add_route(name_parse("/f"), 3)
 
     def data(version, chunk):
@@ -491,7 +499,7 @@ def test_prefetch_frontier_walk_matches_brute_force(seed, depth, cs_bytes):
     slot that lost its cover."""
     rng = random.Random(seed)
     final = 60
-    node = make_node(cs_bytes=cs_bytes, strategy=GatewayPrefetch(depth=depth))
+    node = make_node(cs_bytes=cs_bytes, prefetch_depth=depth)
     node.add_route(name_parse("/f"), 3)
 
     def data(base, version, chunk, size):

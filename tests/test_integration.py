@@ -8,7 +8,7 @@ import pytest
 
 from ndnstream import consumer
 from ndnstream.consumer import FetchEngine
-from ndnstream.errors import IntegrityFailure
+from ndnstream.errors import ContentMissing, IntegrityFailure
 from ndnstream.names import name_parse
 from ndnstream.netsim.scenario import ScenarioRun, parse_scenario, run_scenario
 from ndnstream.netsim.topology import ConsumerHost
@@ -163,6 +163,17 @@ def test_resource_request_stops_when_its_fetch_ends(fetches):
     assert run.live_sessions == live == 1
     report = run.run()
     assert report.sessions[0].aborted is None
+
+
+def test_producer_nack_crosses_the_gateway_to_the_consumer():
+    # The producer nacks a name it does not hold; the gateway forwards the
+    # nack down the PIT entry's face and removes the entry.
+    run = ScenarioRun(parse_scenario(GOLDEN))
+    with pytest.raises(ContentMissing):
+        run.resource_request("c1", "nosuch/playlist.m3u8")
+    gw = run.sim.hosts["gw"].node
+    assert gw.stats.nacks_in == gw.stats.nacks_out == 1
+    assert gw.pit == {}
 
 
 def test_published_names_are_shared_through_the_network(fetches, monkeypatch):
@@ -325,6 +336,30 @@ def test_probing_attaches_to_fastest_hub():
     assert session.probe_rtts_ms["hubB"] < session.probe_rtts_ms["hubA"]
     assert session.probe_rtts_ms["hubA"] < session.probe_rtts_ms["hubC"]
     assert session.aborted is None
+
+
+def test_sessions_beginning_while_probing_share_one_probe_round():
+    # The second session begins while the first one's probes are in flight:
+    # it joins that round instead of probing again, and both play.
+    from ndnstream.experiments import FCH_PROBING
+
+    run = ScenarioRun(
+        parse_scenario(FCH_PROBING + "session s2 consumer=c1 videos=foo start-s=0.001\n")
+    )
+    host, send, probes = run.sim.hosts["c1"], run.sim.send, []
+
+    def recording_send(src, face, packet, from_producer):
+        if src == "c1" and host.gateway_face is None:
+            probes.append(packet)
+        send(src, face, packet, from_producer)
+
+    run.sim.send = recording_send
+    report = run.run()
+    assert len(probes) == 3
+    assert run.live_sessions == 0
+    for session in report.sessions:
+        assert session.aborted is None and session.chosen_gateway == "hubB"
+        assert session.media_played_s == pytest.approx(8.0)
 
 
 def test_multicast_two_consumers_share_one_upstream_stream():

@@ -122,7 +122,7 @@ def test_constructors_check_like_the_generated_ones():
     assert encoded_size(moved) == len(encode_packet(moved))
     data = Data(vc, b"c", 3)
     assert replace(data, final_chunk=4) == Data(vc, b"c", 4)
-    assert data._wire_size is None and data._verified_by is None
+    assert data._wire_size == len(encode_packet(data)) and data._verified_by is None
 
     # Objects whose slots are stored through their member descriptors keep
     # the frozen-dataclass contract of their constructor-built equals.
@@ -152,7 +152,7 @@ def test_constructors_check_like_the_generated_ones():
     assert replace(base)._chunks is None and replace(filed[0].full())._chunks is None
     assert verify_data(signed, FILE_KEY) and signed._wire_size == len(encode_packet(signed))
     copy = replace(signed)
-    assert copy._wire_size is None and copy._verified_by is None
+    assert copy._wire_size == len(encode_packet(copy)) and copy._verified_by is None
 
 
 def _signed(key, base: str, version: int, chunk: int) -> Data:

@@ -185,8 +185,9 @@ def _copies(packet, rng):
 
 
 def _assert_sized_at_birth(packet):
-    # An interest carries its exact size before encoded_size ever sees it.
-    if isinstance(packet, Interest):
+    # An interest or data packet carries its exact size before encoded_size
+    # ever sees it.
+    if isinstance(packet, (Interest, Data)):
         assert packet._wire_size == len(encode_packet(packet))
 
 
@@ -217,7 +218,7 @@ def test_cached_size_stays_exact():
         assert repr(packet) == text
         decoded = decode_packet(encode_packet(packet))
         _assert_sized_at_birth(decoded)
-        # The copy has no size yet; the cached field must not tell them apart.
+        # The stored size must not tell the copy and the original apart.
         assert decoded == packet and hash(decoded) == hash(packet)
         assert repr(decoded) == text
         for copy in _copies(packet, rng):

@@ -1,18 +1,16 @@
 """Player-side stack: pipelined fetching, bandwidth estimation, ABR and playback.
 
-The pieces are transport-agnostic: anything offering ``now()``,
-``send_interest()``, ``schedule(at, fn, seq=None)`` and ``ticket()`` can
-drive them, which is how the emulator (and the unit tests, with a scripted
-fake) plug in. ``ticket()`` reserves an event's place among events at one
-instant now, and ``schedule(..., seq=ticket)`` uses it later, as the
-emulator's ``EventEngine`` does.
+The pieces are transport-agnostic: a ``Transport`` is an ``engine``, the
+``EventEngine`` they read the clock from and schedule their timers on, plus
+``send_interest()``. That is how the emulator's consumer hosts (and the
+unit tests, with a scripted fake) plug in.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from .errors import (
     ContentMissing,
@@ -25,15 +23,14 @@ from .names import Name, chunk_name, name_parse
 from .packets import Data, Interest, KeyMaterial, Nack, NackReason, verify_data
 from .producer import Representation
 
+if TYPE_CHECKING:
+    from .netsim.engine import EventEngine
+
 
 class Transport(Protocol):
-    def now(self) -> float: ...
+    engine: EventEngine
 
     def send_interest(self, interest: Interest) -> None: ...
-
-    def schedule(self, at: float, fn: Callable[[], None], seq: int | None = None) -> None: ...
-
-    def ticket(self) -> int: ...
 
 
 @dataclass
@@ -187,6 +184,7 @@ class FileFetch:
         on_error: Callable[[FetchError], None],
     ):
         self.transport = transport
+        self.events = transport.engine
         self.engine = engine
         self.base = base
         self.key = key
@@ -211,7 +209,7 @@ class FileFetch:
         self._send(None)
 
     def _send(self, chunk: int | None) -> None:
-        now = self.transport.now()
+        now = self.events.now
         name = self.base if chunk is None else chunk_name(self.base, self.version, chunk)
         interest = Interest(name, chunk is None, self.rng.getrandbits(32))
         timing = self.timings.get(chunk)
@@ -222,7 +220,7 @@ class FileFetch:
             timing.retx_count += 1
         self.transport.send_interest(interest)
         deadline = now + self.engine.rto_ms / 1000.0
-        ticket = self.transport.ticket()
+        ticket = self.events.ticket()
         self._outstanding[chunk] = (deadline, ticket)
         if self._timer_ticket is None:
             self._arm(deadline, ticket)
@@ -231,7 +229,7 @@ class FileFetch:
 
     def _arm(self, deadline: float, ticket: int) -> None:
         self._timer_ticket = ticket
-        self.transport.schedule(deadline, self._on_timer, ticket)
+        self.events.schedule(deadline, self._on_timer, ticket)
 
     def _on_timer(self) -> None:
         if self._done:
@@ -268,7 +266,7 @@ class FileFetch:
     def handle_data(self, data: Data, from_cache: bool) -> None:
         if self._done:
             return
-        now = self.transport.now()
+        now = self.events.now
         if not verify_data(data, self.key):
             self._fail(IntegrityFailure(f"bad tag on {data.name}"))
             return
@@ -325,7 +323,7 @@ class FileRecord:
     """One completed (or aborted) file retrieval with its chunk timings."""
 
     name: str
-    role: str  # master-playlist | media-playlist | segment | probe
+    role: str  # master-playlist | media-playlist | segment
     video_id: str
     tier: str | None
     segment_index: int | None
@@ -425,6 +423,7 @@ class PlayerSession:
     ):
         self.session_id = session_id
         self.transport = transport
+        self.events = transport.engine
         self.prefix = prefix
         self.video_ids = list(video_ids)
         self.key = key
@@ -466,7 +465,7 @@ class PlayerSession:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        self.started_at = self.transport.now()
+        self.started_at = self.events.now
         self._last_sync = self.started_at
         self._next_video()
 
@@ -484,7 +483,7 @@ class PlayerSession:
 
     def _end_session(self) -> None:
         ending = self.ended_at is None
-        self.ended_at = self.transport.now()
+        self.ended_at = self.events.now
         if ending and self.on_end is not None:
             self.on_end()
 
@@ -500,12 +499,12 @@ class PlayerSession:
 
     def _fetch(self, path: str, role: str, done: Callable[[list[bytes]], None]) -> None:
         base = resource_name(self.prefix, path)
-        started = self.transport.now()
+        started = self.events.now
         record_tier = self._tier_label if role == "segment" else None
         seg_index = self._segment_index if role == "segment" else None
 
         def on_complete(chunks: list[bytes], timings: list[ChunkTiming]) -> None:
-            finished = self.transport.now()
+            finished = self.events.now
             content_bytes = sum(map(len, chunks))
             self.files.append(
                 FileRecord(
@@ -582,13 +581,13 @@ class PlayerSession:
                 # wait for playback to drain enough room; the floor keeps
                 # float residue from rescheduling the same instant forever
                 wait = max(self.buffer.level_s - headroom, 1e-6)
-                self.transport.schedule(self.transport.now() + wait, self._fetch_next_segment)
+                self.events.schedule_in(wait, self._fetch_next_segment)
                 return
         label = self._tier_label
         if self.abr is not None and self.estimator.has_estimate:
             label = self.abr.select(self.estimator.estimate_bps()).label
         if label != self._tier_label or not self.quality_timeline:
-            self.quality_timeline.append((self.transport.now(), label))
+            self.quality_timeline.append((self.events.now, label))
         self._tier_label = label
         if label not in self._media_playlists:
             self._fetch_media_playlist(label, self._fetch_current_segment)
@@ -611,7 +610,7 @@ class PlayerSession:
         self._fetch_next_segment()
 
     def _after_buffer_grew(self) -> None:
-        now = self.transport.now()
+        now = self.events.now
         if not self._playing:
             threshold_met = self.buffer.level_s >= self.buffer.startup_threshold_s
             downloaded_all = bool(self._segments) and self._segment_index >= len(self._segments)
@@ -628,7 +627,7 @@ class PlayerSession:
     # -- playback clock --------------------------------------------------------
 
     def _sync_playback(self) -> None:
-        now = self.transport.now()
+        now = self.events.now
         if self._playing:
             dt = now - self._last_sync
             played = min(dt, self.buffer.level_s)
@@ -639,8 +638,8 @@ class PlayerSession:
     def _schedule_empty_check(self) -> None:
         self._drain_epoch += 1
         epoch = self._drain_epoch
-        at = self.transport.now() + self.buffer.level_s
-        self.transport.schedule(at, lambda: self._on_empty_check(epoch))
+        at = self.events.now + self.buffer.level_s
+        self.events.schedule(at, self._on_empty_check, None, (epoch,))
 
     def _on_empty_check(self, epoch: int) -> None:
         if epoch != self._drain_epoch or not self._playing or self.ended_at is not None:
@@ -654,4 +653,4 @@ class PlayerSession:
         if self._segments and self._segment_index >= len(self._segments):
             self._next_video()
             return
-        self._rebuffer_start = self.transport.now()
+        self._rebuffer_start = self.events.now

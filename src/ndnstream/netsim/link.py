@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 
 class _Direction:
@@ -38,11 +37,6 @@ class _Direction:
         return self.queued_bytes - size + (end - now) * rate
 
 
-@dataclass(frozen=True)
-class Dropped:
-    reason: str = "queue-overflow"
-
-
 class Link:
     """FIFO per direction. A packet sent at ``now`` starts serializing when
     the direction goes idle and arrives one propagation delay after the
@@ -72,8 +66,8 @@ class Link:
     def set_bandwidth(self, src: str, dst: str, bandwidth_bps: float | None) -> None:
         self._dir[(src, dst)].bandwidth_bps = bandwidth_bps
 
-    def transmit(self, src: str, dst: str, size_bytes: int, now: float) -> float | Dropped:
-        """Arrival time at ``dst``, or Dropped on tail-drop."""
+    def transmit(self, src: str, dst: str, size_bytes: int, now: float) -> float | None:
+        """Arrival time at ``dst``, or None on tail-drop."""
         d = self._dir[(src, dst)]
         if d.bandwidth_bps is None:
             return now + d.propagation_s
@@ -81,7 +75,7 @@ class Link:
             # Tail drop once the untransmitted backlog exceeds the limit.
             if d.backlog_bytes(now) > d.queue_limit_bytes:
                 d.drops += 1
-                return Dropped()
+                return None
         start = d.busy_until if d.busy_until > now else now
         serialization = size_bytes * 8.0 / d.bandwidth_bps
         d.busy_until = start + serialization

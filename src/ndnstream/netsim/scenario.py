@@ -46,7 +46,7 @@ from collections.abc import Callable, Collection
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-from ..consumer import FetchEngine, PlayerSession, SessionConfig
+from ..consumer import FetchEngine, PlayerSession, SessionConfig, resource_name
 from ..errors import CapacityExceeded, InvalidConfig, InvalidTopology, MalformedName
 from ..metrics import CacheStats, MetricsReport, ServerSummary, SessionMetrics
 from ..names import Name, name_parse
@@ -60,7 +60,14 @@ from ..producer import (
     publish,
     representation_files,
 )
-from .topology import ConsumerHost, ForwarderHost, NetworkSim, ProducerHost, derive_seed
+from .topology import (
+    ConsumerHost,
+    ForwarderHost,
+    NetworkSim,
+    ProducerHost,
+    derive_seed,
+    fetch_file_via,
+)
 
 DEFAULT_HORIZON_S = 3600.0
 DEFAULT_PREFETCH_DEPTH = 16
@@ -509,7 +516,9 @@ def build_network(scenario: Scenario) -> NetworkSim:
         prefix = name_parse(video.prefix)
         server.announce(prefix)
         prefixes.append(prefix)
-    sim.validate_reachability(prefixes, scenario.fch)
+    for node_id, gateways in scenario.fch.items():
+        sim.set_gateways(node_id, gateways)
+    sim.validate_reachability(prefixes)
     for throttle in scenario.throttles:
         link = sim.link_between(throttle.src, throttle.dst)
         args = (throttle.src, throttle.dst, throttle.bw_bps)
@@ -614,19 +623,8 @@ class ScenarioRun:
         self.live_sessions += 1
         host.sessions.append(session)
         self.sessions.append(session)
-
-        def begin() -> None:
-            if host.gateway_face is not None:
-                session.start()
-                return
-            if spec.consumer in scenario.fch:
-                probe_base = prefix.append(spec.videos[0], "playlist.m3u8")
-                host.probe_gateways(scenario.fch[spec.consumer], probe_base, session.start)
-            else:
-                host.attach_direct()
-                session.start()
-
-        sim.engine.schedule(spec.start_s, begin)
+        probe_name = prefix.append(spec.videos[0], "playlist.m3u8")
+        sim.engine.schedule(spec.start_s, host.attach, None, (probe_name, session.start))
 
     def resource_request(self, consumer_id: str, path: str) -> bytes:
         """Resolve one resource path through the network, outside any session.
@@ -634,9 +632,6 @@ class ScenarioRun:
         The path maps under the scenario's video prefix; the returned bytes
         are the reassembled file content.
         """
-        from ..consumer import resource_name
-        from .topology import fetch_file_via
-
         video = self.scenario.videos[0]
         base = resource_name(name_parse(video.prefix), path)
         key = self.repos[video.server].key

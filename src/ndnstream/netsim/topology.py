@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
-from ..consumer import PlayerSession
+from ..consumer import FetchEngine, FileFetch, PlayerSession
 from ..errors import AllProbesFailed, InvalidTopology
 from ..forwarding import ForwarderNode
 from ..names import Name, name_is_prefix_of
@@ -29,9 +29,10 @@ from ..packets import Data, Interest, Nack, Packet
 from ..producer import Repository
 from ..wire import encoded_size
 from .engine import EventEngine
-from .link import Dropped, Link
+from .link import Link
 
 PIT_SWEEP_INTERVAL_S = 1.0
+PROBE_TIMEOUT_S = 4.0  # a probe round ends this long after its probes leave, at the latest
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -122,29 +123,23 @@ class ConsumerHost(_FacedHost):
     sessions, plus the stand-alone fetch of ``fetch_file_via`` while it runs.
     Data and nacks go to every active fetch of their file, since sessions
     may fetch the same file at once.
+
+    ``gateways`` are its ``[fch]`` candidates, which it probes before it
+    attaches, or None: it attaches directly to the one peer of its one link.
     """
 
     def __init__(self, sim: "NetworkSim", node_id: str, rng: random.Random):
         super().__init__(sim, node_id)
+        self.engine = sim.engine
         self.rng = rng
         self.sessions: list[PlayerSession] = []
+        self.gateways: list[str] | None = None
         self.gateway_face: int | None = None
         self.probe_results: dict[str, float] = {}
         self.chosen_gateway: str | None = None
         self._probes: list[_Probe] = []
         # Callbacks of the running probe round, called once it attaches.
         self._on_attached: list[Callable[[], None]] = []
-
-    # -- transport protocol for sessions ---------------------------------
-
-    def now(self) -> float:
-        return self.sim.engine.now
-
-    def schedule(self, at: float, fn: Callable[[], None], seq: int | None = None) -> None:
-        self.sim.engine.schedule(at, fn, seq)
-
-    def ticket(self) -> int:
-        return self.sim.engine.ticket()
 
     def send_interest(self, interest: Interest) -> None:
         if self.gateway_face is None:
@@ -153,39 +148,37 @@ class ConsumerHost(_FacedHost):
 
     # -- gateway selection -------------------------------------------------
 
-    def attach_direct(self) -> None:
+    def candidate_gateways(self) -> list[str]:
+        """Its ``gateways``, or else the one peer of its one link."""
+        if self.gateways is not None:
+            return self.gateways
         if len(self.face_link) != 1:
-            raise InvalidTopology(
-                f"{self.node_id}: direct attach needs exactly one link"
-            )
-        self.gateway_face = next(iter(self.face_link))
-        self.chosen_gateway = self.face_link[self.gateway_face][1]
+            raise InvalidTopology(f"{self.node_id}: direct attach needs exactly one link")
+        return list(self.peer_face)
 
-    def probe_gateways(
-        self,
-        candidates: list[str],
-        probe_name: Name,
-        on_attached: Callable[[], None],
-        timeout_s: float = 4.0,
-    ) -> None:
-        """Send one probe per candidate, attach to the fastest responder and
-        call ``on_attached``. A call while a round runs joins that round."""
-        if self._on_attached:
-            self._on_attached.append(on_attached)
-            return
-        if not candidates:
-            raise AllProbesFailed(f"{self.node_id}: empty candidate list")
-        self._on_attached = [on_attached]
-        now = self.sim.engine.now
-        for gateway in candidates:
-            face = self.peer_face.get(gateway)
-            if face is None:
-                raise InvalidTopology(f"{self.node_id} has no link to {gateway}")
-            probe = _Probe(gateway, face, now)
-            self._probes.append(probe)
-            interest = Interest(probe_name, can_be_prefix=True, nonce=self.rng.getrandbits(32))
-            self.sim.send(self.node_id, face, interest, False)
-        self.sim.engine.schedule_in(timeout_s, self._conclude_probing)
+    def attach(self, probe_name: Name, then: Callable[[], None]) -> None:
+        """Attach to a gateway, then call ``then``: at once when already
+        attached or with no ``gateways`` to probe; else once a round of
+        probes for ``probe_name`` picks the fastest responder. A call while
+        a round runs joins that round."""
+        if self.gateway_face is not None:
+            then()
+        elif self._on_attached:
+            self._on_attached.append(then)
+        elif self.gateways is None:
+            [gateway] = self.candidate_gateways()
+            self.chosen_gateway = gateway
+            self.gateway_face = self.peer_face[gateway]
+            then()
+        else:
+            self._on_attached = [then]
+            now = self.engine.now
+            for gateway in self.gateways:
+                face = self.peer_face[gateway]
+                self._probes.append(_Probe(gateway, face, now))
+                interest = Interest(probe_name, can_be_prefix=True, nonce=self.rng.getrandbits(32))
+                self.sim.send(self.node_id, face, interest, False)
+            self.engine.schedule_in(PROBE_TIMEOUT_S, self._conclude_probing)
 
     def _conclude_probing(self) -> None:
         if self.gateway_face is not None:
@@ -214,7 +207,7 @@ class ConsumerHost(_FacedHost):
         hit = False
         for probe in self._probes:
             if probe.face == from_face and probe.rtt_ms is None:
-                probe.rtt_ms = (self.sim.engine.now - probe.sent_at) * 1000.0
+                probe.rtt_ms = (self.engine.now - probe.sent_at) * 1000.0
                 hit = True
                 break
         if hit and all(p.rtt_ms is not None for p in self._probes):
@@ -332,32 +325,26 @@ class NetworkSim:
 
     # -- validation ---------------------------------------------------------
 
-    def validate_reachability(
-        self, prefixes: list[Name], fch: dict[str, list[str]] | None = None
-    ) -> None:
+    def set_gateways(self, node_id: str, gateways: list[str]) -> None:
+        """Give a consumer its ``[fch]`` candidates: a non-empty list of
+        its linked peers."""
+        host = self.hosts.get(node_id)
+        if not isinstance(host, ConsumerHost):
+            raise InvalidTopology(f"fch entry for non-consumer {node_id!r}")
+        if not gateways:
+            raise InvalidTopology(f"fch entry for {node_id!r} lists no gateways")
+        for gateway in gateways:
+            if gateway not in host.peer_face:
+                raise InvalidTopology(f"fch: {node_id} has no link to {gateway}")
+        host.gateways = gateways
+
+    def validate_reachability(self, prefixes: list[Name]) -> None:
         """Every consumer must reach a producer serving each prefix through
-        each of its candidate gateways. Those are its ``fch`` entry, a
-        non-empty list of linked peers, if it has one; else the one peer of
-        its one link, to which it attaches directly."""
-        fch = fch or {}
-        for node_id in fch:
-            if not isinstance(self.hosts.get(node_id), ConsumerHost):
-                raise InvalidTopology(f"fch entry for non-consumer {node_id!r}")
+        each of its candidate gateways."""
         for host in self.hosts.values():
             if not isinstance(host, ConsumerHost):
                 continue
-            gateways = fch.get(host.node_id)
-            if gateways is None:
-                if len(host.face_link) != 1:
-                    raise InvalidTopology(
-                        f"{host.node_id}: direct attach needs exactly one link"
-                    )
-                gateways = list(host.peer_face)
-            elif not gateways:
-                raise InvalidTopology(f"fch entry for {host.node_id!r} lists no gateways")
-            for gateway in gateways:
-                if gateway not in host.peer_face:
-                    raise InvalidTopology(f"fch: {host.node_id} has no link to {gateway}")
+            for gateway in host.candidate_gateways():
                 for prefix in prefixes:
                     if not self._walk(gateway, prefix):
                         raise InvalidTopology(
@@ -389,7 +376,7 @@ class NetworkSim:
             packet = self.data_tap(packet, src, peer)
         engine = self.engine
         arrival = link.transmit(src, peer, encoded_size(packet), engine.now)
-        if arrival.__class__ is Dropped:
+        if arrival is None:
             return
         engine.schedule(arrival, peer_host.receive, None, (from_face, packet, from_producer))
 
@@ -432,19 +419,16 @@ def fetch_file_via(
 
     Returns (payload, chunk timings). This is the resource-request seam:
     callers address content by name and get the reassembled bytes back,
-    joined here from the chunks the fetch hands over.
+    joined here from the chunks the fetch hands over. A consumer not yet
+    attached attaches first, probing its gateways for ``base`` if it has any.
 
     The engine runs only until the fetch completes or fails: the clock
     stops at that event, and every later event (a session's, a stale
     timer's) stays queued for whoever runs the engine next.
     """
-    from ..consumer import FetchEngine, FileFetch
-
     host = sim.hosts[consumer_id]
     if not isinstance(host, ConsumerHost):
         raise InvalidTopology(f"{consumer_id} is not a consumer")
-    if host.gateway_face is None:
-        host.attach_direct()
     result: dict = {}
     fetch = FileFetch(
         host,
@@ -458,7 +442,7 @@ def fetch_file_via(
     owner = SimpleNamespace(active_fetch=fetch)
     host.sessions.append(owner)
     try:
-        fetch.start()
+        host.attach(base, fetch.start)
         while not result and sim.engine.advance():
             pass
     finally:

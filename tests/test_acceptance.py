@@ -346,9 +346,7 @@ def _build_file_chain(seed: int):
     sim.add_link("gw", "srv", propagation_ms=7, bandwidth_bps=100e6)
     sim.add_route("gw", name_parse("/bulk"), "srv")
     producer.announce(name_parse("/bulk"))
-    host = sim.hosts["c1"]
-    host.attach_direct()
-    return sim, repo, key, host
+    return sim, repo, key, sim.hosts["c1"]
 
 
 def _fetch_through(sim, host, base, key, rng):
@@ -429,8 +427,9 @@ def test_criterion_9_report_digests(staircase_run, no_cache_run, with_cache_run,
 
 def test_criterion_9_data_scenario_digests(data_scenario_runs):
     """Scenario files under tests/data hash to their pinned digests: the
-    lossy bottleneck, four consumers behind one caching gateway, and the
-    benchmark's sixteen-consumer ``fanout`` workload at seed 1."""
+    lossy bottleneck, four consumers behind one caching gateway, the
+    benchmark's sixteen-consumer ``fanout`` workload at seed 1, and two
+    ``[fch]`` consumers, one of whose sessions share a probe round."""
     pinned = json.loads((DATA / "scenario_digests.json").read_text())
     got = {
         name: hashlib.sha256(text.encode()).hexdigest()

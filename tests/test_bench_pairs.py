@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import math
+import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -139,3 +141,38 @@ def test_main_prints_the_tables_then_exits_2_when_outputs_differ(monkeypatch, ca
     else:
         assert status == 0 and "DIFFER" not in out
 
+
+
+def test_sigterm_removes_the_temporary_tree_and_restores_the_handler(monkeypatch):
+    """A SIGTERM while the base tree exists ends ``main`` with SystemExit,
+    the tree is removed and the handler from before ``main`` is back."""
+
+    class Done:
+        stdout = b""
+
+    caught = []
+
+    def before(signum, frame):
+        caught.append(signum)
+
+    trees = []
+
+    def run_bench(tree, workload, seed, seconds):
+        trees.append(tree)
+        os.kill(os.getpid(), signal.SIGTERM)
+        raise AssertionError("SIGTERM did not stop the run")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: Done())
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    previous = signal.signal(signal.SIGTERM, before)
+    try:
+        argv = "--base HEAD --workload fanout --pairs 1 --seconds 1 --seed 1".split()
+        with pytest.raises(SystemExit) as stopped:
+            bench_pairs.main(argv)
+        assert stopped.value.code == 128 + signal.SIGTERM
+        assert signal.getsignal(signal.SIGTERM) is before
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert not caught
+    assert trees and trees[0].name.startswith("bench-pairs-")
+    assert not trees[0].exists()

@@ -159,15 +159,6 @@ class Loopback:
         self.sent: list[tuple[float, Interest]] = []
         self.sends_by_name: dict[str, int] = {}
 
-    def now(self):
-        return self.engine.now
-
-    def schedule(self, at, fn, seq=None):
-        self.engine.schedule(at, fn, seq)
-
-    def ticket(self):
-        return self.engine.ticket()
-
     def send_interest(self, interest):
         self.sent.append((self.engine.now, interest))
         nth = self.sends_by_name.get(str(interest.name), 0) + 1
@@ -319,7 +310,7 @@ class PerInterestTimers(FileFetch):
     retransmits its request only if no later send has superseded it."""
 
     def _send(self, chunk):
-        now = self.transport.now()
+        now = self.events.now
         serial = self._outstanding.get(chunk, 0) + 1
         self._outstanding[chunk] = serial
         name = self.base if chunk is None else chunk_name(self.base, self.version, chunk)
@@ -331,8 +322,8 @@ class PerInterestTimers(FileFetch):
             timing.last_sent = now
             timing.retx_count += 1
         self.transport.send_interest(interest)
-        self.transport.schedule(
-            now + self.engine.rto_ms / 1000.0, lambda: self._timeout(chunk, serial)
+        self.events.schedule(
+            now + self.engine.rto_ms / 1000.0, self._timeout, None, (chunk, serial)
         )
         self.max_in_flight = max(self.max_in_flight, len(self._outstanding))
 
@@ -346,24 +337,35 @@ class PerInterestTimers(FileFetch):
         self._send(chunk)
 
 
-class TimerCountingLoopback(Loopback):
-    """Loopback that drops the sends whose overall index is in ``dropped``
-    and counts the fetch's timers still waiting to fire."""
+class TimerCountingEngine(EventEngine):
+    """Engine that counts the fetch's timers still waiting to fire: the
+    events whose action is a method of a ``FileFetch``. The loopback's
+    replies are closures and go uncounted."""
 
-    def __init__(self, repo, rtt_s, dropped):
-        super().__init__(repo, rtt_s, drop=lambda interest, nth: len(self.sent) - 1 in dropped)
+    def __init__(self):
+        super().__init__()
         self.pending_timers = 0
         self.max_pending_timers = 0
 
-    def schedule(self, at, fn, seq=None):
+    def schedule(self, at, action, seq=None, args=()):
+        if not isinstance(getattr(action, "__self__", None), FileFetch):
+            return super().schedule(at, action, seq, args)
         self.pending_timers += 1
         self.max_pending_timers = max(self.max_pending_timers, self.pending_timers)
+        return super().schedule(at, self._fire, seq, (action, args))
 
-        def fire():
-            self.pending_timers -= 1
-            fn()
+    def _fire(self, action, args):
+        self.pending_timers -= 1
+        action(*args)
 
-        self.engine.schedule(at, fire, seq)
+
+class TimerCountingLoopback(Loopback):
+    """Loopback that drops the sends whose overall index is in ``dropped``
+    and runs on a ``TimerCountingEngine``."""
+
+    def __init__(self, repo, rtt_s, dropped):
+        super().__init__(repo, rtt_s, drop=lambda interest, nth: len(self.sent) - 1 in dropped)
+        self.engine = TimerCountingEngine()
 
 
 # RTTs and RTOs with no small common multiple. Under the 100 ms RTO the
@@ -410,7 +412,7 @@ def test_one_timer_retransmits_as_per_interest_timers(
         if interest.name in last_sent:
             assert t == last_sent[interest.name] + rto_ms / 1000.0
         last_sent[interest.name] = t
-    assert net.max_pending_timers == 1
+    assert net.engine.max_pending_timers == 1
 
 
 # -- playlist parsing ----------------------------------------------------------------

@@ -12,7 +12,7 @@ from ndnstream.errors import (
 )
 from ndnstream.names import name_parse
 from ndnstream.netsim.engine import EventEngine
-from ndnstream.netsim.link import Dropped, Link
+from ndnstream.netsim.link import Link
 from ndnstream.netsim.scenario import (
     load_scenario,
     parse_scenario,
@@ -134,9 +134,9 @@ def test_directions_independent():
 
 def test_tail_drop_when_queue_full():
     link = Link("a", "b", propagation_ms=1, bandwidth_bps=8_000_000, queue_limit_bytes=1500)
-    assert not isinstance(link.transmit("a", "b", 1000, 0.0), Dropped)
-    assert not isinstance(link.transmit("a", "b", 1000, 0.0), Dropped)  # 1000 B queued
-    assert isinstance(link.transmit("a", "b", 1000, 0.0), Dropped)  # would exceed 1500
+    assert link.transmit("a", "b", 1000, 0.0) is not None
+    assert link.transmit("a", "b", 1000, 0.0) is not None  # 1000 B queued
+    assert link.transmit("a", "b", 1000, 0.0) is None  # would exceed 1500
     assert link.drop_counts()["a->b"] == 1
 
 
@@ -144,10 +144,10 @@ def test_tail_drop_counts_bytes_queued_before_throttle():
     # After a throttle to 0.8 Mbps the first packet still has 1000 B to send
     # at 8 Mbps; the backlog is the bytes committed, not time left x new rate.
     link = Link("a", "b", propagation_ms=1, bandwidth_bps=8_000_000, queue_limit_bytes=1500)
-    assert not isinstance(link.transmit("a", "b", 1000, 0.0), Dropped)
+    assert link.transmit("a", "b", 1000, 0.0) is not None
     link.set_bandwidth("a", "b", 800_000)
-    assert not isinstance(link.transmit("a", "b", 1000, 0.0), Dropped)  # 1000 B queued
-    assert isinstance(link.transmit("a", "b", 1000, 0.0), Dropped)  # 2000 B queued
+    assert link.transmit("a", "b", 1000, 0.0) is not None  # 1000 B queued
+    assert link.transmit("a", "b", 1000, 0.0) is None  # 2000 B queued
     assert link.drop_counts()["a->b"] == 1
 
 
@@ -341,7 +341,7 @@ def test_fch_gateway_that_is_not_a_node_rejected(key):
     sim, repo = make_chain_sim(key)
     sim.hosts["srv"].announce(name_parse("/p"))
     with pytest.raises(InvalidTopology, match="ghost"):
-        sim.validate_reachability([name_parse("/p")], {"c1": ["ghost"]})
+        sim.set_gateways("c1", ["ghost"])
 
 
 def test_second_link_between_one_pair_rejected():
@@ -525,16 +525,20 @@ def test_scenario_jitter_toggle():
         parse_scenario(MINIMAL + "\n[metrics]\njitter wild\n")
 
 
-def test_all_probes_failed(key):
+def test_all_probes_failed(key, monkeypatch):
     from ndnstream.errors import AllProbesFailed
     from ndnstream.names import name_parse as np
+    from ndnstream.netsim import topology
 
+    monkeypatch.setattr(topology, "PROBE_TIMEOUT_S", 0.5)
     sim, repo = make_chain_sim(key)
     host = sim.hosts["c1"]
+    host.gateways = ["gw"]
     # probe a name nobody serves: the producer nacks, probes never complete
-    host.probe_gateways(["gw"], np("/void/probe"), lambda: None, timeout_s=0.5)
+    host.attach(np("/void/probe"), lambda: None)
     with pytest.raises(AllProbesFailed):
         sim.engine.run()
+    assert sim.engine.now == 0.5
 
 
 def test_scenario_resource_request():
@@ -543,6 +547,17 @@ def test_scenario_resource_request():
     run = ScenarioRun(parse_scenario(MINIMAL))
     payload = run.resource_request("c1", "foo/playlist.m3u8")
     assert payload.decode().startswith("#EXTM3U")
+
+
+def test_resource_request_probes_the_gateways_of_an_fch_consumer():
+    # Before any run, an [fch] consumer is not attached: the request
+    # probes its hubs first and fetches through the fastest one.
+    from ndnstream.experiments import extra_scenario
+
+    run = ScenarioRun(extra_scenario("fch-probing"))
+    payload = run.resource_request("c1", "foo/playlist.m3u8")
+    assert payload.startswith(b"#EXTM3U")
+    assert run.sim.hosts["c1"].chosen_gateway == "hubB"
 
 
 def test_throttle_timestamps_must_increase():

@@ -6,10 +6,11 @@ Run it from anywhere inside the repository:
     python3 tools/bench_pairs.py --base HEAD~1 --workload staircase,prefetch,fanout --pairs 8 --seconds 40 --seed 1
 
 The base revision's files are extracted with ``git archive`` into a
-temporary directory, removed on exit. Each pair runs ``python3 bench/run.py
---workload W --seed K --seconds S --trace 0`` once in each tree for every
-listed workload W, one after the other; the side that goes first alternates
-from pair to pair, so a drift in machine speed falls on both sides alike.
+temporary directory, removed on exit, also when SIGTERM stops the script.
+Each pair runs ``python3 bench/run.py --workload W --seed K --seconds S
+--trace 0`` once in each tree for every listed workload W, one after the
+other; the side that goes first alternates from pair to pair, so a drift in
+machine speed falls on both sides alike.
 
 The script stops with a non-zero exit at the first run that fails, prints
 ``"correct": false`` or counts a failed operation. Otherwise it prints one
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -142,6 +144,10 @@ def format_report(runs: dict[str, dict[str, list[tuple[dict, dict]]]], metrics: 
     return "\n\n".join(blocks)
 
 
+def _exit_on_sigterm(signum, _frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -159,13 +165,15 @@ def main(argv: list[str] | None = None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     runs = {workload: {"base": [], "change": []} for workload in workloads}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        tree = Path(tmp)
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", args.base], check=True, capture_output=True
-        ).stdout
-        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
-        try:
+    # SIGTERM unwinds as SystemExit, so the temporary tree is removed.
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+            tree = Path(tmp)
+            archive = subprocess.run(
+                ["git", "-C", str(ROOT), "archive", args.base], check=True, capture_output=True
+            ).stdout
+            subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
             for i in range(args.pairs):
                 sides = [("base", tree), ("change", ROOT)]
                 for workload in workloads:
@@ -173,9 +181,11 @@ def main(argv: list[str] | None = None) -> int:
                         result = run_bench(path, workload, args.seed, args.seconds)
                         runs[workload][side].append(result)
                 print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-        except BenchFailure as exc:
-            print(f"bench_pairs: {exc}", file=sys.stderr)
-            return 1
+    except BenchFailure as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(f"seed {args.seed}, {args.pairs} pairs at --seconds {args.seconds:g}, base {args.base}")
     print(format_report(runs, metrics))
     return 0 if all(same_outputs(sides) for sides in runs.values()) else 2

@@ -17,7 +17,7 @@ from .consumer import (
     SessionConfig,
 )
 from .errors import NdnStreamError
-from .forwarding import ContentStore, FibEntry, ForwarderNode, PitEntry
+from .forwarding import ContentStore, ForwarderNode, PitEntry
 from .metrics import (
     CdfSeries,
     MetricsReport,
@@ -54,7 +54,6 @@ __all__ = [
     "Data",
     "EventEngine",
     "FetchEngine",
-    "FibEntry",
     "FileFetch",
     "ForwarderNode",
     "Interest",

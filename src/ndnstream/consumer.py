@@ -46,6 +46,8 @@ class FetchEngine:
             raise ValueError("window must be at least 1")
         if self.rto_ms <= 0:
             raise ValueError("rto_ms must be positive")
+        if self.max_retx < 0:
+            raise ValueError("max_retx must not be negative")
 
 
 @dataclass(slots=True)

@@ -22,6 +22,10 @@ count holds and the base's cached chunks are all fresh (or none is
 cached), a plan whose window starts in ``lo..hi + 1`` tests only the
 slots past ``hi``.
 
+The FIB maps a prefix to its next hops, (face, cost) pairs in ascending
+cost, one per cost. An interest goes to the cheapest next hop of its
+longest matching prefix other than the face it came in on (``next_hop``).
+
 A retransmission (a fresh nonce from a face already downstream of the PIT
 entry) is forwarded upstream and extends the entry's expiry, as in NFD; an
 interest from a new face is aggregated.
@@ -47,12 +51,6 @@ from .wire import encoded_size
 INTERNAL_FACE = 0
 
 Action = tuple[int, Packet]  # (face, packet to send on it)
-
-
-@dataclass
-class FibEntry:
-    prefix: Name
-    next_hops: list[tuple[int, int]]  # (face, cost), costs strictly ascending
 
 
 @dataclass(slots=True)
@@ -232,7 +230,8 @@ class ForwarderNode:
         self._pit_losses = 0  # PIT removals whose chunk the CS did not keep
         # base -> (version, lo, hi, losses), written by prefetch_plan
         self._frontier: dict[Name, tuple[int, int, int, int]] = {}
-        self.fib: dict[Name, FibEntry] = {}
+        # prefix -> its next hops as (face, cost), costs strictly ascending
+        self.fib: dict[Name, list[tuple[int, int]]] = {}
         self.cs = ContentStore(cs_capacity_bytes)
         self.prefetch_depth = prefetch_depth
         self.stats = NodeStats()
@@ -246,31 +245,28 @@ class ForwarderNode:
 
     def add_route(self, prefix: Name, face: int, cost: int = 1) -> None:
         """Add a next hop; a prefix has at most one hop per cost."""
-        entry = self.fib.get(prefix)
-        if entry is None:
-            self.fib[prefix] = FibEntry(prefix, [(face, cost)])
-            return
-        if any(c == cost for _, c in entry.next_hops):
+        hops = self.fib.setdefault(prefix, [])
+        if any(c == cost for _, c in hops):
             raise InvalidTopology(f"{self.node_id} has two routes for {prefix} at cost {cost}")
-        entry.next_hops = sorted(entry.next_hops + [(face, cost)], key=lambda fc: fc[1])
+        hops.append((face, cost))
+        hops.sort(key=lambda fc: fc[1])
 
-    def fib_longest_prefix_match(self, name: Name) -> FibEntry | None:
-        best: FibEntry | None = None
-        for prefix, entry in self.fib.items():
-            if name_is_prefix_of(prefix, name):
-                if best is None or len(prefix) > len(best.prefix):
-                    best = entry
-        return best
+    def fib_longest_prefix_match(self, name: Name) -> list[tuple[int, int]] | None:
+        """The next hops of the longest FIB prefix of ``name``, or None."""
+        best: Name | None = None
+        for prefix in self.fib:
+            if name_is_prefix_of(prefix, name) and (best is None or len(prefix) > len(best)):
+                best = prefix
+        return None if best is None else self.fib[best]
 
     def _check_face(self, face: int) -> None:
         if face not in self.faces:
             raise UnknownFace(f"{self.node_id}: no face {face}")
 
-    def _next_hop(self, name: Name, exclude: int) -> int | None:
-        entry = self.fib_longest_prefix_match(name)
-        if entry is None:
-            return None
-        for face, _cost in entry.next_hops:
+    def next_hop(self, name: Name, exclude: int) -> int | None:
+        """The cheapest next hop for ``name`` other than ``exclude``, the face
+        it arrived on, or None; ``NetworkSim``'s reachability check uses it too."""
+        for face, _cost in self.fib_longest_prefix_match(name) or ():
             if face != exclude:
                 return face
         return None
@@ -301,13 +297,13 @@ class ForwarderNode:
                     return []
                 expiry = now + interest.lifetime_ms / 1000.0
                 existing.expiry = max(existing.expiry, expiry)
-            upstream = self._next_hop(interest.name, exclude=from_face)
+            upstream = self.next_hop(interest.name, exclude=from_face)
             if upstream is None:
                 return []
             self.stats.interests_out += 1
             return [(upstream, interest)]
 
-        upstream = self._next_hop(interest.name, exclude=from_face)
+        upstream = self.next_hop(interest.name, exclude=from_face)
         if upstream is None:
             self.stats.nacks_out += 1
             return [(from_face, Nack(interest.name, NackReason.NO_ROUTE))]
@@ -400,7 +396,7 @@ class ForwarderNode:
     def _prefetch(self, trigger: Data, now: float) -> list[Action]:
         actions: list[Action] = []
         for interest in self.prefetch_plan(trigger, now):
-            upstream = self._next_hop(interest.name, exclude=INTERNAL_FACE)
+            upstream = self.next_hop(interest.name, exclude=INTERNAL_FACE)
             if upstream is None:
                 continue
             self.pit[interest.name] = PitEntry(

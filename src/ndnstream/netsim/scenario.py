@@ -61,6 +61,7 @@ from ..producer import (
     representation_files,
 )
 from .topology import (
+    PIT_SWEEP_INTERVAL_S,
     ConsumerHost,
     ForwarderHost,
     NetworkSim,
@@ -420,7 +421,9 @@ def _parse_entry(
         if "at-s" not in kv or "bw" not in kv:
             raise InvalidConfig(f"{where}: throttle needs at-s and bw")
         scenario.throttles.append(
-            ThrottleSpec(tokens[0], tokens[1], float(kv["at-s"]), parse_bandwidth(kv["bw"]))
+            ThrottleSpec(
+                tokens[0], tokens[1], _non_negative(kv["at-s"]), parse_bandwidth(kv["bw"])
+            )
         )
     elif section == "metrics":
         if tokens[0] == "jitter" and len(tokens) == 2 and tokens[1] in ("mad", "var"):
@@ -642,14 +645,12 @@ class ScenarioRun:
         self.live_sessions -= 1
 
     def run(self) -> MetricsReport:
-        """Run until every session has ended, the events run out or the
-        clock passes the horizon."""
-        sim = self.sim
-        engine = sim.engine
+        """Run until every session has ended or the events run out, sweeping
+        the PITs meanwhile; stop before the first event past the horizon."""
+        engine, horizon = self.sim.engine, self.scenario.horizon_s
         heap = engine._heap
-        horizon = self.scenario.horizon_s
-        sim.start_pit_sweeper(lambda: self.live_sessions > 0)
-        while heap and self.live_sessions and engine.now <= horizon:
+        engine.schedule_in(PIT_SWEEP_INTERVAL_S, self.sim.sweep_pits)
+        while heap and self.live_sessions and heap[0][0] <= horizon:
             engine.advance()
         return self.report()
 

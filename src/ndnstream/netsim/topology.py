@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
@@ -38,14 +37,6 @@ PROBE_TIMEOUT_S = 4.0  # a probe round ends this long after its probes leave, at
 def derive_seed(seed: int, tag: str) -> int:
     digest = hashlib.blake2b(f"{seed}|{tag}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-@dataclass
-class _Probe:
-    gateway: str
-    face: int
-    sent_at: float
-    rtt_ms: float | None = None
 
 
 class _FacedHost:
@@ -137,7 +128,7 @@ class ConsumerHost(_FacedHost):
         self.gateway_face: int | None = None
         self.probe_results: dict[str, float] = {}
         self.chosen_gateway: str | None = None
-        self._probes: list[_Probe] = []
+        self._probe_sent: dict[int, float] = {}  # face -> when its unanswered probe left
         # Callbacks of the running probe round, called once it attaches.
         self._on_attached: list[Callable[[], None]] = []
 
@@ -175,51 +166,36 @@ class ConsumerHost(_FacedHost):
             now = self.engine.now
             for gateway in self.gateways:
                 face = self.peer_face[gateway]
-                self._probes.append(_Probe(gateway, face, now))
+                self._probe_sent[face] = now
                 interest = Interest(probe_name, can_be_prefix=True, nonce=self.rng.getrandbits(32))
                 self.sim.send(self.node_id, face, interest, False)
-            self.engine.schedule_in(PROBE_TIMEOUT_S, self._conclude_probing)
-
-    def _conclude_probing(self) -> None:
-        if self.gateway_face is not None:
-            return
-        answered = [p for p in self._probes if p.rtt_ms is not None]
-        if not answered:
-            raise AllProbesFailed(f"{self.node_id}: all gateway probes timed out")
-        self._finish_probing()
+            self.engine.schedule_in(PROBE_TIMEOUT_S, self._finish_probing)
 
     def _finish_probing(self) -> None:
-        best = min(
-            (p for p in self._probes if p.rtt_ms is not None),
-            key=lambda p: p.rtt_ms,
-        )
-        self.chosen_gateway = best.gateway
-        self.gateway_face = best.face
-        self.probe_results = {
-            p.gateway: p.rtt_ms for p in self._probes if p.rtt_ms is not None
-        }
+        """End the probe round at its last answer or its timeout, whichever is
+        first: attach to the fastest responder, ties going to the first listed."""
+        if self.gateway_face is not None:
+            return  # the round already ended at its last answer
+        rtts = self.probe_results
+        if not rtts:
+            raise AllProbesFailed(f"{self.node_id}: all gateway probes timed out")
+        best = min((g for g in self.gateways if g in rtts), key=rtts.__getitem__)
+        self.chosen_gateway = best
+        self.gateway_face = self.peer_face[best]
         waiting, self._on_attached = self._on_attached, []
         for on_attached in waiting:
             on_attached()
-
-    def _handle_probe_data(self, from_face: int, data: Data) -> bool:
-        """Record a probe's answer; called only while no gateway is chosen."""
-        hit = False
-        for probe in self._probes:
-            if probe.face == from_face and probe.rtt_ms is None:
-                probe.rtt_ms = (self.engine.now - probe.sent_at) * 1000.0
-                hit = True
-                break
-        if hit and all(p.rtt_ms is not None for p in self._probes):
-            self._finish_probing()
-        return hit
 
     # -- incoming ----------------------------------------------------------
 
     def receive(self, from_face: int, packet: Packet, from_producer: bool) -> None:
         if packet.__class__ is Data:
             # Only a host not yet attached can be probing its gateways.
-            if self.gateway_face is None and self._handle_probe_data(from_face, packet):
+            if self.gateway_face is None and from_face in self._probe_sent:
+                rtt_ms = (self.engine.now - self._probe_sent.pop(from_face)) * 1000.0
+                self.probe_results[self.face_link[from_face][1]] = rtt_ms
+                if not self._probe_sent:
+                    self._finish_probing()
                 return
             # A fetch past discovery holds the producer's base object itself.
             base = packet.name.base
@@ -246,7 +222,6 @@ class NetworkSim:
         self.hosts: dict[str, Host] = {}
         self.links: list[Link] = []
         self.data_tap: Callable[[Data, str, str], Data] | None = None
-        self._sweeping = False
 
     # -- construction ------------------------------------------------------
 
@@ -309,10 +284,11 @@ class NetworkSim:
         return link
 
     def link_between(self, a: str, b: str) -> Link:
-        for link in self.links:
-            if {link.a, link.b} == {a, b}:
-                return link
-        raise InvalidTopology(f"no link between {a} and {b}")
+        host = self.hosts.get(a)
+        face = None if host is None else host.peer_face.get(b)
+        if face is None:
+            raise InvalidTopology(f"no link between {a} and {b}")
+        return host.face_link[face][0]
 
     def add_route(self, node_id: str, prefix: Name, via: str, cost: int = 1) -> None:
         host = self.hosts.get(node_id)
@@ -327,15 +303,17 @@ class NetworkSim:
 
     def set_gateways(self, node_id: str, gateways: list[str]) -> None:
         """Give a consumer its ``[fch]`` candidates: a non-empty list of
-        its linked peers."""
+        distinct linked peers, so each probe has a face of its own."""
         host = self.hosts.get(node_id)
         if not isinstance(host, ConsumerHost):
             raise InvalidTopology(f"fch entry for non-consumer {node_id!r}")
         if not gateways:
             raise InvalidTopology(f"fch entry for {node_id!r} lists no gateways")
-        for gateway in gateways:
+        for k, gateway in enumerate(gateways):
             if gateway not in host.peer_face:
                 raise InvalidTopology(f"fch: {node_id} has no link to {gateway}")
+            if gateway in gateways[:k]:
+                raise InvalidTopology(f"fch: {node_id} lists {gateway} twice")
         host.gateways = gateways
 
     def validate_reachability(self, prefixes: list[Name]) -> None:
@@ -346,27 +324,25 @@ class NetworkSim:
                 continue
             for gateway in host.candidate_gateways():
                 for prefix in prefixes:
-                    if not self._walk(gateway, prefix):
+                    if not self._walk(host.node_id, gateway, prefix):
                         raise InvalidTopology(
                             f"{host.node_id} cannot reach {prefix} via {gateway}"
                         )
 
-    def _walk(self, start: str, prefix: Name) -> bool:
-        current = start
+    def _walk(self, consumer: str, gateway: str, prefix: Name) -> bool:
+        """Whether an interest for ``prefix`` sent by ``consumer`` to ``gateway``
+        reaches a producer serving it, each forwarder taking its own ``next_hop``
+        from the arrival face. A forwarder met twice is a loop."""
+        host = self.hosts[gateway]
+        face = host.peer_face[consumer]
         visited = set()
-        while current not in visited:
-            visited.add(current)
-            host = self.hosts[current]
-            if isinstance(host, ProducerHost):
-                return host.serves(prefix)
-            if isinstance(host, ConsumerHost):
+        while isinstance(host, ForwarderHost) and host.node_id not in visited:
+            visited.add(host.node_id)
+            out = host.node.next_hop(prefix, exclude=face)
+            if out is None:
                 return False
-            entry = host.node.fib_longest_prefix_match(prefix)
-            if entry is None:
-                return False
-            face = entry.next_hops[0][0]
-            current = host.face_link[face][1]
-        return False
+            _link, _peer, host, face = host.face_link[out]
+        return isinstance(host, ProducerHost) and host.serves(prefix)
 
     # -- traffic -------------------------------------------------------------
 
@@ -382,21 +358,14 @@ class NetworkSim:
 
     # -- housekeeping ----------------------------------------------------------
 
-    def start_pit_sweeper(self, active: Callable[[], bool]) -> None:
-        if self._sweeping:
-            return
-        self._sweeping = True
-
-        def sweep() -> None:
-            for host in self.hosts.values():
-                if isinstance(host, ForwarderHost):
-                    host.node.pit_expire(self.engine.now)
-            if active():
-                self.engine.schedule_in(PIT_SWEEP_INTERVAL_S, sweep)
-            else:
-                self._sweeping = False
-
-        self.engine.schedule_in(PIT_SWEEP_INTERVAL_S, sweep)
+    def sweep_pits(self) -> None:
+        """Expire every forwarder's due PIT entries, and sweep again
+        ``PIT_SWEEP_INTERVAL_S`` later."""
+        now = self.engine.now
+        for host in self.hosts.values():
+            if isinstance(host, ForwarderHost):
+                host.node.pit_expire(now)
+        self.engine.schedule_in(PIT_SWEEP_INTERVAL_S, self.sweep_pits)
 
     def drop_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -428,8 +428,9 @@ def test_criterion_9_report_digests(staircase_run, no_cache_run, with_cache_run,
 def test_criterion_9_data_scenario_digests(data_scenario_runs):
     """Scenario files under tests/data hash to their pinned digests: the
     lossy bottleneck, four consumers behind one caching gateway, the
-    benchmark's sixteen-consumer ``fanout`` workload at seed 1, and two
-    ``[fch]`` consumers, one of whose sessions share a probe round."""
+    benchmark's sixteen-consumer ``fanout`` workload at seed 1, two
+    ``[fch]`` consumers, one of whose sessions share a probe round, and
+    hub-to-hub forwarding over a second, cost-2 next hop."""
     pinned = json.loads((DATA / "scenario_digests.json").read_text())
     got = {
         name: hashlib.sha256(text.encode()).hexdigest()

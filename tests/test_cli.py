@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +70,7 @@ BAD_VALUES = [
     pytest.param(SESSION, SESSION + " window=0", id="window-zero"),
     pytest.param(SESSION, SESSION + " safety=1.5", id="safety-above-one"),
     pytest.param(SESSION, SESSION + " startup-s=40", id="startup-above-capacity"),
+    pytest.param(SESSION, SESSION + " max-retx=-1", id="max-retx-negative"),
     pytest.param("cs=8MB", "cs=8MB strategy=prefetchfoo", id="strategy-misspelt"),
     pytest.param("cs=8MB", "cs=8MB strategy=prefetch:0", id="prefetch-depth-zero"),
     pytest.param("cs=8MB", "cs=8MB strategy=prefetch:-2", id="prefetch-depth-negative"),
@@ -90,6 +92,7 @@ BAD_VALUES = [
         "gw /p srv", "gw /p srv\ngw /r p2\n[nodes]\nproducer p2", id="route-via-not-linked"
     ),
     pytest.param(SESSION, SESSION + "\n[fch]\nc1 srv", id="fch-gateway-not-linked"),
+    pytest.param(SESSION, SESSION + "\n[fch]\nc1 gw gw", id="fch-gateway-twice"),
     pytest.param("gw /p srv", "gw /other srv", id="prefix-unreachable"),
     pytest.param(
         "gw srv prop-ms=15 bw=20Mbps",
@@ -103,6 +106,15 @@ BAD_VALUES = [
     # Values a run would crash on mid-run if parsing let them through.
     pytest.param("bw=20Mbps", "bw=0Mbps", id="link-bw-zero"),
     pytest.param(SESSION, SESSION + "\n[throttles]\ngw srv at-s=1 bw=0", id="throttle-bw-zero"),
+    pytest.param(
+        SESSION, SESSION + "\n[throttles]\ngw srv at-s=nan bw=1Mbps", id="throttle-at-nan"
+    ),
+    pytest.param(
+        SESSION, SESSION + "\n[throttles]\ngw srv at-s=-1 bw=1Mbps", id="throttle-at-negative"
+    ),
+    pytest.param(
+        SESSION, SESSION + "\n[throttles]\ngw srv at-s=inf bw=1Mbps", id="throttle-at-inf"
+    ),
     pytest.param("prop-ms=15", "prop-ms=-15", id="prop-ms-negative"),
     pytest.param("producer srv", "producer srv delay-ms=-1", id="delay-ms-negative"),
     pytest.param(SESSION, SESSION + " start-s=-1", id="start-s-negative"),
@@ -162,6 +174,15 @@ def test_validate_prewarm_capacity_boundary_agrees_with_run(tmp_path, capsys):
         else:
             with pytest.raises(CapacityExceeded, match="gw"):
                 ScenarioRun(scenario)
+
+
+def test_validate_accepts_hub_to_hub_forwarding_over_a_backup_route(capsys):
+    # Each hub routes the prefix to the other at cost 1 and to srv at cost
+    # 2: forwarding reaches srv through hub2's backup route, and so does
+    # the reachability check.
+    scn = Path(__file__).parent / "data" / "hub_backup.scn"
+    assert main(["validate", str(scn)]) == 0
+    assert "ok" in capsys.readouterr().out
 
 
 def test_run_missing_file_is_config_error(tmp_path, capsys):

@@ -275,6 +275,13 @@ def test_run_waits_for_sessions_that_end_out_of_order():
     assert all(s.aborted is None for s in report.sessions)
 
 
+def test_no_event_runs_past_the_horizon():
+    run = ScenarioRun(parse_scenario(MINIMAL.replace("seed 3", "seed 3\nhorizon 0.05")))
+    run.run()
+    assert run.sim.engine.now <= 0.05
+    assert run.sim.engine._heap[0][0] > 0.05  # the run stopped, not ran dry
+
+
 # -- topology --------------------------------------------------------------------
 
 
@@ -329,6 +336,34 @@ def test_every_face_resolves_back_to_its_sender(scn):
             ends.append(link)
     # Every link has exactly its two ends.
     assert sorted(map(id, ends)) == sorted(map(id, run.sim.links * 2))
+
+
+def test_reachability_follows_each_forwarders_next_hop():
+    # Each hub routes the prefix to the other at cost 1 and to srv at cost
+    # 2. hub2 never sends an interest back out of the face it came in on,
+    # so c1's interests go hub1 -> hub2 -> srv, as forwarding sends them.
+    run = ScenarioRun(load_scenario(Path(__file__).parent / "data" / "hub_backup.scn"))
+    hub1, hub2 = (run.sim.hosts[h].node for h in ("hub1", "hub2"))
+    report = run.run()
+    assert report.sessions[0].aborted is None
+    assert hub1.stats.interests_out == hub2.stats.interests_out > 0
+    assert run.repos["srv"].interests == hub2.stats.interests_out
+
+
+def test_walk_treats_a_forwarding_loop_as_unreachable(key):
+    sim = NetworkSim()
+    sim.add_consumer("c1")
+    for node_id in ("hub1", "hub2", "hub3"):
+        sim.add_forwarder(node_id)
+    sim.add_producer("srv", Repository(key))
+    for a, b in (("c1", "hub1"), ("hub1", "hub2"), ("hub2", "hub3"), ("hub3", "hub1")):
+        sim.add_link(a, b)
+    sim.hosts["srv"].announce(name_parse("/p"))
+    sim.add_route("hub1", name_parse("/p"), "hub2")
+    sim.add_route("hub2", name_parse("/p"), "hub3")
+    sim.add_route("hub3", name_parse("/p"), "hub1")
+    with pytest.raises(InvalidTopology, match="c1 cannot reach /p via hub1"):
+        sim.validate_reachability([name_parse("/p")])
 
 
 def test_route_on_unknown_node_rejected(key):

@@ -19,6 +19,7 @@ from .errors import (
     IntegrityFailure,
     InvalidRequest,
 )
+from .metrics import FileRecord
 from .names import Name, chunk_name, name_parse
 from .packets import Data, Interest, KeyMaterial, Nack, NackReason, verify_data
 from .producer import Representation
@@ -321,21 +322,6 @@ class FileFetch:
 
 
 @dataclass
-class FileRecord:
-    """One completed (or aborted) file retrieval with its chunk timings."""
-
-    name: str
-    role: str  # master-playlist | media-playlist | segment
-    video_id: str
-    tier: str | None
-    segment_index: int | None
-    started: float
-    finished: float
-    content_bytes: int
-    timings: list[ChunkTiming]
-
-
-@dataclass
 class SessionConfig:
     engine: FetchEngine = field(default_factory=FetchEngine)
     safety_factor: float = 0.95
@@ -550,8 +536,8 @@ class PlayerSession:
             Representation(label, height or 1, bandwidth, bandwidth)
             for label, bandwidth, height, _uri in entries
         ]
-        if self.abr is None:
-            self.abr = AbrController(tiers, self.config.safety_factor)
+        # Each video has its own tiers; the estimator carries over.
+        self.abr = AbrController(tiers, self.config.safety_factor)
         lowest = self.abr.tiers[0].label
         self._tier_label = lowest
         self._fetch_media_playlist(lowest, self._start_segments)

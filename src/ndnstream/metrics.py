@@ -2,11 +2,10 @@
 
 Per-chunk RTT is the time from the latest transmitted interest to the
 earliest received data. A file's RTT is the mean over its completed
-chunks; jitter is, by default, the mean absolute difference of successive
-chunk RTTs (a variance-style alternative is available as a toggle).
-Reports serialize from their record fields, with stable key order and
-floats rounded to six significant digits, so equal runs produce identical
-bytes.
+chunks; its jitter is the mean absolute difference of successive chunk
+RTTs. Reports serialize from their record fields, with stable key order
+and floats rounded to six significant digits, so equal runs produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -14,9 +13,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
+from typing import TYPE_CHECKING
 
-from .consumer import ChunkTiming, FileRecord, PlayerSession
 from .errors import EmptyInput, IoFailure, NoCompletedChunks, NoLookups
+
+if TYPE_CHECKING:
+    from .consumer import ChunkTiming, PlayerSession
 
 
 def _completed_rtts_ms(timings: list[ChunkTiming]) -> list[float]:
@@ -31,24 +33,16 @@ def compute_file_rtt(timings: list[ChunkTiming]) -> float:
     return sum(rtts) / len(rtts)
 
 
-def compute_jitter(timings: list[ChunkTiming], mode: str = "mad") -> float:
-    """Successive-delay variability in milliseconds; zero for single chunks.
-
-    mode "mad": mean absolute difference of consecutive RTTs (default).
-    mode "var": population variance of the RTT sequence.
-    """
+def compute_jitter(timings: list[ChunkTiming]) -> float:
+    """Mean absolute difference of consecutive RTTs in milliseconds; zero
+    for a single chunk."""
     rtts = _completed_rtts_ms(timings)
     if not rtts:
         raise NoCompletedChunks("no completed chunks")
     if len(rtts) == 1:
         return 0.0
-    if mode == "mad":
-        diffs = [abs(b - a) for a, b in zip(rtts, rtts[1:])]
-        return sum(diffs) / len(diffs)
-    if mode == "var":
-        mean = sum(rtts) / len(rtts)
-        return sum((r - mean) ** 2 for r in rtts) / len(rtts)
-    raise ValueError(f"unknown jitter mode {mode!r}")
+    diffs = [abs(b - a) for a, b in zip(rtts, rtts[1:])]
+    return sum(diffs) / len(diffs)
 
 
 @dataclass
@@ -80,44 +74,32 @@ def cache_hit_ratio(hits: int, misses: int) -> float:
 
 
 @dataclass
-class FileRetrievalRecord:
+class FileRecord:
+    """One completed file retrieval: what the player fetched, when, and the
+    summary of its chunk timings, which the report carries in their place."""
+
     name: str
-    role: str
+    role: str  # master-playlist | media-playlist | segment
     video_id: str
     tier: str | None
     segment_index: int | None
     started: float
     finished: float
     content_bytes: int
-    chunk_count: int
-    retx_total: int
-    avg_rtt_ms: float
-    jitter_ms: float
-    cache_fraction: float
-    timings: list[ChunkTiming] = field(
-        default_factory=list, repr=False, metadata={"report": False}
-    )
+    timings: list[ChunkTiming] = field(repr=False, metadata={"report": False})
+    chunk_count: int = field(init=False)
+    retx_total: int = field(init=False)
+    avg_rtt_ms: float = field(init=False)
+    jitter_ms: float = field(init=False)
+    cache_fraction: float = field(init=False)
 
-    @classmethod
-    def from_file(cls, record: FileRecord, jitter_mode: str) -> "FileRetrievalRecord":
-        completed = [t for t in record.timings if t.received is not None]
-        cached = sum(1 for t in completed if t.from_cache_hint)
-        return cls(
-            name=record.name,
-            role=record.role,
-            video_id=record.video_id,
-            tier=record.tier,
-            segment_index=record.segment_index,
-            started=record.started,
-            finished=record.finished,
-            content_bytes=record.content_bytes,
-            chunk_count=len(completed),
-            retx_total=sum(t.retx_count for t in completed),
-            avg_rtt_ms=compute_file_rtt(record.timings),
-            jitter_ms=compute_jitter(record.timings, jitter_mode),
-            cache_fraction=cached / len(completed) if completed else 0.0,
-            timings=record.timings,
-        )
+    def __post_init__(self) -> None:
+        completed = [t for t in self.timings if t.received is not None]
+        self.chunk_count = len(completed)
+        self.retx_total = sum(t.retx_count for t in completed)
+        self.avg_rtt_ms = compute_file_rtt(self.timings)
+        self.jitter_ms = compute_jitter(self.timings)
+        self.cache_fraction = sum(t.from_cache_hint for t in completed) / len(completed)
 
 
 @dataclass
@@ -132,7 +114,7 @@ class SessionMetrics:
     rebuffer_events: list[tuple[float, float]]
     quality_timeline: list[tuple[float, str]]
     estimator_trace: list[tuple[float, float]]
-    files: list[FileRetrievalRecord]
+    files: list[FileRecord]
     media_downloaded_s: float
     media_played_s: float
     final_buffer_s: float
@@ -145,7 +127,6 @@ class SessionMetrics:
         consumer_id: str,
         chosen_gateway: str | None,
         probe_rtts_ms: dict[str, float],
-        jitter_mode: str = "mad",
     ) -> "SessionMetrics":
         rebuffers = session.rebuffer_events
         return cls(
@@ -159,18 +140,14 @@ class SessionMetrics:
             rebuffer_events=list(rebuffers),
             quality_timeline=list(session.quality_timeline),
             estimator_trace=list(session.estimator_trace),
-            files=[
-                FileRetrievalRecord.from_file(f, jitter_mode)
-                for f in session.files
-                if any(t.received is not None for t in f.timings)
-            ],
+            files=list(session.files),
             media_downloaded_s=session.media_downloaded_s,
             media_played_s=session.media_played_s,
             final_buffer_s=session.buffer.level_s,
             aborted=session.aborted,
         )
 
-    def segment_files(self) -> list[FileRetrievalRecord]:
+    def segment_files(self) -> list[FileRecord]:
         return [f for f in self.files if f.role == "segment"]
 
 
@@ -203,8 +180,8 @@ class MetricsReport:
     server: dict[str, ServerSummary]
     link_drops: dict[str, int]
 
-    def all_files(self) -> list[FileRetrievalRecord]:
-        out: list[FileRetrievalRecord] = []
+    def all_files(self) -> list[FileRecord]:
+        out: list[FileRecord] = []
         for session in self.sessions:
             out.extend(session.files)
         return out

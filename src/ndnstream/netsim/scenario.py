@@ -26,14 +26,13 @@ sections or keys are configuration errors, not warnings. Example::
     [sessions]
     session s1 consumer=c1 videos=foo start-s=0 window=8
 
-Optional sections: [fch], [prewarm], [throttles], [metrics].
+Optional sections: [fch], [prewarm], [throttles].
 
 Parsing checks what the text alone shows. A run is built in two phases:
-``build_network`` adds the nodes, links and routes, announces each video
-prefix at its server, checks that every consumer reaches every prefix
-through each of its gateways, and applies the throttles; ``ScenarioRun``
-then packages and publishes the videos, prewarms the caches and sets up
-the sessions. The CLI's ``validate`` builds a ``ScenarioRun`` and runs no
+``build_network`` adds the nodes, links and routes, checks that every
+consumer reaches each video's own server through each of its gateways,
+and applies the throttles; ``ScenarioRun`` then packages and publishes
+the videos, prewarms the caches and sets up the sessions. The CLI's ``validate`` builds a ``ScenarioRun`` and runs no
 event, so it rejects exactly what a run rejects while building.
 """
 
@@ -151,7 +150,6 @@ class Scenario:
     fch: dict[str, list[str]] = field(default_factory=dict)
     prewarm: list[PrewarmSpec] = field(default_factory=list)
     throttles: list[ThrottleSpec] = field(default_factory=list)
-    jitter_mode: str = "mad"
 
 
 _BW_RE = re.compile(r"^(\d+(?:\.\d+)?)([kKmMgG]?)(?:bps)?$")
@@ -283,7 +281,6 @@ def parse_scenario(text: str) -> Scenario:
         "fch",
         "prewarm",
         "throttles",
-        "metrics",
     }
     videos: dict[str, VideoSpec] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -425,11 +422,6 @@ def _parse_entry(
                 tokens[0], tokens[1], _non_negative(kv["at-s"]), parse_bandwidth(kv["bw"])
             )
         )
-    elif section == "metrics":
-        if tokens[0] == "jitter" and len(tokens) == 2 and tokens[1] in ("mad", "var"):
-            scenario.jitter_mode = tokens[1]
-        else:
-            raise InvalidConfig(f"{where}: unknown metrics entry {line!r}")
 
 
 def load_scenario(path) -> Scenario:
@@ -451,13 +443,13 @@ def _validate(scenario: Scenario) -> None:
     for session in scenario.sessions:
         if kinds.get(session.consumer) != "consumer":
             raise InvalidConfig(f"session {session.session_id!r} needs a consumer")
-        if not session.videos:
-            raise InvalidConfig(f"session {session.session_id!r} lists no videos")
         for vid in session.videos:
             if vid not in videos:
                 raise InvalidConfig(f"session references unknown video {vid!r}")
-        if len({videos[vid].prefix for vid in session.videos}) != 1:
-            raise InvalidConfig("a session's videos must share one prefix")
+        # The player names every video under one prefix and verifies it
+        # with one producer's key.
+        if len({(videos[vid].prefix, videos[vid].server) for vid in session.videos}) != 1:
+            raise InvalidConfig("a session's videos must share one prefix and one server")
     for pw in scenario.prewarm:
         if kinds.get(pw.node) != "forwarder":
             raise InvalidConfig(f"prewarm node {pw.node!r} is not a forwarder")
@@ -480,9 +472,9 @@ def _validate(scenario: Scenario) -> None:
 
 def build_network(scenario: Scenario) -> NetworkSim:
     """Build a scenario's network without its content: nodes, links and
-    routes, each video's prefix announced at its server, reachability
-    checked and throttles applied or scheduled. Each producer gets an
-    empty repository. Raises InvalidTopology where the topology is at
+    routes, each video's reachability at its server checked, and
+    throttles applied or scheduled. Each producer gets an empty
+    repository. Raises InvalidTopology where the topology is at
     fault."""
     sim = NetworkSim(scenario.seed)
     for node in scenario.nodes:
@@ -511,17 +503,14 @@ def build_network(scenario: Scenario) -> NetworkSim:
         )
     for route in scenario.routes:
         sim.add_route(route.node, name_parse(route.prefix), route.via, route.cost)
-    prefixes = []
     for video in scenario.videos:
-        server = sim.hosts.get(video.server)
-        if not isinstance(server, ProducerHost):
+        if not isinstance(sim.hosts.get(video.server), ProducerHost):
             raise InvalidTopology(f"video {video.video_id!r} needs a producer server")
-        prefix = name_parse(video.prefix)
-        server.announce(prefix)
-        prefixes.append(prefix)
     for node_id, gateways in scenario.fch.items():
         sim.set_gateways(node_id, gateways)
-    sim.validate_reachability(prefixes)
+    sim.validate_reachability(
+        [(name_parse(v.prefix).append(v.video_id), v.server) for v in scenario.videos]
+    )
     for throttle in scenario.throttles:
         link = sim.link_between(throttle.src, throttle.dst)
         args = (throttle.src, throttle.dst, throttle.bw_bps)
@@ -687,7 +676,6 @@ class ScenarioRun:
                     host.node_id,
                     host.chosen_gateway,
                     host.probe_results,
-                    jitter_mode=self.scenario.jitter_mode,
                 )
             )
         return MetricsReport(

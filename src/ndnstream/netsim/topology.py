@@ -86,16 +86,6 @@ class ProducerHost(_FacedHost):
     def __init__(self, sim: "NetworkSim", node_id: str, repo: Repository):
         super().__init__(sim, node_id)
         self.repo = repo
-        self.announced: list[Name] = []
-
-    def announce(self, prefix: Name) -> None:
-        self.announced.append(prefix)
-
-    def serves(self, prefix: Name) -> bool:
-        return any(
-            name_is_prefix_of(a, prefix) or name_is_prefix_of(prefix, a)
-            for a in self.announced
-        )
 
     def receive(self, from_face: int, packet: Packet, from_producer: bool) -> None:
         if not isinstance(packet, Interest):
@@ -316,33 +306,38 @@ class NetworkSim:
                 raise InvalidTopology(f"fch: {node_id} lists {gateway} twice")
         host.gateways = gateways
 
-    def validate_reachability(self, prefixes: list[Name]) -> None:
-        """Every consumer must reach a producer serving each prefix through
-        each of its candidate gateways."""
+    def validate_reachability(self, videos: list[tuple[Name, str]]) -> None:
+        """Every consumer must reach each video's own server through each of
+        its candidate gateways. ``videos`` pairs each video's base name,
+        ``<prefix>/<video id>``, with the id of the producer that serves it."""
         for host in self.hosts.values():
             if not isinstance(host, ConsumerHost):
                 continue
             for gateway in host.candidate_gateways():
-                for prefix in prefixes:
-                    if not self._walk(host.node_id, gateway, prefix):
+                for name, server in videos:
+                    end = self._walk(host.node_id, gateway, name)
+                    if end is None or end.node_id != server:
                         raise InvalidTopology(
-                            f"{host.node_id} cannot reach {prefix} via {gateway}"
+                            f"{host.node_id} cannot reach {name} via {gateway}"
                         )
 
-    def _walk(self, consumer: str, gateway: str, prefix: Name) -> bool:
-        """Whether an interest for ``prefix`` sent by ``consumer`` to ``gateway``
-        reaches a producer serving it, each forwarder taking its own ``next_hop``
-        from the arrival face. A forwarder met twice is a loop."""
+    def _walk(self, consumer: str, gateway: str, name: Name) -> Host | None:
+        """The host an interest for ``name`` sent by ``consumer`` to
+        ``gateway`` ends at, each forwarder taking its own ``next_hop`` from
+        the arrival face; None when a forwarder has no next hop or is met
+        twice, a loop."""
         host = self.hosts[gateway]
         face = host.peer_face[consumer]
         visited = set()
-        while isinstance(host, ForwarderHost) and host.node_id not in visited:
+        while isinstance(host, ForwarderHost):
+            if host.node_id in visited:
+                return None
             visited.add(host.node_id)
-            out = host.node.next_hop(prefix, exclude=face)
+            out = host.node.next_hop(name, exclude=face)
             if out is None:
-                return False
+                return None
             _link, _peer, host, face = host.face_link[out]
-        return isinstance(host, ProducerHost) and host.serves(prefix)
+        return host
 
     # -- traffic -------------------------------------------------------------
 

@@ -341,11 +341,10 @@ def _build_file_chain(seed: int):
     sim.add_forwarder("gw", cs_capacity_bytes=1 << 26)
     key = KeyMaterial("k8", b"acceptance-eight")
     repo = Repository(key, processing_delay_ms=1.0)
-    producer = sim.add_producer("srv", repo)
+    sim.add_producer("srv", repo)
     sim.add_link("c1", "gw", propagation_ms=3, bandwidth_bps=100e6)
     sim.add_link("gw", "srv", propagation_ms=7, bandwidth_bps=100e6)
     sim.add_route("gw", name_parse("/bulk"), "srv")
-    producer.announce(name_parse("/bulk"))
     return sim, repo, key, sim.hosts["c1"]
 
 
@@ -429,8 +428,10 @@ def test_criterion_9_data_scenario_digests(data_scenario_runs):
     """Scenario files under tests/data hash to their pinned digests: the
     lossy bottleneck, four consumers behind one caching gateway, the
     benchmark's sixteen-consumer ``fanout`` workload at seed 1, two
-    ``[fch]`` consumers, one of whose sessions share a probe round, and
-    hub-to-hub forwarding over a second, cost-2 next hop."""
+    ``[fch]`` consumers, one of whose sessions share a probe round,
+    hub-to-hub forwarding over a second, cost-2 next hop, two videos under
+    one prefix on two servers, and one session over two videos whose tier
+    sets differ."""
     pinned = json.loads((DATA / "scenario_digests.json").read_text())
     got = {
         name: hashlib.sha256(text.encode()).hexdigest()

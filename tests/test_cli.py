@@ -94,6 +94,21 @@ BAD_VALUES = [
     pytest.param(SESSION, SESSION + "\n[fch]\nc1 srv", id="fch-gateway-not-linked"),
     pytest.param(SESSION, SESSION + "\n[fch]\nc1 gw gw", id="fch-gateway-twice"),
     pytest.param("gw /p srv", "gw /other srv", id="prefix-unreachable"),
+    # Reachability walks each video's base name to its own server.
+    pytest.param("gw /p srv", "gw /p srv\ngw /p/foo c1", id="video-routed-back-to-consumer"),
+    pytest.param(
+        "gw /p srv",
+        "gw /p srv\ngw /p/foo p2\n[nodes]\nproducer p2\n[links]\ngw p2 prop-ms=1",
+        id="video-routed-to-other-producer",
+    ),
+    # The player verifies a session's videos with one producer's key.
+    pytest.param(
+        SESSION,
+        "session s1 consumer=c1 videos=foo,bar\n[nodes]\nproducer p2\n[links]\ngw p2 prop-ms=1"
+        "\n[routes]\ngw /p/bar p2\n[videos]\nvideo bar server=p2 prefix=/p duration-s=4"
+        "\ntier bar 240p min-bw=0.6Mbps",
+        id="session-videos-on-two-servers",
+    ),
     pytest.param(
         "gw srv prop-ms=15 bw=20Mbps",
         "gw srv prop-ms=15 bw=20Mbps\nc1 srv prop-ms=1",

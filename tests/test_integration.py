@@ -129,6 +129,22 @@ def test_two_sessions_on_one_consumer_both_play():
         assert s.media_played_s == pytest.approx(10.0)
 
 
+def test_multi_video_session_picks_each_videos_own_tiers():
+    # foo has 240p and 480p, bar 240p and 720p: bar's segments must come
+    # from bar's tiers, with the bandwidth estimate carried over from foo.
+    report = run_scenario(parse_scenario((DATA / "two_videos.scn").read_text()))
+    (session,) = report.sessions
+    assert session.aborted is None
+    assert session.rebuffer_count == 0
+    assert session.media_played_s == pytest.approx(10.0)
+    tiers = {"foo": {"240p", "480p"}, "bar": {"240p", "720p"}}
+    segments = session.segment_files()
+    assert [f.video_id for f in segments] == ["foo"] * 2 + ["bar"] * 3
+    for f in segments:
+        assert f.tier in tiers[f.video_id]
+    assert len(session.files) == 11
+
+
 @pytest.fixture
 def fetches(monkeypatch):
     """Every ``FileFetch`` built while the test runs, in order."""
@@ -414,11 +430,10 @@ def test_bottleneck_throughput_tracks_link_rate():
         sim.add_forwarder("gw", cs_capacity_bytes=1 << 24)
         key = KeyMaterial("k", b"tput")
         repo = Repository(key)
-        producer = sim.add_producer("srv", repo)
+        sim.add_producer("srv", repo)
         sim.add_link("c1", "gw", propagation_ms=2, bandwidth_bps=100e6)
         sim.add_link("gw", "srv", propagation_ms=5, bandwidth_bps=rate_mbps * 1e6)
         sim.add_route("gw", name_parse("/t"), "srv")
-        producer.announce(name_parse("/t"))
         payload = b"\x5a" * 400_000
         repo.publish_file(name_parse("/t/blob"), payload, version=1, chunk_size=8000)
         got, timings = fetch_file_via(sim, "c1", name_parse("/t/blob"), key)

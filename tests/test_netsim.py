@@ -299,23 +299,20 @@ def make_chain_sim(key):
 
 def test_chain_reachability_ok(key):
     sim, repo = make_chain_sim(key)
-    sim.hosts["srv"].announce(name_parse("/p"))
-    sim.validate_reachability([name_parse("/p")])
+    sim.validate_reachability([(name_parse("/p/foo"), "srv")])
 
 
 def test_two_consumers_share_gateway(key):
     sim, repo = make_chain_sim(key)
     sim.add_consumer("c2")
     sim.add_link("c2", "gw", propagation_ms=5, bandwidth_bps=50e6)
-    sim.hosts["srv"].announce(name_parse("/p"))
-    sim.validate_reachability([name_parse("/p")])
+    sim.validate_reachability([(name_parse("/p/foo"), "srv")])
 
 
 def test_unreachable_prefix_detected(key):
     sim, repo = make_chain_sim(key)
-    sim.hosts["srv"].announce(name_parse("/p"))
     with pytest.raises(InvalidTopology):
-        sim.validate_reachability([name_parse("/q")])
+        sim.validate_reachability([(name_parse("/q/foo"), "srv")])
 
 
 @pytest.mark.parametrize("scn", ["golden.scn", "fanout.scn", "lossy.scn"])
@@ -350,6 +347,19 @@ def test_reachability_follows_each_forwarders_next_hop():
     assert run.repos["srv"].interests == hub2.stats.interests_out
 
 
+def test_reachability_walks_each_video_to_its_own_server():
+    # Two videos under /v on two producers, routed on their own base
+    # names: each base reaches its own server, and both sessions play.
+    text = (Path(__file__).parent / "data" / "two_servers.scn").read_text()
+    report = ScenarioRun(parse_scenario(text)).run()
+    assert [s.aborted for s in report.sessions] == [None, None]
+    assert [len(s.files) for s in report.sessions] == [4, 4]
+    # Swapped routes lead each video to the producer that does not have it.
+    swapped = text.replace("gw /v/a p1", "gw /v/a p2").replace("gw /v/b p2", "gw /v/b p1")
+    with pytest.raises(InvalidTopology, match="c1 cannot reach /v/a via gw"):
+        ScenarioRun(parse_scenario(swapped))
+
+
 def test_walk_treats_a_forwarding_loop_as_unreachable(key):
     sim = NetworkSim()
     sim.add_consumer("c1")
@@ -358,12 +368,11 @@ def test_walk_treats_a_forwarding_loop_as_unreachable(key):
     sim.add_producer("srv", Repository(key))
     for a, b in (("c1", "hub1"), ("hub1", "hub2"), ("hub2", "hub3"), ("hub3", "hub1")):
         sim.add_link(a, b)
-    sim.hosts["srv"].announce(name_parse("/p"))
     sim.add_route("hub1", name_parse("/p"), "hub2")
     sim.add_route("hub2", name_parse("/p"), "hub3")
     sim.add_route("hub3", name_parse("/p"), "hub1")
     with pytest.raises(InvalidTopology, match="c1 cannot reach /p via hub1"):
-        sim.validate_reachability([name_parse("/p")])
+        sim.validate_reachability([(name_parse("/p"), "srv")])
 
 
 def test_route_on_unknown_node_rejected(key):
@@ -374,7 +383,6 @@ def test_route_on_unknown_node_rejected(key):
 
 def test_fch_gateway_that_is_not_a_node_rejected(key):
     sim, repo = make_chain_sim(key)
-    sim.hosts["srv"].announce(name_parse("/p"))
     with pytest.raises(InvalidTopology, match="ghost"):
         sim.set_gateways("c1", ["ghost"])
 
@@ -553,11 +561,9 @@ srv gw at-s=1 bw=5Mbps
 
 
 def test_scenario_jitter_toggle():
-    var_text = MINIMAL + "\n[metrics]\njitter var\n"
-    assert parse_scenario(var_text).jitter_mode == "var"
-    assert parse_scenario(MINIMAL).jitter_mode == "mad"
-    with pytest.raises(InvalidConfig):
-        parse_scenario(MINIMAL + "\n[metrics]\njitter wild\n")
+    # Jitter has one definition; there is no [metrics] section to pick one.
+    with pytest.raises(InvalidConfig, match="unknown section 'metrics'"):
+        parse_scenario(MINIMAL + "\n[metrics]\njitter var\n")
 
 
 def test_all_probes_failed(key, monkeypatch):

@@ -388,6 +388,10 @@ class PlayerSession:
     """Plays a list of videos: fetches playlists and segments, adapts the
     tier from bandwidth estimates and tracks playback quality-of-experience.
 
+    ``videos`` lists the videos to play in order, a repeat playing again,
+    each as (video id, prefix, server key): its files are fetched under
+    ``<prefix>/<video id>`` and verified with that key.
+
     Playback drains one second of media per simulated second once the
     buffer first reaches the startup threshold; the buffer emptying before
     the video ends opens a rebuffer interval. ``on_end`` runs once, when the
@@ -402,9 +406,7 @@ class PlayerSession:
         self,
         session_id: str,
         transport: Transport,
-        prefix: Name,
-        video_ids: list[str],
-        key: KeyMaterial,
+        videos: list[tuple[str, Name, KeyMaterial]],
         rng: random.Random,
         config: SessionConfig | None = None,
         on_end: Callable[[], None] | None = None,
@@ -412,9 +414,8 @@ class PlayerSession:
         self.session_id = session_id
         self.transport = transport
         self.events = transport.engine
-        self.prefix = prefix
-        self.video_ids = list(video_ids)
-        self.key = key
+        self.videos = list(videos)
+        self.video_ids = [video_id for video_id, _prefix, _key in self.videos]
         self.rng = rng
         self.config = config or SessionConfig()
         self.on_end = on_end
@@ -466,8 +467,7 @@ class PlayerSession:
         self._segments = []
         self._segment_index = 0
         self._media_playlists = {}
-        video = self.video_ids[self._video_index]
-        self._fetch(f"{video}/playlist.m3u8", "master-playlist", self._on_master)
+        self._fetch("playlist.m3u8", "master-playlist", self._on_master)
 
     def _end_session(self) -> None:
         ending = self.ended_at is None
@@ -479,14 +479,12 @@ class PlayerSession:
         self.aborted = f"{type(exc).__name__}: {exc}"
         self._end_session()
 
-    @property
-    def current_video(self) -> str:
-        return self.video_ids[self._video_index]
-
     # -- fetching ----------------------------------------------------------
 
     def _fetch(self, path: str, role: str, done: Callable[[list[bytes]], None]) -> None:
-        base = resource_name(self.prefix, path)
+        """Fetch the file at ``path`` under the current video."""
+        video_id, prefix, key = self.videos[self._video_index]
+        base = resource_name(prefix, f"{video_id}/{path}")
         started = self.events.now
         record_tier = self._tier_label if role == "segment" else None
         seg_index = self._segment_index if role == "segment" else None
@@ -498,7 +496,7 @@ class PlayerSession:
                 FileRecord(
                     name=str(base),
                     role=role,
-                    video_id=self.current_video,
+                    video_id=video_id,
                     tier=record_tier,
                     segment_index=seg_index,
                     started=started,
@@ -517,7 +515,7 @@ class PlayerSession:
             self.transport,
             self.config.engine,
             base,
-            self.key,
+            key,
             self.rng,
             on_complete,
             self._abort,
@@ -547,7 +545,7 @@ class PlayerSession:
             self._media_playlists[label] = parse_media_playlist(b"".join(chunks).decode())
             then()
 
-        self._fetch(f"{self.current_video}/{label}/playlist.m3u8", "media-playlist", on_playlist)
+        self._fetch(f"{label}/playlist.m3u8", "media-playlist", on_playlist)
 
     def _start_segments(self) -> None:
         self._segments = self._media_playlists[self._tier_label]
@@ -583,10 +581,8 @@ class PlayerSession:
             self._fetch_current_segment()
 
     def _fetch_current_segment(self) -> None:
-        k = self._segment_index
-        _duration, uri = self._media_playlists[self._tier_label][k]
-        path = f"{self.current_video}/{self._tier_label}/{uri}"
-        self._fetch(path, "segment", self._on_segment)
+        _duration, uri = self._media_playlists[self._tier_label][self._segment_index]
+        self._fetch(f"{self._tier_label}/{uri}", "segment", self._on_segment)
 
     def _on_segment(self, _chunks: list[bytes]) -> None:
         duration = self._media_playlists[self._tier_label][self._segment_index][0]

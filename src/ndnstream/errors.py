@@ -62,7 +62,7 @@ class IntegrityFailure(FetchError):
 
 
 class InvalidRequest(FetchError):
-    """A resource request path is empty or escapes the prefix."""
+    """A resource request path is empty, escapes the prefix or names no video."""
 
 
 class NoCompletedChunks(NdnStreamError):

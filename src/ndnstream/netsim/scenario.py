@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from ..consumer import FetchEngine, PlayerSession, SessionConfig, resource_name
-from ..errors import CapacityExceeded, InvalidConfig, InvalidTopology, MalformedName
+from ..errors import CapacityExceeded, InvalidConfig, InvalidRequest, InvalidTopology, MalformedName
 from ..metrics import CacheStats, MetricsReport, ServerSummary, SessionMetrics
 from ..names import Name, name_parse
 from ..packets import DEFAULT_FRESHNESS_MS, KeyMaterial
@@ -95,7 +95,7 @@ class LinkSpec:
 @dataclass
 class RouteSpec:
     node: str
-    prefix: str
+    prefix: Name
     via: str
     cost: int = 1
 
@@ -104,7 +104,7 @@ class RouteSpec:
 class VideoSpec:
     video_id: str
     server: str
-    prefix: str
+    prefix: Name
     duration_s: float
     segment_s: float = 2.0
     chunk_bytes: int = DEFAULT_CHUNK_SIZE
@@ -145,7 +145,7 @@ class Scenario:
     nodes: list[NodeSpec] = field(default_factory=list)
     links: list[LinkSpec] = field(default_factory=list)
     routes: list[RouteSpec] = field(default_factory=list)
-    videos: list[VideoSpec] = field(default_factory=list)
+    videos: dict[str, VideoSpec] = field(default_factory=dict)  # by id, in file order
     sessions: list[SessionSpec] = field(default_factory=list)
     fch: dict[str, list[str]] = field(default_factory=dict)
     prewarm: list[PrewarmSpec] = field(default_factory=list)
@@ -282,7 +282,6 @@ def parse_scenario(text: str) -> Scenario:
         "prewarm",
         "throttles",
     }
-    videos: dict[str, VideoSpec] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -295,20 +294,14 @@ def parse_scenario(text: str) -> Scenario:
             section = name
             continue
         try:
-            _parse_entry(scenario, videos, section, line, where)
+            _parse_entry(scenario, section, line, where)
         except (ValueError, MalformedName) as exc:
             raise InvalidConfig(f"{where}: {exc}") from exc
     _validate(scenario)
     return scenario
 
 
-def _parse_entry(
-    scenario: Scenario,
-    videos: dict[str, VideoSpec],
-    section: str | None,
-    line: str,
-    where: str,
-) -> None:
+def _parse_entry(scenario: Scenario, section: str | None, line: str, where: str) -> None:
     """Add one non-header line to the scenario. Malformed values raise
     ValueError or MalformedName; the caller reports them by line."""
     tokens = line.split()
@@ -342,26 +335,26 @@ def _parse_entry(
         if len(tokens) < 3:
             raise InvalidConfig(f"{where}: route needs node, prefix, via")
         kv = _kv(tokens[3:], _ROUTE_KEYS, where)
-        name_parse(tokens[1])
         scenario.routes.append(
-            RouteSpec(tokens[0], tokens[1], tokens[2], **_fields(kv, _ROUTE_KEYS))
+            RouteSpec(tokens[0], name_parse(tokens[1]), tokens[2], **_fields(kv, _ROUTE_KEYS))
         )
     elif section == "videos":
+        videos = scenario.videos
         if tokens[0] == "video":
             kv = _kv(tokens[2:], {"server", "prefix", "duration-s", *_VIDEO_KEYS}, where)
             for required in ("server", "prefix", "duration-s"):
                 if required not in kv:
                     raise InvalidConfig(f"{where}: video needs {required}")
-            name_parse(kv["prefix"])
-            spec = VideoSpec(
-                video_id=_safe_component(tokens[1], "video id"),
+            video_id = _safe_component(tokens[1], "video id")
+            if video_id in videos:
+                raise ValueError(f"duplicate video {video_id!r}")
+            videos[video_id] = VideoSpec(
+                video_id=video_id,
                 server=kv["server"],
-                prefix=kv["prefix"],
+                prefix=name_parse(kv["prefix"]),
                 duration_s=_non_negative(kv["duration-s"]),
                 **_fields(kv, _VIDEO_KEYS),
             )
-            videos[spec.video_id] = spec
-            scenario.videos.append(spec)
         elif tokens[0] == "tier":
             if len(tokens) < 3 or tokens[1] not in videos:
                 raise InvalidConfig(f"{where}: tier needs a declared video id")
@@ -433,23 +426,16 @@ def _validate(scenario: Scenario) -> None:
     """The checks the text alone shows. ``build_network`` checks the
     topology: node ids, links, routes, gateways and throttle links."""
     kinds = {n.node_id: n.kind for n in scenario.nodes}
-    videos: dict[str, VideoSpec] = {}
-    for video in scenario.videos:
-        if video.video_id in videos:
-            raise InvalidConfig(f"duplicate video {video.video_id!r}")
+    videos = scenario.videos
+    for video in videos.values():
         if not video.tiers:
             raise InvalidConfig(f"video {video.video_id!r} has no tiers")
-        videos[video.video_id] = video
     for session in scenario.sessions:
         if kinds.get(session.consumer) != "consumer":
             raise InvalidConfig(f"session {session.session_id!r} needs a consumer")
         for vid in session.videos:
             if vid not in videos:
                 raise InvalidConfig(f"session references unknown video {vid!r}")
-        # The player names every video under one prefix and verifies it
-        # with one producer's key.
-        if len({(videos[vid].prefix, videos[vid].server) for vid in session.videos}) != 1:
-            raise InvalidConfig("a session's videos must share one prefix and one server")
     for pw in scenario.prewarm:
         if kinds.get(pw.node) != "forwarder":
             raise InvalidConfig(f"prewarm node {pw.node!r} is not a forwarder")
@@ -472,10 +458,11 @@ def _validate(scenario: Scenario) -> None:
 
 def build_network(scenario: Scenario) -> NetworkSim:
     """Build a scenario's network without its content: nodes, links and
-    routes, each video's reachability at its server checked, and
-    throttles applied or scheduled. Each producer gets an empty
-    repository. Raises InvalidTopology where the topology is at
-    fault."""
+    routes, and throttles applied or scheduled. Each producer gets an
+    empty repository. Every consumer must reach each video's own server
+    through each of its gateways, for the video's base name and for every
+    route prefix under it (``NetworkSim.validate_reachability``). Raises
+    InvalidTopology where the topology is at fault."""
     sim = NetworkSim(scenario.seed)
     for node in scenario.nodes:
         if node.kind == "forwarder":
@@ -502,14 +489,14 @@ def build_network(scenario: Scenario) -> NetworkSim:
             queue_limit_bytes=link.queue_bytes,
         )
     for route in scenario.routes:
-        sim.add_route(route.node, name_parse(route.prefix), route.via, route.cost)
-    for video in scenario.videos:
+        sim.add_route(route.node, route.prefix, route.via, route.cost)
+    for video in scenario.videos.values():
         if not isinstance(sim.hosts.get(video.server), ProducerHost):
             raise InvalidTopology(f"video {video.video_id!r} needs a producer server")
     for node_id, gateways in scenario.fch.items():
         sim.set_gateways(node_id, gateways)
     sim.validate_reachability(
-        [(name_parse(v.prefix).append(v.video_id), v.server) for v in scenario.videos]
+        [(v.prefix.append(v.video_id), v.server) for v in scenario.videos.values()]
     )
     for throttle in scenario.throttles:
         link = sim.link_between(throttle.src, throttle.dst)
@@ -555,7 +542,9 @@ def prewarm_cache(
 
 
 class ScenarioRun:
-    """A built scenario: the simulator plus everything needed for reporting."""
+    """A built scenario: the simulator plus everything needed for reporting.
+    ``fetch_table`` maps each published video's id to its prefix and its
+    server's key, with which sessions and resource requests fetch it."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -563,30 +552,31 @@ class ScenarioRun:
         self.sessions: list[PlayerSession] = []
         self.live_sessions = 0  # sessions built and not yet ended
         self.catalogs: dict[str, VideoCatalog] = {}
+        self.fetch_table: dict[str, tuple[Name, KeyMaterial]] = {}
         self.repos: dict[str, Repository] = {
             node_id: host.repo
             for node_id, host in sim.hosts.items()
             if isinstance(host, ProducerHost)
         }
-        for video in scenario.videos:
-            catalog = package_video(
-                video.video_id, video.duration_s, video.segment_s, video.tiers
-            )
-            self.catalogs[video.video_id] = catalog
+        for video_id, video in scenario.videos.items():
+            catalog = package_video(video_id, video.duration_s, video.segment_s, video.tiers)
+            self.catalogs[video_id] = catalog
+            repo = self.repos[video.server]
             publish(
-                self.repos[video.server],
+                repo,
                 catalog,
                 video.prefix,
                 chunk_size=video.chunk_bytes,
                 freshness_ms=video.freshness_ms,
             )
+            self.fetch_table[video_id] = (video.prefix, repo.key)
         for pw in scenario.prewarm:
-            video = next(v for v in scenario.videos if v.video_id == pw.video)
+            video = scenario.videos[pw.video]
             prewarm_cache(
                 sim,
                 pw.node,
                 self.repos[video.server],
-                name_parse(video.prefix),
+                video.prefix,
                 self.catalogs[pw.video],
                 pw.tier,
                 pw.fraction,
@@ -595,39 +585,38 @@ class ScenarioRun:
             self._setup_session(spec)
 
     def _setup_session(self, spec: SessionSpec) -> None:
-        scenario = self.scenario
         sim = self.sim
         host = sim.hosts[spec.consumer]
         assert isinstance(host, ConsumerHost)
-        video_spec = next(v for v in scenario.videos if v.video_id == spec.videos[0])
-        prefix = name_parse(video_spec.prefix)
-        key = self.repos[video_spec.server].key
+        videos = [(video_id, *self.fetch_table[video_id]) for video_id in spec.videos]
         session = PlayerSession(
             session_id=spec.session_id,
             transport=host,
-            prefix=prefix,
-            video_ids=spec.videos,
-            key=key,
-            rng=random.Random(derive_seed(scenario.seed, f"session:{spec.session_id}")),
+            videos=videos,
+            rng=random.Random(derive_seed(self.scenario.seed, f"session:{spec.session_id}")),
             config=spec.config,
             on_end=self._session_ended,
         )
         self.live_sessions += 1
         host.sessions.append(session)
         self.sessions.append(session)
-        probe_name = prefix.append(spec.videos[0], "playlist.m3u8")
+        video_id, prefix, _key = videos[0]
+        probe_name = prefix.append(video_id, "playlist.m3u8")
         sim.engine.schedule(spec.start_s, host.attach, None, (probe_name, session.start))
 
     def resource_request(self, consumer_id: str, path: str) -> bytes:
         """Resolve one resource path through the network, outside any session.
 
-        The path maps under the scenario's video prefix; the returned bytes
-        are the reassembled file content.
+        The path starts with a video id (``foo/240p/seg0.m4s``): it maps
+        under that video's prefix and is verified with its server's key.
+        Returns the reassembled file content. An unknown video id raises
+        InvalidRequest before any interest is sent.
         """
-        video = self.scenario.videos[0]
-        base = resource_name(name_parse(video.prefix), path)
-        key = self.repos[video.server].key
-        payload, _timings = fetch_file_via(self.sim, consumer_id, base, key)
+        video_id = path.split("/", 1)[0]
+        if video_id not in self.fetch_table:
+            raise InvalidRequest(f"unknown video {video_id!r} in {path!r}")
+        prefix, key = self.fetch_table[video_id]
+        payload, _timings = fetch_file_via(self.sim, consumer_id, resource_name(prefix, path), key)
         return payload
 
     def _session_ended(self) -> None:

@@ -309,12 +309,23 @@ class NetworkSim:
     def validate_reachability(self, videos: list[tuple[Name, str]]) -> None:
         """Every consumer must reach each video's own server through each of
         its candidate gateways. ``videos`` pairs each video's base name,
-        ``<prefix>/<video id>``, with the id of the producer that serves it."""
+        ``<prefix>/<video id>``, with the id of the producer that serves it.
+        Each file goes where the longest route prefix of its name sends it,
+        so the base and every route prefix under it are walked, and each
+        must lead to the server even where nothing is published under it."""
+        forwarders = [h for h in self.hosts.values() if isinstance(h, ForwarderHost)]
+        routes = [prefix for host in forwarders for prefix in host.node.fib]
+        walks = [
+            (name, server)
+            for base, server in videos
+            for name in (base, *routes)
+            if name_is_prefix_of(base, name)
+        ]
         for host in self.hosts.values():
             if not isinstance(host, ConsumerHost):
                 continue
             for gateway in host.candidate_gateways():
-                for name, server in videos:
+                for name, server in walks:
                     end = self._walk(host.node_id, gateway, name)
                     if end is None or end.node_id != server:
                         raise InvalidTopology(

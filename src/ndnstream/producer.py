@@ -269,28 +269,24 @@ def publish(
     """Publish a catalog's playlists and segments; returns chunks stored."""
     if isinstance(prefix, str):
         prefix = name_parse(prefix)
-    root = prefix.append(catalog.video_id)
     stored = repo.publish_file(
-        root.append("playlist.m3u8"),
+        prefix.append(catalog.video_id, "playlist.m3u8"),
         generate_master_playlist(catalog).encode(),
         version,
         chunk_size,
         freshness_ms,
     )
     for rep in catalog.representations:
+        playlist, *segments = representation_files(prefix, catalog, rep.label)
         stored += repo.publish_file(
-            root.append(rep.label, "playlist.m3u8"),
+            playlist,
             generate_media_playlist(catalog, rep).encode(),
             version,
             chunk_size,
             freshness_ms,
         )
-        for k in range(catalog.segment_count):
+        for k, base in enumerate(segments):
             stored += repo.publish_file(
-                root.append(rep.label, f"seg{k}.m4s"),
-                segment_payload(catalog, rep.label, k),
-                version,
-                chunk_size,
-                freshness_ms,
+                base, segment_payload(catalog, rep.label, k), version, chunk_size, freshness_ms
             )
     return stored

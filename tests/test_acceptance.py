@@ -430,8 +430,9 @@ def test_criterion_9_data_scenario_digests(data_scenario_runs):
     benchmark's sixteen-consumer ``fanout`` workload at seed 1, two
     ``[fch]`` consumers, one of whose sessions share a probe round,
     hub-to-hub forwarding over a second, cost-2 next hop, two videos under
-    one prefix on two servers, and one session over two videos whose tier
-    sets differ."""
+    one prefix on two servers, one session over two videos whose tier
+    sets differ, and one session over two videos under two prefixes on
+    two servers."""
     pinned = json.loads((DATA / "scenario_digests.json").read_text())
     got = {
         name: hashlib.sha256(text.encode()).hexdigest()

@@ -87,7 +87,48 @@ def test_workload_list_splits_in_order_and_rejects_gaps_and_repeats():
 
 
 def _run(digest: str, run_s: float) -> tuple[dict, dict]:
-    return {"report_sha256": digest, "events": 10}, _result(run_s, 1.0 / run_s)
+    info = {"report_sha256": digest, "events": 10, **_info([1.0], [run_s])}
+    return info, _result(run_s, 1.0 / run_s)
+
+
+def _info(setup_s: list[float], run_s: list[float]) -> dict:
+    return {"detail": {"host_s": {"setup_s": setup_s, "run_s": run_s}}}
+
+
+def test_host_rows_compare_each_runs_host_median_and_flag_a_move_against_reference():
+    metrics = [
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "events_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    ]
+
+    def result(setup_s: float, run_s: float) -> dict:
+        values = {"setup_s": setup_s, "run_s": run_s, "events_per_s": 1.0 / run_s}
+        return {"metrics": {name: {"value": v} for name, v in values.items()}}
+
+    # Reference seconds: set-up 12 % faster, run 10 % faster in every pair.
+    base = [result(1.0, 2.0), result(1.0, 2.0), result(1.0, 2.0)]
+    change = [result(0.88, 1.8), result(0.88, 1.8), result(0.88, 1.8)]
+    # Host seconds: each run's median of its samples. Set-up is slower on
+    # the host in two pairs of three, run faster in all three.
+    base_info = [_info([1.0, 1.2, 1.1], [2.0]), _info([1.0], [2.0]), _info([1.0], [2.0])]
+    change_info = [_info([1.2, 1.15, 1.05], [1.9]), _info([1.1], [1.9]), _info([0.9], [1.9])]
+    reference = bench_pairs.summarize(base, change, metrics)
+    setup, run = bench_pairs.host_rows(base_info, change_info, reference)
+
+    assert setup["name"] == "setup_s host" and setup["unit"] == "s"
+    assert setup["base"] == pytest.approx((1.0, 1.0, 1.05))
+    assert setup["change"] == pytest.approx((1.0, 1.1, 1.125))
+    assert setup["wins"] == 1 and setup["pairs"] == 3
+    assert setup["relative"] == pytest.approx(0.1) and setup["against"]
+    assert run["wins"] == 3 and run["relative"] == pytest.approx(-0.05)
+    assert not run["against"]
+
+    text = bench_pairs.format_rows(reference + [setup, run])
+    [setup_line] = [line for line in text.splitlines() if line.startswith("setup_s host (s)")]
+    assert "1/3" in setup_line and "+10.0%" in setup_line and "MOVES AGAINST REFERENCE" in setup_line
+    [run_line] = [line for line in text.splitlines() if line.startswith("run_s host (s)")]
+    assert "3/3" in run_line and "AGAINST" not in run_line
 
 
 def test_report_has_one_table_per_workload_from_its_own_runs():
@@ -108,6 +149,9 @@ def test_report_has_one_table_per_workload_from_its_own_runs():
     assert fanout.startswith("fanout: report digest and event count: DIFFER")
     assert "-50.0%" in staircase and "2/2" in staircase and "0/2" not in staircase
     assert "+50.0%" in fanout and "0/2" in fanout and "2/2" not in fanout
+    # Each table ends with the run's host seconds, read from the info lines.
+    assert staircase.splitlines()[-1].startswith("run_s host (s)")
+    assert fanout.splitlines()[-1].startswith("run_s host (s)")
 
 
 @pytest.mark.parametrize("differ", [None, "digest", "events"])

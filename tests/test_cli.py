@@ -101,14 +101,9 @@ BAD_VALUES = [
         "gw /p srv\ngw /p/foo p2\n[nodes]\nproducer p2\n[links]\ngw p2 prop-ms=1",
         id="video-routed-to-other-producer",
     ),
-    # The player verifies a session's videos with one producer's key.
-    pytest.param(
-        SESSION,
-        "session s1 consumer=c1 videos=foo,bar\n[nodes]\nproducer p2\n[links]\ngw p2 prop-ms=1"
-        "\n[routes]\ngw /p/bar p2\n[videos]\nvideo bar server=p2 prefix=/p duration-s=4"
-        "\ntier bar 240p min-bw=0.6Mbps",
-        id="session-videos-on-two-servers",
-    ),
+    # A route under a video's base must lead to its server too: forwarding
+    # sends the tier's files down it.
+    pytest.param("gw /p srv", "gw /p srv\ngw /p/foo/240p c1", id="tier-routed-back-to-consumer"),
     pytest.param(
         "gw srv prop-ms=15 bw=20Mbps",
         "gw srv prop-ms=15 bw=20Mbps\nc1 srv prop-ms=1",
@@ -198,6 +193,18 @@ def test_validate_accepts_hub_to_hub_forwarding_over_a_backup_route(capsys):
     scn = Path(__file__).parent / "data" / "hub_backup.scn"
     assert main(["validate", str(scn)]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_validate_accepts_a_tier_route_to_the_video_server(tmp_path, capsys):
+    # A route under the video's base that leads to its own server passes
+    # the reachability check, and the session plays over it.
+    scn = tmp_path / "tier-route.scn"
+    scn.write_text(GOOD.replace("gw /p srv", "gw /p srv\ngw /p/foo/240p srv cost=2"))
+    assert main(["validate", str(scn)]) == 0
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 0
+    assert "session s1: startup" in capsys.readouterr().out
+    report = ScenarioRun(parse_scenario(scn.read_text())).run()
+    assert report.sessions[0].aborted is None and len(report.sessions[0].files) == 4
 
 
 def test_run_missing_file_is_config_error(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from ndnstream import consumer
 from ndnstream.consumer import FetchEngine
-from ndnstream.errors import ContentMissing, IntegrityFailure
+from ndnstream.errors import ContentMissing, IntegrityFailure, InvalidRequest
 from ndnstream.names import name_parse
 from ndnstream.netsim.scenario import ScenarioRun, parse_scenario, run_scenario
 from ndnstream.netsim.topology import ConsumerHost
@@ -56,9 +56,8 @@ def fetch_resource(run: ScenarioRun, consumer_id: str, path: str):
     from ndnstream.consumer import resource_name
     from ndnstream.netsim.topology import fetch_file_via
 
-    video = run.scenario.videos[0]
-    base = resource_name(name_parse(video.prefix), path)
-    key = run.repos[video.server].key
+    prefix, key = run.fetch_table[path.split("/", 1)[0]]
+    base = resource_name(prefix, path)
     return fetch_file_via(run.sim, consumer_id, base, key, FetchEngine(window=8))
 
 
@@ -186,10 +185,21 @@ def test_producer_nack_crosses_the_gateway_to_the_consumer():
     # nack down the PIT entry's face and removes the entry.
     run = ScenarioRun(parse_scenario(GOLDEN))
     with pytest.raises(ContentMissing):
-        run.resource_request("c1", "nosuch/playlist.m3u8")
+        run.resource_request("c1", "foo/nosuch.m3u8")
     gw = run.sim.hosts["gw"].node
     assert gw.stats.nacks_in == gw.stats.nacks_out == 1
     assert gw.pit == {}
+
+
+def test_resource_request_for_an_unknown_video_sends_no_interest():
+    # The path's first component picks the video; one that is not
+    # published fails before any interest leaves the consumer.
+    run = ScenarioRun(parse_scenario(GOLDEN))
+    with pytest.raises(InvalidRequest, match="nosuch"):
+        run.resource_request("c1", "nosuch/playlist.m3u8")
+    gw = run.sim.hosts["gw"].node
+    assert gw.pit == {}
+    assert gw.stats.interests_in == 0 and run.sim.engine.now == 0.0
 
 
 def test_published_names_are_shared_through_the_network(fetches, monkeypatch):

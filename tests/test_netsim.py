@@ -205,7 +205,7 @@ def test_minimal_scenario_parses():
     assert scenario.scenario_id == "mini"
     assert scenario.seed == 3
     assert len(scenario.nodes) == 3
-    assert scenario.videos[0].tiers[0].label == "240p"
+    assert scenario.videos["foo"].tiers[0].label == "240p"
 
 
 def test_unknown_key_is_named_in_error():
@@ -358,6 +358,39 @@ def test_reachability_walks_each_video_to_its_own_server():
     swapped = text.replace("gw /v/a p1", "gw /v/a p2").replace("gw /v/b p2", "gw /v/b p1")
     with pytest.raises(InvalidTopology, match="c1 cannot reach /v/a via gw"):
         ScenarioRun(parse_scenario(swapped))
+
+
+def test_resource_request_verifies_each_video_with_its_own_server_key():
+    # b is published by p2: the path's video id picks p2's prefix and key.
+    run = ScenarioRun(load_scenario(Path(__file__).parent / "data" / "two_servers.scn"))
+    payload = run.resource_request("c1", "b/playlist.m3u8")
+    p2 = run.repos["p2"]
+    chunks = p2.file_chunk_names(name_parse("/v/b/playlist.m3u8"))
+    assert payload == b"".join(p2.store[name].content for name in chunks)
+    assert payload.startswith(b"#EXTM3U") and p2.interests > 0
+
+
+def test_one_session_plays_videos_from_two_servers():
+    # a (under /v, on p1), then b (under /w, on p2), then a again: every
+    # file of each play is fetched, verified with its server's key, and played.
+    run = ScenarioRun(load_scenario(Path(__file__).parent / "data" / "session_two_servers.scn"))
+    [session] = run.run().sessions
+    assert session.aborted is None
+    played = [f.video_id for f in session.files if f.role == "master-playlist"]
+    assert played == ["a", "b", "a"]
+    segments = [f.video_id for f in session.files if f.role == "segment"]
+    assert segments == [v for v in played for _ in range(run.catalogs[v].segment_count)]
+    assert session.media_played_s == pytest.approx(12.0)
+    assert run.repos["p1"].interests > 0 and run.repos["p2"].interests > 0
+
+
+def test_duplicate_video_fails_at_its_own_line():
+    text = MINIMAL.replace(
+        "tier foo 240p", "video foo server=srv prefix=/q duration-s=4\ntier foo 240p"
+    )
+    line = text.splitlines().index("video foo server=srv prefix=/q duration-s=4") + 1
+    with pytest.raises(InvalidConfig, match=f"^line {line}: duplicate video 'foo'$"):
+        parse_scenario(text)
 
 
 def test_walk_treats_a_forwarding_loop_as_unreachable(key):

@@ -17,9 +17,14 @@ The script stops with a non-zero exit at the first run that fails, prints
 table per workload: for every end-to-end metric in ``BENCHMARK.json``, the
 median and [Q1, Q3] on each side, the change's relative move, and the pairs
 the change won in the metric's ``better`` direction, after a line that says
-whether both sides gave the same report digest and event count. When any
-workload's digests or event counts differ, it exits with status 2 after
-the tables.
+whether both sides gave the same report digest and event count. Below
+them come the host-second medians of ``setup_s`` and ``run_s``: each run's
+median of the unscaled samples in its info line (``detail.host_s``),
+compared the same way. A host row is flagged when it moves the other way
+from its reference row, as when work on another thread slows the speed
+probe and the reference seconds read a gain the host did not see. When
+any workload's digests or event counts differ, it exits with status 2
+after the tables.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+HOST_METRICS = ("setup_s", "run_s")  # the reference metrics with host seconds
 
 
 class BenchFailure(Exception):
@@ -66,32 +72,56 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(base: list[dict], change: list[dict], metrics: list[dict]) -> list[dict]:
-    """One row per metric from the result lines of paired runs: ``base[i]``
-    and ``change[i]`` are pair i. A pair is a win when the change's value
-    is strictly better in the metric's ``better`` direction."""
-    if len(base) != len(change) or not base:
+def compare(metric: dict, before: list[float], after: list[float]) -> dict:
+    """One row from a metric's values in paired runs: ``before[i]`` and
+    ``after[i]`` are pair i. A pair is a win when the change's value is
+    strictly better in the metric's ``better`` direction."""
+    if len(before) != len(after) or not before:
         raise ValueError("need the same non-zero number of runs on each side")
-    rows = []
-    for metric in metrics:
-        name, lower = metric["name"], metric["better"] == "lower"
-        before = [r["metrics"][name]["value"] for r in base]
-        after = [r["metrics"][name]["value"] for r in change]
-        wins = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
-        b_q, a_q = quartiles(before), quartiles(after)
-        rows.append(
-            {
-                "name": name,
-                "unit": metric["unit"],
-                "better": metric["better"],
-                "base": b_q,
-                "change": a_q,
-                "relative": (a_q[1] - b_q[1]) / b_q[1] if b_q[1] else float("nan"),
-                "wins": wins,
-                "pairs": len(before),
-                "gap_over_base_iqr": abs(a_q[1] - b_q[1]) > b_q[2] - b_q[0],
-            }
+    lower = metric["better"] == "lower"
+    b_q, a_q = quartiles(before), quartiles(after)
+    return {
+        "name": metric["name"],
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "base": b_q,
+        "change": a_q,
+        "relative": (a_q[1] - b_q[1]) / b_q[1] if b_q[1] else float("nan"),
+        "wins": sum((a < b) if lower else (a > b) for b, a in zip(before, after)),
+        "pairs": len(before),
+        "gap_over_base_iqr": abs(a_q[1] - b_q[1]) > b_q[2] - b_q[0],
+    }
+
+
+def summarize(base: list[dict], change: list[dict], metrics: list[dict]) -> list[dict]:
+    """One ``compare`` row per metric from the result lines of paired runs."""
+    return [
+        compare(
+            metric,
+            [r["metrics"][metric["name"]]["value"] for r in base],
+            [r["metrics"][metric["name"]]["value"] for r in change],
         )
+        for metric in metrics
+    ]
+
+
+def host_rows(base: list[dict], change: list[dict], reference: list[dict]) -> list[dict]:
+    """A host-second ``compare`` row for each ``HOST_METRICS`` row of
+    ``reference``, from the info lines of the same paired runs: a run's
+    value is the median of its ``detail.host_s`` samples. ``against`` is
+    set when the host median moves the other way from the reference one."""
+    rows = []
+    for ref in reference:
+        name = ref["name"]
+        if name not in HOST_METRICS:
+            continue
+        row = compare(
+            {"name": f"{name} host", "unit": ref["unit"], "better": ref["better"]},
+            [statistics.median(info["detail"]["host_s"][name]) for info in base],
+            [statistics.median(info["detail"]["host_s"][name]) for info in change],
+        )
+        row["against"] = row["relative"] * ref["relative"] < 0
+        rows.append(row)
     return rows
 
 
@@ -104,9 +134,10 @@ def format_rows(rows: list[dict]) -> str:
     for r in rows:
         label = f"{r['name']} ({r['unit']})"
         gap = ", gap > base IQR" if r["gap_over_base_iqr"] else ""
+        against = ", MOVES AGAINST REFERENCE" if r.get("against") else ""
         lines.append(
             f"{label:<26} {cell(r['base']):<34} {cell(r['change']):<34} {r['relative']:>+8.1%}  "
-            f"{r['wins']}/{r['pairs']} ({r['better']} is better{gap})"
+            f"{r['wins']}/{r['pairs']} ({r['better']} is better{gap}{against})"
         )
     return "\n".join(lines)
 
@@ -132,14 +163,18 @@ def same_outputs(sides: dict[str, list[tuple[dict, dict]]]) -> bool:
 def format_report(runs: dict[str, dict[str, list[tuple[dict, dict]]]], metrics: list[dict]) -> str:
     """One block per workload, in ``runs`` order, from its (info, result)
     lines per side: the workload, whether both sides gave one and the same
-    report digest and event count, and its table of ``summarize`` rows."""
+    report digest and event count, and its table of ``summarize`` rows
+    followed by their ``host_rows``."""
     blocks = []
     for workload, sides in runs.items():
+        infos = {side: [info for info, _ in pairs] for side, pairs in sides.items()}
         results = {side: [result for _, result in pairs] for side, pairs in sides.items()}
+        rows = summarize(results["base"], results["change"], metrics)
+        rows += host_rows(infos["base"], infos["change"], rows)
         blocks.append(
             f"{workload}: report digest and event count: "
             f"{'same on both sides' if same_outputs(sides) else 'DIFFER'}\n"
-            + format_rows(summarize(results["base"], results["change"], metrics))
+            + format_rows(rows)
         )
     return "\n\n".join(blocks)
 

@@ -12,7 +12,6 @@ from .consumer import (
     ChunkTiming,
     FetchEngine,
     FileFetch,
-    PlaybackBuffer,
     PlayerSession,
     SessionConfig,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "NdnStreamError",
     "NetworkSim",
     "PitEntry",
-    "PlaybackBuffer",
     "PlayerSession",
     "Representation",
     "Repository",

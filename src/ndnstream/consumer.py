@@ -106,41 +106,31 @@ class BandwidthEstimator:
         return min(corrected)
 
 
-class AbrController:
-    """Throughput-rule tier picker: highest tier under a safety margin."""
+# Player constants: the ABR's share of the estimate it spends, the buffer
+# level that starts (and resumes) playback, and the most it holds.
+SAFETY_FACTOR = 0.95
+STARTUP_THRESHOLD_S = 2.0
+BUFFER_CAPACITY_S = 30.0
 
-    def __init__(self, tiers: list[Representation], safety_factor: float = 0.95):
+
+class AbrController:
+    """Throughput-rule tier picker: highest tier under ``SAFETY_FACTOR`` of
+    the estimate."""
+
+    def __init__(self, tiers: list[Representation]):
         if not tiers:
             raise ValueError("tier list must be non-empty")
-        self.check_safety_factor(safety_factor)
-        self.tiers = sorted(tiers, key=lambda r: r.min_bandwidth_bps)
-        self.safety_factor = safety_factor
+        self.tiers = sorted(tiers, key=lambda r: r.bitrate_bps)
         self.current = 0
 
-    @staticmethod
-    def check_safety_factor(safety_factor: float) -> None:
-        if not 0 < safety_factor <= 1:
-            raise ValueError("safety factor must be in (0, 1]")
-
     def select(self, estimate_bps: float) -> Representation:
-        budget = self.safety_factor * estimate_bps
+        budget = SAFETY_FACTOR * estimate_bps
         chosen = 0
         for i, rep in enumerate(self.tiers):
-            if rep.min_bandwidth_bps <= budget:
+            if rep.bitrate_bps <= budget:
                 chosen = i
         self.current = chosen
         return self.tiers[chosen]
-
-
-@dataclass
-class PlaybackBuffer:
-    startup_threshold_s: float = 2.0
-    capacity_s: float = 30.0
-    level_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.startup_threshold_s <= self.capacity_s:
-            raise ValueError("startup threshold must be in (0, capacity]")
 
 
 class FileFetch:
@@ -323,19 +313,18 @@ class FileFetch:
 
 @dataclass
 class SessionConfig:
+    """What a scenario's session line sets: the fetch pipeline and the
+    estimator's half-lives. The ABR margin and the buffer levels are the
+    module constants above ``AbrController``."""
+
     engine: FetchEngine = field(default_factory=FetchEngine)
-    safety_factor: float = 0.95
     half_life_fast_s: float = 2.0
     half_life_slow_s: float = 6.0
-    startup_threshold_s: float = 2.0
-    buffer_capacity_s: float = 30.0
 
     def __post_init__(self) -> None:
-        # Each component checks its own ranges; building the ones a session
-        # makes from this config fails a bad value now, not mid-session.
+        # The estimator checks its own ranges; building one from this config
+        # fails a bad value now, not mid-session.
         BandwidthEstimator(self.half_life_fast_s, self.half_life_slow_s)
-        PlaybackBuffer(self.startup_threshold_s, self.buffer_capacity_s)
-        AbrController.check_safety_factor(self.safety_factor)
 
 
 def resource_name(prefix: Name, path: str) -> Name:
@@ -346,7 +335,7 @@ def resource_name(prefix: Name, path: str) -> Name:
 
 
 def parse_master_playlist(text: str) -> list[tuple[str, int, int, str]]:
-    """Variant entries as (label, min_bandwidth_bps, height, uri)."""
+    """Variant entries as (label, bandwidth_bps, height, uri)."""
     entries: list[tuple[str, int, int, str]] = []
     pending: tuple[str, int, int] | None = None
     for line in text.splitlines():
@@ -392,10 +381,13 @@ class PlayerSession:
     each as (video id, prefix, server key): its files are fetched under
     ``<prefix>/<video id>`` and verified with that key.
 
-    Playback drains one second of media per simulated second once the
-    buffer first reaches the startup threshold; the buffer emptying before
-    the video ends opens a rebuffer interval. ``on_end`` runs once, when the
-    session ends, whether it played out or aborted.
+    ``buffer_s`` is the media downloaded and not yet played. Playback
+    drains one second of it per simulated second once it reaches
+    ``STARTUP_THRESHOLD_S`` (or the video's last segment is in); the buffer
+    emptying before the video ends opens a rebuffer interval, which the
+    same threshold closes. The next segment is fetched only once it fits
+    under ``BUFFER_CAPACITY_S``. ``on_end`` runs once, when the session
+    ends, whether it played out or aborted.
 
     A segment's bytes are never joined: its size (the sum of its chunk
     lengths) and its arrival time are all that ABR and the report use.
@@ -423,9 +415,6 @@ class PlayerSession:
         self.estimator = BandwidthEstimator(
             self.config.half_life_fast_s, self.config.half_life_slow_s
         )
-        self.buffer = PlaybackBuffer(
-            self.config.startup_threshold_s, self.config.buffer_capacity_s
-        )
         self.abr: AbrController | None = None
 
         self.quality_timeline: list[tuple[float, str]] = []
@@ -439,6 +428,7 @@ class PlayerSession:
         self.ended_at: float | None = None
         self.media_downloaded_s = 0.0
         self.media_played_s = 0.0
+        self.buffer_s = 0.0  # media buffered and not yet played
 
         self._video_index = -1
         self._segments: list[tuple[float, str]] = []
@@ -531,11 +521,11 @@ class PlayerSession:
             self._abort(FetchError("master playlist has no variants"))
             return
         tiers = [
-            Representation(label, height or 1, bandwidth, bandwidth)
+            Representation(label, height or 1, bandwidth)
             for label, bandwidth, height, _uri in entries
         ]
         # Each video has its own tiers; the estimator carries over.
-        self.abr = AbrController(tiers, self.config.safety_factor)
+        self.abr = AbrController(tiers)
         lowest = self.abr.tiers[0].label
         self._tier_label = lowest
         self._fetch_media_playlist(lowest, self._start_segments)
@@ -562,11 +552,11 @@ class PlayerSession:
         self._sync_playback()
         seg_duration = self._segments[self._segment_index][0]
         if self._playing:
-            headroom = self.buffer.capacity_s - seg_duration
-            if self.buffer.level_s > headroom + 1e-9:
+            headroom = BUFFER_CAPACITY_S - seg_duration
+            if self.buffer_s > headroom + 1e-9:
                 # wait for playback to drain enough room; the floor keeps
                 # float residue from rescheduling the same instant forever
-                wait = max(self.buffer.level_s - headroom, 1e-6)
+                wait = max(self.buffer_s - headroom, 1e-6)
                 self.events.schedule_in(wait, self._fetch_next_segment)
                 return
         label = self._tier_label
@@ -588,7 +578,7 @@ class PlayerSession:
         duration = self._media_playlists[self._tier_label][self._segment_index][0]
         self._segment_index += 1
         self._sync_playback()
-        self.buffer.level_s += duration
+        self.buffer_s += duration
         self.media_downloaded_s += duration
         self._after_buffer_grew()
         self._fetch_next_segment()
@@ -596,7 +586,7 @@ class PlayerSession:
     def _after_buffer_grew(self) -> None:
         now = self.events.now
         if not self._playing:
-            threshold_met = self.buffer.level_s >= self.buffer.startup_threshold_s
+            threshold_met = self.buffer_s >= STARTUP_THRESHOLD_S
             downloaded_all = bool(self._segments) and self._segment_index >= len(self._segments)
             if threshold_met or downloaded_all:
                 if self.startup_delay_s is None:
@@ -614,25 +604,25 @@ class PlayerSession:
         now = self.events.now
         if self._playing:
             dt = now - self._last_sync
-            played = min(dt, self.buffer.level_s)
-            self.buffer.level_s -= played
+            played = min(dt, self.buffer_s)
+            self.buffer_s -= played
             self.media_played_s += played
         self._last_sync = now
 
     def _schedule_empty_check(self) -> None:
         self._drain_epoch += 1
         epoch = self._drain_epoch
-        at = self.events.now + self.buffer.level_s
+        at = self.events.now + self.buffer_s
         self.events.schedule(at, self._on_empty_check, None, (epoch,))
 
     def _on_empty_check(self, epoch: int) -> None:
         if epoch != self._drain_epoch or not self._playing or self.ended_at is not None:
             return
         self._sync_playback()
-        if self.buffer.level_s > 1e-9:
+        if self.buffer_s > 1e-9:
             self._schedule_empty_check()
             return
-        self.buffer.level_s = 0.0
+        self.buffer_s = 0.0
         self._playing = False
         if self._segments and self._segment_index >= len(self._segments):
             self._next_video()

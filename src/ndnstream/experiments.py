@@ -2,10 +2,12 @@
 
 Each experiment is a complete scenario file kept as text and fed through
 the normal parser, so running one exercises the same code path as a
-user-supplied file. The five CLI names cover: the bit-rate staircase
+user-supplied file. The nine CLI names cover: the bit-rate staircase
 under egress throttling, cold-cache and warm-cache runs over the same
-chain, the gateway prefetching strategy, and interest aggregation with
-two consumers behind one gateway.
+chain, the gateway prefetching strategy, interest aggregation with two
+consumers behind one gateway and the same pair with aggregation and
+caching off, a fast-link chain for RTT calibration, a one-tier chain for
+the startup-delay oracle, and gateway probing over three hubs.
 """
 
 from __future__ import annotations
@@ -257,9 +259,6 @@ EXPERIMENTS: dict[str, str] = {
     "with-cache": WITH_CACHE,
     "prefetch": PREFETCH,
     "multicast": MULTICAST,
-}
-
-EXTRA_SCENARIOS: dict[str, str] = {
     "multicast-disabled": MULTICAST_DISABLED,
     "rtt-calibration": RTT_CALIBRATION,
     "startup-oracle": STARTUP_ORACLE,
@@ -276,13 +275,6 @@ def experiment_scenario(name: str, seed: int | None = None) -> Scenario:
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         ) from None
     scenario = parse_scenario(text)
-    if seed is not None:
-        scenario.seed = seed
-    return scenario
-
-
-def extra_scenario(name: str, seed: int | None = None) -> Scenario:
-    scenario = parse_scenario(EXTRA_SCENARIOS[name])
     if seed is not None:
         scenario.seed = seed
     return scenario

@@ -143,7 +143,7 @@ class SessionMetrics:
             files=list(session.files),
             media_downloaded_s=session.media_downloaded_s,
             media_played_s=session.media_played_s,
-            final_buffer_s=session.buffer.level_s,
+            final_buffer_s=session.buffer_s,
             aborted=session.aborted,
         )
 

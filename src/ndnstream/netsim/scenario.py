@@ -242,11 +242,8 @@ _ENGINE_KEYS = {
     "max-retx": ("max_retx", int),
 }
 _PLAYER_KEYS = {
-    "safety": ("safety_factor", _non_negative),
     "est-fast-s": ("half_life_fast_s", _non_negative),
     "est-slow-s": ("half_life_slow_s", _non_negative),
-    "startup-s": ("startup_threshold_s", _non_negative),
-    "capacity-s": ("buffer_capacity_s", _non_negative),
 }
 
 
@@ -358,17 +355,14 @@ def _parse_entry(scenario: Scenario, section: str | None, line: str, where: str)
         elif tokens[0] == "tier":
             if len(tokens) < 3 or tokens[1] not in videos:
                 raise InvalidConfig(f"{where}: tier needs a declared video id")
-            kv = _kv(tokens[3:], {"height", "min-bw", "media"}, where)
+            kv = _kv(tokens[3:], {"height", "min-bw"}, where)
             if "min-bw" not in kv:
                 raise InvalidConfig(f"{where}: tier needs min-bw")
-            min_bw = int(parse_bandwidth(kv["min-bw"]) or 0)
-            media = int(parse_bandwidth(kv["media"]) or 0) if "media" in kv else min_bw
             videos[tokens[1]].tiers.append(
                 Representation(
                     label=_safe_component(tokens[2], "tier label"),
                     height=int(kv.get("height", "0")) or 1,
-                    min_bandwidth_bps=min_bw,
-                    media_bitrate_bps=media,
+                    bitrate_bps=int(parse_bandwidth(kv["min-bw"]) or 0),
                 )
             )
         else:

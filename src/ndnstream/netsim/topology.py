@@ -382,20 +382,15 @@ class NetworkSim:
         return counts
 
 
-def fetch_file_via(
-    sim: NetworkSim,
-    consumer_id: str,
-    base: Name,
-    key,
-    engine_cfg=None,
-    rng: random.Random | None = None,
-):
+def fetch_file_via(sim: NetworkSim, consumer_id: str, base: Name, key):
     """Fetch one file through the simulated network and run it to completion.
 
     Returns (payload, chunk timings). This is the resource-request seam:
     callers address content by name and get the reassembled bytes back,
     joined here from the chunks the fetch hands over. A consumer not yet
     attached attaches first, probing its gateways for ``base`` if it has any.
+    The fetch runs the default ``FetchEngine``, its nonces drawn from the
+    simulator's seed and ``base``.
 
     The engine runs only until the fetch completes or fails: the clock
     stops at that event, and every later event (a session's, a stale
@@ -407,10 +402,10 @@ def fetch_file_via(
     result: dict = {}
     fetch = FileFetch(
         host,
-        engine_cfg or FetchEngine(),
+        FetchEngine(),
         base,
         key,
-        rng or random.Random(derive_seed(sim.seed, f"fetch:{base}")),
+        random.Random(derive_seed(sim.seed, f"fetch:{base}")),
         lambda chunks, timings: result.update(payload=b"".join(chunks), timings=timings),
         lambda exc: result.update(error=exc),
     )

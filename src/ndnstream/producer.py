@@ -2,7 +2,7 @@
 
 Videos are packaged into quality tiers, each tier into a playlist plus
 fixed-duration segments. Segment payloads are deterministic pseudo-random
-bytes sized by the tier's media bitrate: the raw stream of a Philox bit
+bytes sized by the tier's bitrate: the raw stream of a Philox bit
 generator keyed per (video, tier, segment), read as little-endian bytes.
 The experiments only depend on sizes and timing, never on real media.
 
@@ -44,18 +44,16 @@ DEFAULT_VERSION = 1
 
 @dataclass(frozen=True)
 class Representation:
-    """One quality tier: resolution plus the bandwidth it needs."""
+    """One quality tier: resolution plus its bitrate, which sizes its
+    segments and is the bandwidth its playlist entry asks for."""
 
     label: str
     height: int
-    min_bandwidth_bps: int
-    media_bitrate_bps: int
+    bitrate_bps: int
 
     def __post_init__(self) -> None:
-        if self.media_bitrate_bps <= 0:
-            raise InvalidConfig("media bitrate must be positive")
-        if self.min_bandwidth_bps < self.media_bitrate_bps:
-            raise InvalidConfig("min bandwidth below media bitrate")
+        if self.bitrate_bps <= 0:
+            raise InvalidConfig("bitrate must be positive")
 
 
 @dataclass
@@ -114,7 +112,7 @@ def package_video(
 ) -> VideoCatalog:
     """Split a video into equal-length segments across every tier.
 
-    Full segments carry media_bitrate * segment_duration / 8 bytes; the
+    Full segments carry bitrate * segment_duration / 8 bytes; the
     final segment scales with its remaining duration.
     """
     if duration_s <= 0 or segment_duration_s <= 0:
@@ -125,7 +123,7 @@ def package_video(
     durations = catalog.segment_durations()
     for rep in representations:
         catalog.segment_sizes[rep.label] = [
-            round(rep.media_bitrate_bps * d / 8) for d in durations
+            round(rep.bitrate_bps * d / 8) for d in durations
         ]
     return catalog
 
@@ -133,9 +131,9 @@ def package_video(
 def generate_master_playlist(catalog: VideoCatalog) -> str:
     """Variant list referencing each tier's media playlist, ascending bandwidth."""
     lines = ["#EXTM3U", "#EXT-X-VERSION:3"]
-    for rep in sorted(catalog.representations, key=lambda r: r.min_bandwidth_bps):
+    for rep in sorted(catalog.representations, key=lambda r: r.bitrate_bps):
         lines.append(
-            f"#EXT-X-STREAM-INF:BANDWIDTH={rep.min_bandwidth_bps},"
+            f"#EXT-X-STREAM-INF:BANDWIDTH={rep.bitrate_bps},"
             f'RESOLUTION={rep.height},NAME="{rep.label}"'
         )
         lines.append(f"{rep.label}/playlist.m3u8")

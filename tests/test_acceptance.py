@@ -14,18 +14,16 @@ import time
 
 import pytest
 
-from ndnstream.consumer import FetchEngine
 from ndnstream.errors import IntegrityFailure
 from ndnstream.experiments import (
     CACHE_CG_PROP_MS,
     CACHE_CHUNK_BYTES,
     CACHE_LINK_BPS,
     CACHE_WINDOW,
-    EXTRA_SCENARIOS,
+    EXPERIMENTS,
     STAIRCASE_STEP_S,
     STAIRCASE_STEPS_MBPS,
     experiment_scenario,
-    extra_scenario,
 )
 from ndnstream.forwarding import ContentStore
 from ndnstream.names import name_parse
@@ -147,7 +145,7 @@ def test_criterion_1_abr_staircase(staircase_run):
 
 
 def test_criterion_2_rtt_calibration():
-    report = run_scenario(extra_scenario("rtt-calibration"))
+    report = run_scenario(experiment_scenario("rtt-calibration"))
     session = report.sessions[0]
     assert session.aborted is None
 
@@ -262,7 +260,7 @@ def test_criterion_6_multicast_aggregation():
     served = cooperative.server["srv"].interests
     assert served <= 1.1 * unique_chunks
 
-    disabled = run_scenario(extra_scenario("multicast-disabled"))
+    disabled = run_scenario(experiment_scenario("multicast-disabled"))
     assert all(s.aborted is None for s in disabled.sessions)
     assert disabled.server["srv"].interests >= 1.8 * unique_chunks
     _announce(
@@ -276,7 +274,7 @@ def test_criterion_6_multicast_aggregation():
 
 
 def test_criterion_7_startup_delay_oracle():
-    report = run_scenario(extra_scenario("startup-oracle"))
+    report = run_scenario(experiment_scenario("startup-oracle"))
     session = report.sessions[0]
     assert session.aborted is None
     measured = session.startup_delay_s
@@ -345,19 +343,19 @@ def _build_file_chain(seed: int):
     sim.add_link("c1", "gw", propagation_ms=3, bandwidth_bps=100e6)
     sim.add_link("gw", "srv", propagation_ms=7, bandwidth_bps=100e6)
     sim.add_route("gw", name_parse("/bulk"), "srv")
-    return sim, repo, key, sim.hosts["c1"]
+    return sim, repo, key
 
 
-def _fetch_through(sim, host, base, key, rng):
+def _fetch_through(sim, base, key):
     from ndnstream.netsim.topology import fetch_file_via
 
-    payload, _timings = fetch_file_via(sim, "c1", base, key, FetchEngine(window=8), rng)
+    payload, _timings = fetch_file_via(sim, "c1", base, key)
     return payload
 
 
 def test_criterion_8_reassembly_and_integrity():
     rng = random.Random(808)
-    sim, repo, key, host = _build_file_chain(seed=808)
+    sim, repo, key = _build_file_chain(seed=808)
     payloads = {}
     for i in range(200):
         base = name_parse(f"/bulk/f{i}")
@@ -365,12 +363,12 @@ def test_criterion_8_reassembly_and_integrity():
         repo.publish_file(base, payload, version=1, chunk_size=1500)
         payloads[i] = payload
     for i in range(200):
-        got = _fetch_through(sim, host, name_parse(f"/bulk/f{i}"), key, rng)
+        got = _fetch_through(sim, name_parse(f"/bulk/f{i}"), key)
         assert got == payloads[i], f"file {i} corrupted in reassembly"
 
     # single-byte corruption in flight must surface as an integrity failure
     for trial in range(5):
-        sim2, repo2, key2, host2 = _build_file_chain(seed=900 + trial)
+        sim2, repo2, key2 = _build_file_chain(seed=900 + trial)
         payload = bytes(rng.randrange(256) for _ in range(4000 + trial * 997))
         repo2.publish_file(name_parse("/bulk/target"), payload, version=1, chunk_size=1500)
         state = {"armed": trial + 1}
@@ -389,7 +387,7 @@ def test_criterion_8_reassembly_and_integrity():
 
         sim2.data_tap = corrupt
         with pytest.raises(IntegrityFailure):
-            _fetch_through(sim2, host2, name_parse("/bulk/target"), key2, rng)
+            _fetch_through(sim2, name_parse("/bulk/target"), key2)
     _announce(8, "200 round trips reassembled exactly; corruption always detected")
 
 
@@ -406,7 +404,7 @@ def test_criterion_9_determinism():
 
 
 def test_criterion_9_report_digests(staircase_run, no_cache_run, with_cache_run, prefetch_run):
-    """Every canned and extra scenario's report.json hashes to its pinned digest."""
+    """Every canned experiment's report.json hashes to its pinned digest."""
     pinned = json.loads((pathlib.Path(__file__).parent / "data" / "report_digests.json").read_text())
     reports = {
         "abr-staircase": staircase_run[0],
@@ -415,13 +413,14 @@ def test_criterion_9_report_digests(staircase_run, no_cache_run, with_cache_run,
         "prefetch": prefetch_run,
         "multicast": run_scenario(experiment_scenario("multicast")),
     }
-    for name in EXTRA_SCENARIOS:
-        reports[name] = run_scenario(extra_scenario(name))
+    for name in EXPERIMENTS:
+        if name not in reports:
+            reports[name] = run_scenario(experiment_scenario(name))
     got = {name: hashlib.sha256(r.to_json().encode()).hexdigest() for name, r in reports.items()}
     if got != pinned:
         print(json.dumps(got, indent=2))
     assert got == pinned
-    _announce(9, f"{len(pinned)} canned and extra report.json digests match the pinned table")
+    _announce(9, f"{len(pinned)} canned report.json digests match the pinned table")
 
 
 def test_criterion_9_data_scenario_digests(data_scenario_runs):

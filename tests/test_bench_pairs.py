@@ -131,6 +131,25 @@ def test_host_rows_compare_each_runs_host_median_and_flag_a_move_against_referen
     assert "3/3" in run_line and "AGAINST" not in run_line
 
 
+def test_host_rows_leave_a_move_against_reference_inside_the_base_iqr_unflagged():
+    metrics = [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+
+    def result(setup_s: float) -> dict:
+        return {"metrics": {"setup_s": {"value": setup_s}}}
+
+    # Reference set-up 1 % faster; host set-up 1 % slower, a gap of 0.01
+    # against a base host IQR of 0.1 (0.95 to 1.05).
+    reference = bench_pairs.summarize(
+        [result(1.0)] * 3, [result(0.99)] * 3, metrics
+    )
+    base_info = [_info([v], [2.0]) for v in (0.9, 1.0, 1.1)]
+    change_info = [_info([v], [2.0]) for v in (0.91, 1.01, 1.11)]
+    [setup] = bench_pairs.host_rows(base_info, change_info, reference)
+    assert setup["relative"] * reference[0]["relative"] < 0
+    assert not setup["gap_over_base_iqr"] and not setup["against"]
+    assert "AGAINST" not in bench_pairs.format_rows(reference + [setup])
+
+
 def test_report_has_one_table_per_workload_from_its_own_runs():
     runs = {
         # The change wins both staircase pairs and loses both fanout pairs.

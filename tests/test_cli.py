@@ -50,14 +50,17 @@ def test_validate_ok(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
-def test_validate_names_unknown_key(tmp_path, capsys):
-    scn = tmp_path / "broken.scn"
-    scn.write_text(GOOD.replace("prop-ms=5", "zoom=5"))
-    assert main(["validate", str(scn)]) == 1
-    assert "zoom" in capsys.readouterr().err
-
-
 SESSION = "session s1 consumer=c1 videos=foo"
+TIER = "tier foo 240p height=240 min-bw=0.6Mbps"
+
+# Player and tier values that are constants, not keys: each is an unknown key,
+# even at the value the constant holds.
+REMOVED_KEYS = [
+    pytest.param(SESSION, SESSION + " capacity-s=30", id="capacity-s-removed"),
+    pytest.param(SESSION, SESSION + " startup-s=2", id="startup-s-removed"),
+    pytest.param(SESSION, SESSION + " safety=0.9", id="safety-removed"),
+    pytest.param(TIER, TIER + " media=0.6Mbps", id="tier-media-removed"),
+]
 
 # Each case edits GOOD into a scenario that must fail validation with a
 # config error: malformed values, out-of-range session values and loose
@@ -146,6 +149,7 @@ BAD_VALUES = [
     pytest.param("240p", "2,4p", id="tier-label-comma"),
     pytest.param("240p", "c=3", id="tier-label-chunk-marker"),
     pytest.param("240p", "24/0p", id="tier-label-slash"),
+    *REMOVED_KEYS,
 ]
 
 
@@ -161,6 +165,17 @@ def test_validate_rejects_bad_value(tmp_path, capsys, old, new):
     # run rejects it too, while building and before any event runs.
     with pytest.raises(InvalidConfig):
         ScenarioRun(parse_scenario(GOOD.replace(old, new)))
+
+
+@pytest.mark.parametrize(
+    "old,new", [pytest.param("prop-ms=5", "zoom=5", id="zoom"), *REMOVED_KEYS]
+)
+def test_validate_names_unknown_key(tmp_path, capsys, old, new):
+    scn = tmp_path / "broken.scn"
+    scn.write_text(GOOD.replace(old, new))
+    assert main(["validate", str(scn)]) == 1
+    key = new.split()[-1].partition("=")[0]
+    assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_validate_prewarm_capacity_boundary_agrees_with_run(tmp_path, capsys):

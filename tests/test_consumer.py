@@ -29,11 +29,11 @@ from ndnstream.producer import (
 from conftest import examples
 
 PAPER_TIERS = [
-    Representation("240p", 240, 600_000, 600_000),
-    Representation("360p", 360, 900_000, 900_000),
-    Representation("480p", 480, 1_800_000, 1_800_000),
-    Representation("720p", 720, 3_300_000, 3_300_000),
-    Representation("1080p", 1080, 6_300_000, 6_300_000),
+    Representation("240p", 240, 600_000),
+    Representation("360p", 360, 900_000),
+    Representation("480p", 480, 1_800_000),
+    Representation("720p", 720, 3_300_000),
+    Representation("1080p", 1080, 6_300_000),
 ]
 
 
@@ -125,8 +125,7 @@ def test_selection_scale_invariant():
     for _ in range(50):
         scale = rng.uniform(0.1, 10)
         scaled = [
-            Representation(r.label, r.height, int(r.min_bandwidth_bps * scale) or 1,
-                           int(r.min_bandwidth_bps * scale) or 1)
+            Representation(r.label, r.height, int(r.bitrate_bps * scale) or 1)
             for r in PAPER_TIERS
         ]
         estimate = rng.uniform(5e5, 1e7)

@@ -404,98 +404,19 @@ def test_prefetch_data_cached_but_not_forwarded(key):
     assert node.cs.lookup(Interest(chunk1.name.full()), 0.7) == chunk1
 
 
-def test_prefetch_never_requests_cached_or_pending_property(key):
-    rng = random.Random(3)
-    node = make_node(prefetch_depth=8)
-    node.add_route(name_parse("/f"), 3)
-    for _ in range(100):
-        chunk = rng.randrange(30)
-        if rng.random() < 0.5:
-            node.cs.insert(make_data("/f", version=1, chunk=chunk, final=29, key=key), 0.0)
-        trigger = make_data("/f", version=1, chunk=rng.randrange(29), final=29, key=key)
-        pending_before = set(node.pit)
-        cached_before = {n for n in node.cs.entries}
-        for interest in node.prefetch_plan(trigger, 0.0):
-            assert interest.name not in pending_before
-            assert interest.name not in cached_before
-
-
-def test_prefetch_plan_matches_brute_force_oracle_under_churn(key):
-    """Two versions x 30 chunks under LRU eviction, short and long freshness,
-    consumer and prefetch PIT entries, data, nacks and expiry: the plan is
-    exactly the window's slots, in order, that are neither fresh in the CS
-    nor pending."""
-    rng = random.Random(11)
-    depth, final = 8, 29
-    node = make_node(cs_bytes=2500, prefetch_depth=depth)
-    node.add_route(name_parse("/f"), 3)
-
-    def data(version, chunk):
-        return make_data(
-            "/f",
-            version=version,
-            chunk=chunk,
-            final=final,
-            content=bytes(rng.randrange(100)),
-            key=key,
-            freshness_ms=rng.choice([40, 3_600_000]),
-        )
-
-    def fresh(name, now):
-        entry = node.cs.entries.get(name)
-        return entry is not None and (now - entry.inserted) * 1000.0 <= entry.data.freshness_ms
-
-    skipped_fresh = skipped_pending = planned_stale = evictions = 0
-    nacked_prefetch = 0
-    now = 0.0
-    for nonce in range(1500):
-        now += rng.uniform(0.0, 0.02)
-        version, chunk = rng.randrange(1, 3), rng.randrange(final + 1)
-        op = rng.random()
-        if op < 0.3:
-            evictions += len(node.cs.insert(data(version, chunk), now))
-        elif op < 0.5:
-            name = name_parse(f"/f/v={version}/c={chunk}")
-            lifetime = rng.choice([50, 4000])
-            node.on_interest(1, Interest(name, nonce=nonce, lifetime_ms=lifetime), now)
-        elif op < 0.65 and node.pit:
-            pending = rng.choice(list(node.pit))
-            v, c = (int(part[2:]) for part in pending.components[-2:])
-            node.on_data(3, data(v, c), now)  # caches it and prefetches ahead
-        elif op < 0.7 and node.pit:
-            pending = rng.choice(list(node.pit))
-            nacked_prefetch += INTERNAL_FACE in node.pit[pending].downstream
-            node.on_nack(3, Nack(pending, NackReason.NO_ROUTE), now)
-        elif op < 0.75:
-            node.pit_expire(now)
-        else:
-            trigger = make_data("/f", version=version, chunk=chunk, final=final)
-            window = [
-                name_parse(f"/f/v={version}/c={c}")
-                for c in range(chunk + 1, min(chunk + depth, final) + 1)
-            ]
-            expected = [n for n in window if not fresh(n, now) and n not in node.pit]
-            assert [i.name for i in node.prefetch_plan(trigger, now)] == expected
-            skipped_fresh += sum(fresh(n, now) for n in window)
-            skipped_pending += sum(n in node.pit and not fresh(n, now) for n in window)
-            planned_stale += sum(n in node.cs.entries and not fresh(n, now) for n in expected)
-    assert min(skipped_fresh, skipped_pending, planned_stale, evictions, nacked_prefetch) > 0
-    assert any(INTERNAL_FACE in e.downstream for e in node.pit.values())
-    node.pit_expire(max(e.expiry for e in node.pit.values()))
-    assert not node.pit
-
-
 @settings(max_examples=examples(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(2, 10), cs_bytes=st.integers(1500, 6000))
 def test_prefetch_frontier_walk_matches_brute_force(seed, depth, cs_bytes):
     """Triggers walk forward through one file, stepping -3..+2 chunks and
     rarely flipping version, between churn: large packets of another file
-    that evict window slots, 30 ms freshness, consumer interests with 50 ms
-    and 4 s lifetimes, data for pending entries (some larger than the CS),
-    nacks and expiry. At each trigger the plan and the interests
-    ``_prefetch`` sends are exactly the window's slots that are neither
-    fresh in the CS nor pending, so the coverage frontier never skips a
-    slot that lost its cover."""
+    that evict window slots, the walked file's own chunks of both versions
+    put straight into the CS, 30 ms freshness, consumer interests with
+    50 ms and 4 s lifetimes, data for pending entries (some larger than
+    the CS), nacks (some of prefetch-created entries) and expiry. At each
+    trigger the plan and the interests ``_prefetch`` sends are exactly the
+    window's slots that are neither fresh in the CS nor pending, so the
+    coverage frontier never skips a slot that lost its cover; at the end
+    the PIT drains."""
     rng = random.Random(seed)
     final = 60
     node = make_node(cs_bytes=cs_bytes, prefetch_depth=depth)
@@ -512,6 +433,11 @@ def test_prefetch_frontier_walk_matches_brute_force(seed, depth, cs_bytes):
     def pending():
         """A PIT entry in the last trigger's window if there is one."""
         return rng.choice([n for n in window if n in node.pit] or list(node.pit))
+
+    def prefetched():
+        """A prefetch-created PIT entry if there is one, else ``pending()``."""
+        ours = [n for n, e in node.pit.items() if INTERNAL_FACE in e.downstream]
+        return rng.choice(ours) if ours else pending()
 
     now, version, chunk, window = 0.0, 1, 0, []
     for nonce in range(200):
@@ -530,9 +456,13 @@ def test_prefetch_frontier_walk_matches_brute_force(seed, depth, cs_bytes):
             size = cs_bytes + 1 if rng.random() < 0.2 else rng.randrange(200)
             node.on_data(3, data("/f", v, c, size), now)
         elif op < 0.39 and node.pit:
-            node.on_nack(3, Nack(pending(), NackReason.NO_ROUTE), now)
+            victim = prefetched() if rng.random() < 0.5 else pending()
+            node.on_nack(3, Nack(victim, NackReason.NO_ROUTE), now)
         elif op < 0.54:
             node.pit_expire(now)
+        elif op < 0.58:
+            c = min(chunk + rng.randrange(1, depth + 1), final)
+            node.cs.insert(data("/f", rng.choice([1, 2]), c, rng.randrange(200)), now)
         else:
             if rng.random() < 0.05:
                 version = 3 - version
@@ -545,6 +475,9 @@ def test_prefetch_frontier_walk_matches_brute_force(seed, depth, cs_bytes):
             expected = [n for n in window if not fresh(n, now) and n not in node.pit]
             assert [i.name for i in node.prefetch_plan(trigger, now)] == expected
             assert [p.name for _, p in node._prefetch(trigger, now)] == expected
+    if node.pit:
+        node.pit_expire(max(e.expiry for e in node.pit.values()))
+    assert not node.pit
 
 
 # -- pit expiry -----------------------------------------------------------------------

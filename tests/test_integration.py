@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from ndnstream import consumer
-from ndnstream.consumer import FetchEngine
 from ndnstream.errors import ContentMissing, IntegrityFailure, InvalidRequest
 from ndnstream.names import name_parse
 from ndnstream.netsim.scenario import ScenarioRun, parse_scenario, run_scenario
@@ -58,7 +57,7 @@ def fetch_resource(run: ScenarioRun, consumer_id: str, path: str):
 
     prefix, key = run.fetch_table[path.split("/", 1)[0]]
     base = resource_name(prefix, path)
-    return fetch_file_via(run.sim, consumer_id, base, key, FetchEngine(window=8))
+    return fetch_file_via(run.sim, consumer_id, base, key)
 
 
 def test_resource_request_round_trips_playlist():
@@ -351,9 +350,9 @@ def test_second_fetch_of_same_file_hits_gateway_cache():
 
 
 def test_probing_attaches_to_fastest_hub():
-    from ndnstream.experiments import extra_scenario
+    from ndnstream.experiments import experiment_scenario
 
-    scenario = extra_scenario("fch-probing")
+    scenario = experiment_scenario("fch-probing")
     run = ScenarioRun(scenario)
     report = run.run()
     session = report.sessions[0]
@@ -403,10 +402,10 @@ def test_multicast_two_consumers_share_one_upstream_stream():
 
 
 def test_multicast_disabled_roughly_doubles_server_load():
-    from ndnstream.experiments import experiment_scenario, extra_scenario
+    from ndnstream.experiments import experiment_scenario
 
     cooperative = run_scenario(experiment_scenario("multicast"))
-    disabled = run_scenario(extra_scenario("multicast-disabled"))
+    disabled = run_scenario(experiment_scenario("multicast-disabled"))
     assert disabled.server["srv"].interests > 1.8 * cooperative.server["srv"].interests
 
 

@@ -456,7 +456,7 @@ def warmed_sim(key, fraction, capacity=1 << 24):
     sim.add_link("c1", "gw", propagation_ms=1)
     sim.add_link("gw", "srv", propagation_ms=1)
     sim.add_route("gw", name_parse("/p"), "srv")
-    tiers = [Representation("720p", 720, 3_300_000, 3_300_000)]
+    tiers = [Representation("720p", 720, 3_300_000)]
     catalog = package_video("foo", 8.0, 2.0, tiers)
     publish(repo, catalog, "/p", chunk_size=8000)
     count = prewarm_cache(sim, "gw", repo, name_parse("/p"), catalog, "720p", fraction)
@@ -626,9 +626,9 @@ def test_scenario_resource_request():
 def test_resource_request_probes_the_gateways_of_an_fch_consumer():
     # Before any run, an [fch] consumer is not attached: the request
     # probes its hubs first and fetches through the fastest one.
-    from ndnstream.experiments import extra_scenario
+    from ndnstream.experiments import experiment_scenario
 
-    run = ScenarioRun(extra_scenario("fch-probing"))
+    run = ScenarioRun(experiment_scenario("fch-probing"))
     payload = run.resource_request("c1", "foo/playlist.m3u8")
     assert payload.startswith(b"#EXTM3U")
     assert run.sim.hosts["c1"].chosen_gateway == "hubB"

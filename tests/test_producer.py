@@ -18,11 +18,11 @@ from ndnstream.producer import (
 )
 
 PAPER_TIERS = [
-    Representation("240p", 240, 600_000, 600_000),
-    Representation("360p", 360, 900_000, 900_000),
-    Representation("480p", 480, 1_800_000, 1_800_000),
-    Representation("720p", 720, 3_300_000, 3_300_000),
-    Representation("1080p", 1080, 6_300_000, 6_300_000),
+    Representation("240p", 240, 600_000),
+    Representation("360p", 360, 900_000),
+    Representation("480p", 480, 1_800_000),
+    Representation("720p", 720, 3_300_000),
+    Representation("1080p", 1080, 6_300_000),
 ]
 
 
@@ -236,6 +236,4 @@ def test_representation_files_playback_order():
 
 def test_representation_invariant():
     with pytest.raises(InvalidConfig):
-        Representation("x", 1, 100, 200)  # min below media
-    with pytest.raises(InvalidConfig):
-        Representation("x", 1, 0, 0)
+        Representation("x", 1, 0)

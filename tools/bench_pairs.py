@@ -109,7 +109,8 @@ def host_rows(base: list[dict], change: list[dict], reference: list[dict]) -> li
     """A host-second ``compare`` row for each ``HOST_METRICS`` row of
     ``reference``, from the info lines of the same paired runs: a run's
     value is the median of its ``detail.host_s`` samples. ``against`` is
-    set when the host median moves the other way from the reference one."""
+    set when the host median moves the other way from the reference one by
+    more than the base side's host IQR: a smaller move is host noise."""
     rows = []
     for ref in reference:
         name = ref["name"]
@@ -120,7 +121,7 @@ def host_rows(base: list[dict], change: list[dict], reference: list[dict]) -> li
             [statistics.median(info["detail"]["host_s"][name]) for info in base],
             [statistics.median(info["detail"]["host_s"][name]) for info in change],
         )
-        row["against"] = row["relative"] * ref["relative"] < 0
+        row["against"] = row["relative"] * ref["relative"] < 0 and row["gap_over_base_iqr"]
         rows.append(row)
     return rows
 

@@ -13,7 +13,6 @@ from .consumer import (
     FetchEngine,
     FileFetch,
     PlayerSession,
-    SessionConfig,
 )
 from .errors import NdnStreamError
 from .forwarding import ContentStore, ForwarderNode, PitEntry
@@ -68,7 +67,6 @@ __all__ = [
     "PlayerSession",
     "Representation",
     "Repository",
-    "SessionConfig",
     "SessionMetrics",
     "VersionedChunkName",
     "VideoCatalog",

@@ -9,7 +9,7 @@ unit tests, with a scripted fake) plug in.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from .errors import (
@@ -121,16 +121,14 @@ class AbrController:
         if not tiers:
             raise ValueError("tier list must be non-empty")
         self.tiers = sorted(tiers, key=lambda r: r.bitrate_bps)
-        self.current = 0
 
     def select(self, estimate_bps: float) -> Representation:
         budget = SAFETY_FACTOR * estimate_bps
-        chosen = 0
-        for i, rep in enumerate(self.tiers):
+        chosen = self.tiers[0]
+        for rep in self.tiers:
             if rep.bitrate_bps <= budget:
-                chosen = i
-        self.current = chosen
-        return self.tiers[chosen]
+                chosen = rep
+        return chosen
 
 
 class FileFetch:
@@ -194,7 +192,6 @@ class FileFetch:
         self._timer_ticket: int | None = None  # the armed timer's, None when idle
         self._next_chunk = 0
         self._done = False
-        self.max_in_flight = 0
 
     # -- sending ---------------------------------------------------------
 
@@ -217,8 +214,6 @@ class FileFetch:
         self._outstanding[chunk] = (deadline, ticket)
         if self._timer_ticket is None:
             self._arm(deadline, ticket)
-        if len(self._outstanding) > self.max_in_flight:
-            self.max_in_flight = len(self._outstanding)
 
     def _arm(self, deadline: float, ticket: int) -> None:
         self._timer_ticket = ticket
@@ -311,22 +306,6 @@ class FileFetch:
         self.on_error(exc)
 
 
-@dataclass
-class SessionConfig:
-    """What a scenario's session line sets: the fetch pipeline and the
-    estimator's half-lives. The ABR margin and the buffer levels are the
-    module constants above ``AbrController``."""
-
-    engine: FetchEngine = field(default_factory=FetchEngine)
-    half_life_fast_s: float = 2.0
-    half_life_slow_s: float = 6.0
-
-    def __post_init__(self) -> None:
-        # The estimator checks its own ranges; building one from this config
-        # fails a bad value now, not mid-session.
-        BandwidthEstimator(self.half_life_fast_s, self.half_life_slow_s)
-
-
 def resource_name(prefix: Name, path: str) -> Name:
     """Map a URI path under the service prefix to a base name."""
     if not path or path.startswith("/") or any(p == "" for p in path.split("/")):
@@ -379,7 +358,10 @@ class PlayerSession:
 
     ``videos`` lists the videos to play in order, a repeat playing again,
     each as (video id, prefix, server key): its files are fetched under
-    ``<prefix>/<video id>`` and verified with that key.
+    ``<prefix>/<video id>`` and verified with that key. Every fetch runs
+    ``engine``'s pipeline, and every segment feeds ``estimator``, which
+    carries over from one video to the next: a session needs an estimator
+    of its own.
 
     ``buffer_s`` is the media downloaded and not yet played. Playback
     drains one second of it per simulated second once it reaches
@@ -400,7 +382,8 @@ class PlayerSession:
         transport: Transport,
         videos: list[tuple[str, Name, KeyMaterial]],
         rng: random.Random,
-        config: SessionConfig | None = None,
+        engine: FetchEngine,
+        estimator: BandwidthEstimator,
         on_end: Callable[[], None] | None = None,
     ):
         self.session_id = session_id
@@ -409,12 +392,10 @@ class PlayerSession:
         self.videos = list(videos)
         self.video_ids = [video_id for video_id, _prefix, _key in self.videos]
         self.rng = rng
-        self.config = config or SessionConfig()
+        self.engine = engine
+        self.estimator = estimator
         self.on_end = on_end
 
-        self.estimator = BandwidthEstimator(
-            self.config.half_life_fast_s, self.config.half_life_slow_s
-        )
         self.abr: AbrController | None = None
 
         self.quality_timeline: list[tuple[float, str]] = []
@@ -503,7 +484,7 @@ class PlayerSession:
 
         fetch = FileFetch(
             self.transport,
-            self.config.engine,
+            self.engine,
             base,
             key,
             self.rng,

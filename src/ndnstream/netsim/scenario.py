@@ -28,12 +28,20 @@ sections or keys are configuration errors, not warnings. Example::
 
 Optional sections: [fch], [prewarm], [throttles].
 
+One table, ``_KINDS``, declares every line kind: its leading tokens and
+its keys. Each key names the parameter of the call that builds the entry,
+and the builder passes a line's keywords on with ``**``, so a key left
+out keeps that call's own default. An id is declared once: a second node,
+video, tier of one video, session or ``[fch]`` line with the same id fails
+at its own line. Every error that parsing raises starts with ``line N:``.
+
 Parsing checks what the text alone shows. A run is built in two phases:
 ``build_network`` adds the nodes, links and routes, checks that every
 consumer reaches each video's own server through each of its gateways,
 and applies the throttles; ``ScenarioRun`` then packages and publishes
-the videos, prewarms the caches and sets up the sessions. The CLI's ``validate`` builds a ``ScenarioRun`` and runs no
-event, so it rejects exactly what a run rejects while building.
+the videos, prewarms the caches and sets up the sessions. The CLI's
+``validate`` builds a ``ScenarioRun`` and runs no event, so it rejects
+exactly what a run rejects while building.
 """
 
 from __future__ import annotations
@@ -41,17 +49,16 @@ from __future__ import annotations
 import math
 import random
 import re
-from collections.abc import Callable, Collection
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, NamedTuple
 
-from ..consumer import FetchEngine, PlayerSession, SessionConfig, resource_name
+from ..consumer import BandwidthEstimator, FetchEngine, PlayerSession, resource_name
 from ..errors import CapacityExceeded, InvalidConfig, InvalidRequest, InvalidTopology, MalformedName
 from ..metrics import CacheStats, MetricsReport, ServerSummary, SessionMetrics
 from ..names import Name, name_parse
-from ..packets import DEFAULT_FRESHNESS_MS, KeyMaterial
+from ..packets import KeyMaterial
 from ..producer import (
-    DEFAULT_CHUNK_SIZE,
     Representation,
     Repository,
     VideoCatalog,
@@ -71,70 +78,48 @@ from .topology import (
 
 DEFAULT_HORIZON_S = 3600.0
 DEFAULT_PREFETCH_DEPTH = 16
+# Defaults of keys whose call has none: package_video takes every segment
+# length, and Representation every height.
+DEFAULT_SEGMENT_S = 2.0
+DEFAULT_HEIGHT = 1
 
 
-@dataclass
-class NodeSpec:
-    node_id: str
-    kind: str  # consumer | forwarder | producer
-    cs_bytes: int = 0
-    prefetch_depth: int = 0
-    aggregate: bool = True
-    delay_ms: float = 1.0
+class Entry(NamedTuple):
+    """One parsed line: its number, its kind (the leading word, or the
+    kind's name where the section has none), its leading tokens parsed,
+    and its keywords grouped by the call they configure."""
 
-
-@dataclass
-class LinkSpec:
-    a: str
-    b: str
-    prop_ms: float = 0.0
-    bw_bps: float | None = None
-    queue_bytes: int | None = None
-
-
-@dataclass
-class RouteSpec:
-    node: str
-    prefix: Name
-    via: str
-    cost: int = 1
+    line: int
+    kind: str
+    args: list[Any]
+    kw: dict[str, dict[str, Any]]
 
 
 @dataclass
 class VideoSpec:
-    video_id: str
+    """A ``video`` line and its ``tier`` lines: the video's server and
+    prefix, and its keywords for ``package_video`` and ``publish``."""
+
+    line: int
     server: str
     prefix: Name
-    duration_s: float
-    segment_s: float = 2.0
-    chunk_bytes: int = DEFAULT_CHUNK_SIZE
-    freshness_ms: int = DEFAULT_FRESHNESS_MS
+    package: dict[str, float]
+    publish: dict[str, int]
     tiers: list[Representation] = field(default_factory=list)
 
 
 @dataclass
 class SessionSpec:
-    session_id: str
+    """A ``session`` line: its consumer, videos and start time, the
+    ``FetchEngine`` its fetches run, and the keywords from which each run
+    builds the session's own ``BandwidthEstimator``."""
+
+    line: int
     consumer: str
     videos: list[str]
+    engine: FetchEngine
+    estimator: dict[str, float]
     start_s: float = 0.0
-    config: SessionConfig = field(default_factory=SessionConfig)
-
-
-@dataclass
-class PrewarmSpec:
-    node: str
-    video: str
-    tier: str
-    fraction: float
-
-
-@dataclass
-class ThrottleSpec:
-    src: str
-    dst: str
-    at_s: float
-    bw_bps: float | None
 
 
 @dataclass
@@ -142,14 +127,14 @@ class Scenario:
     scenario_id: str = "scenario"
     seed: int = 0
     horizon_s: float = DEFAULT_HORIZON_S
-    nodes: list[NodeSpec] = field(default_factory=list)
-    links: list[LinkSpec] = field(default_factory=list)
-    routes: list[RouteSpec] = field(default_factory=list)
+    nodes: list[Entry] = field(default_factory=list)
+    links: list[Entry] = field(default_factory=list)
+    routes: list[Entry] = field(default_factory=list)
     videos: dict[str, VideoSpec] = field(default_factory=dict)  # by id, in file order
-    sessions: list[SessionSpec] = field(default_factory=list)
+    sessions: dict[str, SessionSpec] = field(default_factory=dict)  # by id, in file order
     fch: dict[str, list[str]] = field(default_factory=dict)
-    prewarm: list[PrewarmSpec] = field(default_factory=list)
-    throttles: list[ThrottleSpec] = field(default_factory=list)
+    prewarm: list[Entry] = field(default_factory=list)
+    throttles: list[Entry] = field(default_factory=list)
 
 
 _BW_RE = re.compile(r"^(\d+(?:\.\d+)?)([kKmMgG]?)(?:bps)?$")
@@ -178,6 +163,15 @@ def parse_size(text: str) -> int | None:
     return int(float(m.group(1)) * _SCALE[m.group(2).lower()])
 
 
+def _byte_size(text: str) -> int:
+    """A size that is a number of bytes: a content store holds no
+    ``unlimited``."""
+    size = parse_size(text)
+    if size is None:
+        raise ValueError("expected a byte size, got 'unlimited'")
+    return size
+
+
 def _parse_strategy(text: str) -> int:
     """The prefetch depth a forwarder's strategy names: 0 for best route."""
     if text == "best-route":
@@ -198,6 +192,13 @@ def _non_negative(text: str, kind: Callable[[str], float] = float) -> float:
     return value
 
 
+def _horizon(text: str) -> float:
+    horizon = float(text)
+    if not horizon >= 0:  # NaN too; inf runs until the sessions end
+        raise ValueError(f"horizon must be a number >= 0, got {text!r}")
+    return horizon
+
+
 def _safe_component(text: str, what: str) -> str:
     """A video id or tier label: one name component that the consumer can
     parse back out of playlists and paths, and no version or chunk marker."""
@@ -212,203 +213,203 @@ def _parse_switch(text: str) -> bool:
     return text == "on"
 
 
-# Optional keys of each entry kind: scenario key -> (spec field, parser).
-# A key left out keeps the field's default, so every default is defined
-# once, on the spec or on the component it configures.
-_NODE_KEYS = {
-    "consumer": {},
-    "forwarder": {
-        "cs": ("cs_bytes", lambda text: parse_size(text) or 0),
-        "strategy": ("prefetch_depth", _parse_strategy),
-        "aggregate": ("aggregate", _parse_switch),
+_Parser = Callable[[str], Any]
+
+
+class _Kind(NamedTuple):
+    """One line kind. ``leading`` names and parses the tokens before its
+    keys; with ``tail``, the tokens after them are one more argument, a
+    list, and the line has no keys. ``keys`` maps each call the line
+    configures to its keys. With ``unique``, the leading tokens are the
+    line's id, which no other line of its section may repeat."""
+
+    name: str
+    leading: tuple[tuple[str, _Parser], ...]
+    keys: dict[str, dict[str, tuple[str, _Parser]]] = {}  # call -> key -> (parameter, parser)
+    required: tuple[str, ...] = ()
+    unique: bool = False
+    tail: bool = False
+
+
+_ID = (("id", str),)
+
+# Every line kind, by section (None: the directives before the first one)
+# and leading word (None: the section's lines have none). A directive's
+# one token sets the Scenario field it names. A group of keys named after
+# the kind itself holds values the builder reads; every other group is
+# the keywords of the call it is named after.
+_KINDS: dict[str | None, dict[str | None, _Kind]] = {
+    None: {
+        "scenario": _Kind("scenario", (("scenario_id", str),)),
+        "seed": _Kind("seed", (("seed", int),)),
+        "horizon": _Kind("horizon", (("horizon_s", _horizon),)),
     },
-    "producer": {"delay-ms": ("delay_ms", _non_negative)},
+    "nodes": {
+        "consumer": _Kind("node", _ID, unique=True),
+        "forwarder": _Kind("node", _ID, {"add_forwarder": {
+            "cs": ("cs_capacity_bytes", _byte_size),
+            "strategy": ("prefetch_depth", _parse_strategy),
+            "aggregate": ("aggregate_interests", _parse_switch),
+        }}, unique=True),
+        "producer": _Kind("node", _ID, {"Repository": {
+            "delay-ms": ("processing_delay_ms", _non_negative),
+        }}, unique=True),
+    },
+    "links": {None: _Kind("link", (("a", str), ("b", str)), {"add_link": {
+        "prop-ms": ("propagation_ms", _non_negative),
+        "bw": ("bandwidth_bps", parse_bandwidth),
+        "queue": ("queue_limit_bytes", parse_size),
+    }})},
+    "routes": {None: _Kind("route", (("node", str), ("prefix", name_parse), ("via", str)), {
+        "add_route": {"cost": ("cost", int)},
+    })},
+    "videos": {
+        "video": _Kind("video", (("id", lambda text: _safe_component(text, "video id")),), {
+            "video": {"server": ("server", str), "prefix": ("prefix", name_parse)},
+            "package_video": {
+                "duration-s": ("duration_s", _non_negative),
+                "segment-s": ("segment_duration_s", _non_negative),
+            },
+            "publish": {
+                "chunk-bytes": ("chunk_size", int),
+                "freshness-ms": ("freshness_ms", lambda text: _non_negative(text, int)),
+            },
+        }, required=("server", "prefix", "duration-s"), unique=True),
+        "tier": _Kind("tier", (
+            ("video", str),
+            ("label", lambda text: _safe_component(text, "tier label")),
+        ), {"Representation": {
+            "height": ("height", lambda text: int(text) or DEFAULT_HEIGHT),
+            "min-bw": ("bitrate_bps", lambda text: int(parse_bandwidth(text) or 0)),
+        }}, required=("min-bw",), unique=True),
+    },
+    "sessions": {"session": _Kind("session", _ID, {
+        "session": {
+            "consumer": ("consumer", str),
+            "videos": ("videos", lambda text: text.split(",")),
+            "start-s": ("start_s", _non_negative),
+        },
+        "FetchEngine": {
+            "window": ("window", int),
+            "rto-ms": ("rto_ms", _non_negative),
+            "max-retx": ("max_retx", int),
+        },
+        "BandwidthEstimator": {
+            "est-fast-s": ("half_life_fast_s", _non_negative),
+            "est-slow-s": ("half_life_slow_s", _non_negative),
+        },
+    }, required=("consumer", "videos"), unique=True)},
+    "fch": {None: _Kind("fch entry", (("consumer", str),), unique=True, tail=True)},
+    "prewarm": {None: _Kind(
+        "prewarm", (("node", str), ("video", str), ("tier", str), ("fraction", float))
+    )},
+    "throttles": {None: _Kind("throttle", (("src", str), ("dst", str)), {"throttle": {
+        "at-s": ("at_s", _non_negative),
+        "bw": ("bandwidth_bps", parse_bandwidth),
+    }}, required=("at-s", "bw"))},
 }
-_LINK_KEYS = {
-    "prop-ms": ("prop_ms", _non_negative),
-    "bw": ("bw_bps", parse_bandwidth),
-    "queue": ("queue_bytes", parse_size),
-}
-_ROUTE_KEYS = {"cost": ("cost", int)}
-_VIDEO_KEYS = {
-    "segment-s": ("segment_s", _non_negative),
-    "chunk-bytes": ("chunk_bytes", int),
-    "freshness-ms": ("freshness_ms", lambda text: _non_negative(text, int)),
-}
-_SESSION_KEYS = {"start-s": ("start_s", _non_negative)}
-_ENGINE_KEYS = {
-    "window": ("window", int),
-    "rto-ms": ("rto_ms", _non_negative),
-    "max-retx": ("max_retx", int),
-}
-_PLAYER_KEYS = {
-    "est-fast-s": ("half_life_fast_s", _non_negative),
-    "est-slow-s": ("half_life_slow_s", _non_negative),
-}
-
-
-def _kv(tokens: list[str], allowed: Collection[str], where: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for token in tokens:
-        if "=" not in token:
-            raise InvalidConfig(f"{where}: expected key=value, got {token!r}")
-        key, _, value = token.partition("=")
-        if key not in allowed:
-            raise InvalidConfig(f"{where}: unknown key {key!r}")
-        values[key] = value
-    return values
-
-
-def _fields(
-    kv: dict[str, str], keys: dict[str, tuple[str, Callable[[str], Any]]]
-) -> dict[str, Any]:
-    """Spec fields set by the optional keys present in ``kv``."""
-    return {name: parse(kv[key]) for key, (name, parse) in keys.items() if key in kv}
 
 
 def parse_scenario(text: str) -> Scenario:
+    """Parse scenario text. A malformed line, a repeated id or a name no
+    line declares raises InvalidConfig, starting ``line N:``."""
     scenario = Scenario()
     section: str | None = None
-    known_sections = {
-        "nodes",
-        "links",
-        "routes",
-        "videos",
-        "sessions",
-        "fch",
-        "prewarm",
-        "throttles",
-    }
+    ids: set[tuple[str | None, ...]] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        where = f"line {lineno}"
-        if line.startswith("["):
-            name = line.strip("[]")
-            if name not in known_sections:
-                raise InvalidConfig(f"{where}: unknown section {name!r}")
-            section = name
-            continue
         try:
-            _parse_entry(scenario, section, line, where)
-        except (ValueError, MalformedName) as exc:
-            raise InvalidConfig(f"{where}: {exc}") from exc
+            if line.startswith("["):
+                section = line.strip("[]")
+                if section not in _KINDS:
+                    raise ValueError(f"unknown section {section!r}")
+            else:
+                _parse_entry(scenario, section, lineno, line.split(), ids)
+        except (ValueError, MalformedName, InvalidConfig) as exc:
+            raise InvalidConfig(f"line {lineno}: {exc}") from exc
     _validate(scenario)
     return scenario
 
 
-def _parse_entry(scenario: Scenario, section: str | None, line: str, where: str) -> None:
-    """Add one non-header line to the scenario. Malformed values raise
-    ValueError or MalformedName; the caller reports them by line."""
-    tokens = line.split()
+def _parse_entry(
+    scenario: Scenario, section: str | None, lineno: int, tokens: list[str], ids: set
+) -> None:
+    """Parse one entry line by its kind in ``_KINDS`` and store it."""
+    kinds = _KINDS[section]
+    word = None if None in kinds else tokens.pop(0)
+    if word not in kinds:
+        raise ValueError(f"unknown entry {word!r}: expected one of {', '.join(kinds)}")
+    kind = kinds[word]
+    leading = len(kind.leading)
+    if len(tokens) < leading:
+        raise ValueError(f"{kind.name} needs {', '.join(name for name, _ in kind.leading)}")
+    args = [parse(token) for (_, parse), token in zip(kind.leading, tokens)]
+    if kind.unique:
+        ident = (section, *args)
+        if ident in ids:
+            raise ValueError(f"duplicate {kind.name} {' '.join(ident[1:])!r}")
+        ids.add(ident)
+    rest = tokens[leading:]
+    if kind.tail:
+        args.append(rest)
+        rest = []
+    entry = Entry(lineno, word or kind.name, args, _keywords(kind, rest))
+    _store(scenario, section, kind, entry)
+
+
+def _keywords(kind: _Kind, tokens: list[str]) -> dict[str, dict[str, Any]]:
+    """A line's keys parsed, grouped by the call each one configures."""
+    kw: dict[str, dict[str, Any]] = {call: {} for call in kind.keys}
+    given = set()
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {token!r}")
+        call = next((call for call, keys in kind.keys.items() if key in keys), None)
+        if call is None:
+            raise ValueError(f"unknown key {key!r}")
+        param, parse = kind.keys[call][key]
+        kw[call][param] = parse(value)
+        given.add(key)
+    for key in kind.required:
+        if key not in given:
+            raise ValueError(f"{kind.name} needs {key}")
+    return kw
+
+
+def _store(scenario: Scenario, section: str | None, kind: _Kind, entry: Entry) -> None:
+    """Keep a parsed line where the builder reads it."""
+    line, _word, args, kw = entry
     if section is None:
-        if tokens[0] == "scenario" and len(tokens) == 2:
-            scenario.scenario_id = tokens[1]
-        elif tokens[0] == "seed" and len(tokens) == 2:
-            scenario.seed = int(tokens[1])
-        elif tokens[0] == "horizon" and len(tokens) == 2:
-            horizon = float(tokens[1])
-            if not horizon >= 0:  # NaN too; inf runs until the sessions end
-                raise ValueError(f"horizon must be a number >= 0, got {tokens[1]!r}")
-            scenario.horizon_s = horizon
-        else:
-            raise InvalidConfig(f"{where}: unknown directive {tokens[0]!r}")
-    elif section == "nodes":
-        kind = tokens[0]
-        if kind not in _NODE_KEYS:
-            raise InvalidConfig(f"{where}: unknown node kind {kind!r}")
-        if len(tokens) < 2:
-            raise InvalidConfig(f"{where}: node needs an id")
-        keys = _NODE_KEYS[kind]
-        kv = _kv(tokens[2:], keys, where)
-        scenario.nodes.append(NodeSpec(tokens[1], kind, **_fields(kv, keys)))
-    elif section == "links":
-        if len(tokens) < 2:
-            raise InvalidConfig(f"{where}: link needs two endpoints")
-        kv = _kv(tokens[2:], _LINK_KEYS, where)
-        scenario.links.append(LinkSpec(tokens[0], tokens[1], **_fields(kv, _LINK_KEYS)))
-    elif section == "routes":
-        if len(tokens) < 3:
-            raise InvalidConfig(f"{where}: route needs node, prefix, via")
-        kv = _kv(tokens[3:], _ROUTE_KEYS, where)
-        scenario.routes.append(
-            RouteSpec(tokens[0], name_parse(tokens[1]), tokens[2], **_fields(kv, _ROUTE_KEYS))
+        setattr(scenario, kind.leading[0][0], args[0])
+    elif kind.name == "video":
+        kw["package_video"].setdefault("segment_duration_s", DEFAULT_SEGMENT_S)
+        scenario.videos[args[0]] = VideoSpec(
+            line, **kw["video"], package=kw["package_video"], publish=kw["publish"]
         )
-    elif section == "videos":
-        videos = scenario.videos
-        if tokens[0] == "video":
-            kv = _kv(tokens[2:], {"server", "prefix", "duration-s", *_VIDEO_KEYS}, where)
-            for required in ("server", "prefix", "duration-s"):
-                if required not in kv:
-                    raise InvalidConfig(f"{where}: video needs {required}")
-            video_id = _safe_component(tokens[1], "video id")
-            if video_id in videos:
-                raise ValueError(f"duplicate video {video_id!r}")
-            videos[video_id] = VideoSpec(
-                video_id=video_id,
-                server=kv["server"],
-                prefix=name_parse(kv["prefix"]),
-                duration_s=_non_negative(kv["duration-s"]),
-                **_fields(kv, _VIDEO_KEYS),
-            )
-        elif tokens[0] == "tier":
-            if len(tokens) < 3 or tokens[1] not in videos:
-                raise InvalidConfig(f"{where}: tier needs a declared video id")
-            kv = _kv(tokens[3:], {"height", "min-bw"}, where)
-            if "min-bw" not in kv:
-                raise InvalidConfig(f"{where}: tier needs min-bw")
-            videos[tokens[1]].tiers.append(
-                Representation(
-                    label=_safe_component(tokens[2], "tier label"),
-                    height=int(kv.get("height", "0")) or 1,
-                    bitrate_bps=int(parse_bandwidth(kv["min-bw"]) or 0),
-                )
-            )
-        else:
-            raise InvalidConfig(f"{where}: unknown videos entry {tokens[0]!r}")
-    elif section == "sessions":
-        if tokens[0] != "session" or len(tokens) < 2:
-            raise InvalidConfig(f"{where}: expected 'session <id> ...'")
-        kv = _kv(
-            tokens[2:],
-            {"consumer", "videos", *_SESSION_KEYS, *_ENGINE_KEYS, *_PLAYER_KEYS},
-            where,
+    elif kind.name == "tier":
+        video_id, label = args
+        if video_id not in scenario.videos:
+            raise ValueError(f"tier needs a declared video id, got {video_id!r}")
+        kw["Representation"].setdefault("height", DEFAULT_HEIGHT)
+        scenario.videos[video_id].tiers.append(Representation(label, **kw["Representation"]))
+    elif kind.name == "session":
+        # Each run builds the session a fresh estimator; this one fails a
+        # bad half-life at its line.
+        BandwidthEstimator(**kw["BandwidthEstimator"])
+        scenario.sessions[args[0]] = SessionSpec(
+            line,
+            **kw["session"],
+            engine=FetchEngine(**kw["FetchEngine"]),
+            estimator=kw["BandwidthEstimator"],
         )
-        for required in ("consumer", "videos"):
-            if required not in kv:
-                raise InvalidConfig(f"{where}: session needs {required}")
-        # SessionConfig and FetchEngine check their own ranges here, so a
-        # bad value fails validation instead of the run.
-        config = SessionConfig(
-            FetchEngine(**_fields(kv, _ENGINE_KEYS)), **_fields(kv, _PLAYER_KEYS)
-        )
-        scenario.sessions.append(
-            SessionSpec(
-                session_id=tokens[1],
-                consumer=kv["consumer"],
-                videos=kv["videos"].split(","),
-                config=config,
-                **_fields(kv, _SESSION_KEYS),
-            )
-        )
-    elif section == "fch":
-        scenario.fch[tokens[0]] = tokens[1:]
-    elif section == "prewarm":
-        if len(tokens) != 4:
-            raise InvalidConfig(f"{where}: prewarm needs node video tier fraction")
-        scenario.prewarm.append(PrewarmSpec(tokens[0], tokens[1], tokens[2], float(tokens[3])))
-    elif section == "throttles":
-        if len(tokens) < 2:
-            raise InvalidConfig(f"{where}: throttle needs src dst")
-        kv = _kv(tokens[2:], {"at-s", "bw"}, where)
-        if "at-s" not in kv or "bw" not in kv:
-            raise InvalidConfig(f"{where}: throttle needs at-s and bw")
-        scenario.throttles.append(
-            ThrottleSpec(
-                tokens[0], tokens[1], _non_negative(kv["at-s"]), parse_bandwidth(kv["bw"])
-            )
-        )
+    elif kind.name == "fch entry":
+        consumer, gateways = args
+        scenario.fch[consumer] = gateways
+    else:  # nodes, links, routes, prewarm, throttles: built in file order
+        getattr(scenario, section).append(entry)
 
 
 def load_scenario(path) -> Scenario:
@@ -417,37 +418,39 @@ def load_scenario(path) -> Scenario:
 
 
 def _validate(scenario: Scenario) -> None:
-    """The checks the text alone shows. ``build_network`` checks the
-    topology: node ids, links, routes, gateways and throttle links."""
-    kinds = {n.node_id: n.kind for n in scenario.nodes}
+    """The cross-references the text alone shows, each checked at the line
+    that makes it. ``build_network`` checks the topology: links, routes,
+    gateways and throttle links."""
+
+    def fail(line: int, problem: str) -> None:
+        raise InvalidConfig(f"line {line}: {problem}")
+
+    kinds = {node.args[0]: node.kind for node in scenario.nodes}
     videos = scenario.videos
-    for video in videos.values():
+    for video_id, video in videos.items():
         if not video.tiers:
-            raise InvalidConfig(f"video {video.video_id!r} has no tiers")
-    for session in scenario.sessions:
+            fail(video.line, f"video {video_id!r} has no tiers")
+    for session_id, session in scenario.sessions.items():
         if kinds.get(session.consumer) != "consumer":
-            raise InvalidConfig(f"session {session.session_id!r} needs a consumer")
+            fail(session.line, f"session {session_id!r} needs a consumer")
         for vid in session.videos:
             if vid not in videos:
-                raise InvalidConfig(f"session references unknown video {vid!r}")
-    for pw in scenario.prewarm:
-        if kinds.get(pw.node) != "forwarder":
-            raise InvalidConfig(f"prewarm node {pw.node!r} is not a forwarder")
-        if pw.video not in videos:
-            raise InvalidConfig(f"prewarm references unknown video {pw.video!r}")
-        if pw.tier not in {t.label for t in videos[pw.video].tiers}:
-            raise InvalidConfig(f"prewarm tier {pw.tier!r} is not a tier of {pw.video!r}")
-        if not 0 <= pw.fraction <= 1:
-            raise InvalidConfig("prewarm fraction must be within [0, 1]")
+                fail(session.line, f"session references unknown video {vid!r}")
+    for line, _kind, (node, video_id, tier, fraction), _kw in scenario.prewarm:
+        if not 0 <= fraction <= 1:
+            fail(line, "prewarm fraction must be within [0, 1]")
+        if kinds.get(node) != "forwarder":
+            fail(line, f"prewarm node {node!r} is not a forwarder")
+        if video_id not in videos:
+            fail(line, f"prewarm references unknown video {video_id!r}")
+        if tier not in {t.label for t in videos[video_id].tiers}:
+            fail(line, f"prewarm tier {tier!r} is not a tier of {video_id!r}")
     last_at: dict[tuple[str, str], float] = {}
-    for throttle in scenario.throttles:
-        direction = (throttle.src, throttle.dst)
-        if direction in last_at and throttle.at_s <= last_at[direction]:
-            raise InvalidConfig(
-                f"throttle {throttle.src}->{throttle.dst}: "
-                "throttle timestamps must be strictly increasing"
-            )
-        last_at[direction] = throttle.at_s
+    for line, _kind, (src, dst), kw in scenario.throttles:
+        at_s = kw["throttle"]["at_s"]
+        if (src, dst) in last_at and at_s <= last_at[src, dst]:
+            fail(line, f"throttle {src}->{dst}: throttle timestamps must be strictly increasing")
+        last_at[src, dst] = at_s
 
 
 def build_network(scenario: Scenario) -> NetworkSim:
@@ -459,46 +462,37 @@ def build_network(scenario: Scenario) -> NetworkSim:
     InvalidTopology where the topology is at fault."""
     sim = NetworkSim(scenario.seed)
     for node in scenario.nodes:
+        (node_id,) = node.args
         if node.kind == "forwarder":
-            sim.add_forwarder(
-                node.node_id,
-                cs_capacity_bytes=node.cs_bytes,
-                prefetch_depth=node.prefetch_depth,
-                aggregate_interests=node.aggregate,
-            )
+            sim.add_forwarder(node_id, **node.kw["add_forwarder"])
         elif node.kind == "producer":
             key = KeyMaterial(
-                key_id=f"{node.node_id}-key",
-                secret=derive_seed(scenario.seed, f"key:{node.node_id}").to_bytes(8, "big"),
+                key_id=f"{node_id}-key",
+                secret=derive_seed(scenario.seed, f"key:{node_id}").to_bytes(8, "big"),
             )
-            sim.add_producer(node.node_id, Repository(key, processing_delay_ms=node.delay_ms))
+            sim.add_producer(node_id, Repository(key, **node.kw["Repository"]))
         else:
-            sim.add_consumer(node.node_id)
+            sim.add_consumer(node_id)
     for link in scenario.links:
-        sim.add_link(
-            link.a,
-            link.b,
-            propagation_ms=link.prop_ms,
-            bandwidth_bps=link.bw_bps,
-            queue_limit_bytes=link.queue_bytes,
-        )
+        sim.add_link(*link.args, **link.kw["add_link"])
     for route in scenario.routes:
-        sim.add_route(route.node, route.prefix, route.via, route.cost)
-    for video in scenario.videos.values():
+        sim.add_route(*route.args, **route.kw["add_route"])
+    videos = scenario.videos
+    for video_id, video in videos.items():
         if not isinstance(sim.hosts.get(video.server), ProducerHost):
-            raise InvalidTopology(f"video {video.video_id!r} needs a producer server")
+            raise InvalidTopology(f"video {video_id!r} needs a producer server")
     for node_id, gateways in scenario.fch.items():
         sim.set_gateways(node_id, gateways)
-    sim.validate_reachability(
-        [(v.prefix.append(v.video_id), v.server) for v in scenario.videos.values()]
-    )
+    sim.validate_reachability([(v.prefix.append(vid), v.server) for vid, v in videos.items()])
     for throttle in scenario.throttles:
-        link = sim.link_between(throttle.src, throttle.dst)
-        args = (throttle.src, throttle.dst, throttle.bw_bps)
-        if throttle.at_s <= 0:
+        src, dst = throttle.args
+        link = sim.link_between(src, dst)
+        values = throttle.kw["throttle"]
+        args = (src, dst, values["bandwidth_bps"])
+        if values["at_s"] <= 0:
             link.set_bandwidth(*args)
         else:
-            sim.engine.schedule(throttle.at_s, link.set_bandwidth, None, args)
+            sim.engine.schedule(values["at_s"], link.set_bandwidth, None, args)
     return sim
 
 
@@ -553,42 +547,30 @@ class ScenarioRun:
             if isinstance(host, ProducerHost)
         }
         for video_id, video in scenario.videos.items():
-            catalog = package_video(video_id, video.duration_s, video.segment_s, video.tiers)
+            catalog = package_video(video_id, representations=video.tiers, **video.package)
             self.catalogs[video_id] = catalog
             repo = self.repos[video.server]
-            publish(
-                repo,
-                catalog,
-                video.prefix,
-                chunk_size=video.chunk_bytes,
-                freshness_ms=video.freshness_ms,
-            )
+            publish(repo, catalog, video.prefix, **video.publish)
             self.fetch_table[video_id] = (video.prefix, repo.key)
-        for pw in scenario.prewarm:
-            video = scenario.videos[pw.video]
-            prewarm_cache(
-                sim,
-                pw.node,
-                self.repos[video.server],
-                video.prefix,
-                self.catalogs[pw.video],
-                pw.tier,
-                pw.fraction,
-            )
-        for spec in scenario.sessions:
-            self._setup_session(spec)
+        for _line, _kind, (node_id, video_id, label, fraction), _kw in scenario.prewarm:
+            video = scenario.videos[video_id]
+            repo, catalog = self.repos[video.server], self.catalogs[video_id]
+            prewarm_cache(sim, node_id, repo, video.prefix, catalog, label, fraction)
+        for session_id, spec in scenario.sessions.items():
+            self._setup_session(session_id, spec)
 
-    def _setup_session(self, spec: SessionSpec) -> None:
+    def _setup_session(self, session_id: str, spec: SessionSpec) -> None:
         sim = self.sim
         host = sim.hosts[spec.consumer]
         assert isinstance(host, ConsumerHost)
         videos = [(video_id, *self.fetch_table[video_id]) for video_id in spec.videos]
         session = PlayerSession(
-            session_id=spec.session_id,
+            session_id=session_id,
             transport=host,
             videos=videos,
-            rng=random.Random(derive_seed(self.scenario.seed, f"session:{spec.session_id}")),
-            config=spec.config,
+            rng=random.Random(derive_seed(self.scenario.seed, f"session:{session_id}")),
+            engine=spec.engine,
+            estimator=BandwidthEstimator(**spec.estimator),
             on_end=self._session_ended,
         )
         self.live_sessions += 1

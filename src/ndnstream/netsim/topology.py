@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 from types import SimpleNamespace
-from typing import Callable
+from typing import Any, Callable
 
 from ..consumer import FetchEngine, FileFetch, PlayerSession
 from ..errors import AllProbesFailed, InvalidTopology
@@ -215,21 +215,11 @@ class NetworkSim:
 
     # -- construction ------------------------------------------------------
 
-    def add_forwarder(
-        self,
-        node_id: str,
-        cs_capacity_bytes: int = 0,
-        prefetch_depth: int = 0,
-        aggregate_interests: bool = True,
-    ) -> ForwarderHost:
-        node = ForwarderNode(
-            node_id,
-            cs_capacity_bytes=cs_capacity_bytes,
-            prefetch_depth=prefetch_depth,
-            nonce_rng=random.Random(derive_seed(self.seed, f"fw:{node_id}")),
-            aggregate_interests=aggregate_interests,
-        )
-        host = ForwarderHost(self, node)
+    def add_forwarder(self, node_id: str, **options: Any) -> ForwarderHost:
+        """Add a forwarder built with ``ForwarderNode``'s keyword
+        ``options``; its nonces come from the simulator's seed and its id."""
+        rng = random.Random(derive_seed(self.seed, f"fw:{node_id}"))
+        host = ForwarderHost(self, ForwarderNode(node_id, nonce_rng=rng, **options))
         self._register(node_id, host)
         return host
 
@@ -249,20 +239,14 @@ class NetworkSim:
             raise InvalidTopology(f"duplicate node id {node_id}")
         self.hosts[node_id] = host
 
-    def add_link(
-        self,
-        a: str,
-        b: str,
-        propagation_ms: float = 0.0,
-        bandwidth_bps: float | None = None,
-        queue_limit_bytes: int | None = None,
-    ) -> Link:
+    def add_link(self, a: str, b: str, **options: Any) -> Link:
+        """Link two nodes with ``Link``'s keyword ``options``."""
         for node_id in (a, b):
             if node_id not in self.hosts:
                 raise InvalidTopology(f"link references unknown node {node_id}")
         if b in self.hosts[a].peer_face:
             raise InvalidTopology(f"second link between {a} and {b}")
-        link = Link(a, b, propagation_ms, bandwidth_bps, queue_limit_bytes)
+        link = Link(a, b, **options)
         self.links.append(link)
         host_a, host_b = self.hosts[a], self.hosts[b]
         # Face ids count up from 1 per host; a link from a node to itself
@@ -280,14 +264,16 @@ class NetworkSim:
             raise InvalidTopology(f"no link between {a} and {b}")
         return host.face_link[face][0]
 
-    def add_route(self, node_id: str, prefix: Name, via: str, cost: int = 1) -> None:
+    def add_route(self, node_id: str, prefix: Name, via: str, **options: Any) -> None:
+        """Route ``prefix`` from a forwarder to the linked node ``via``, with
+        ``ForwarderNode.add_route``'s keyword ``options``."""
         host = self.hosts.get(node_id)
         if not isinstance(host, ForwarderHost):
             raise InvalidTopology(f"routes only apply to forwarders, not {node_id}")
         face = host.peer_face.get(via)
         if face is None:
             raise InvalidTopology(f"{node_id} has no link to {via}")
-        host.node.add_route(prefix, face, cost)
+        host.node.add_route(prefix, face, **options)
 
     # -- validation ---------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,17 @@ REMOVED_KEYS = [
     pytest.param(SESSION, SESSION + " startup-s=2", id="startup-s-removed"),
     pytest.param(SESSION, SESSION + " safety=0.9", id="safety-removed"),
     pytest.param(TIER, TIER + " media=0.6Mbps", id="tier-media-removed"),
+]
+
+# Errors parsing finds at one line, which the message names: a second
+# declaration of an id, and sizes and rates the key cannot take.
+LINE_ERRORS = [
+    pytest.param(TIER, TIER + "\n" + TIER, id="tier-duplicate"),
+    pytest.param(SESSION, SESSION + "\n" + SESSION, id="session-duplicate"),
+    pytest.param(SESSION, SESSION + "\n[fch]\nc1 gw\nc1 gw", id="fch-duplicate"),
+    pytest.param("producer srv", "producer srv\nconsumer srv", id="node-duplicate"),
+    pytest.param("cs=8MB", "cs=unlimited", id="cs-unlimited"),
+    pytest.param("min-bw=0.6Mbps", "min-bw=unlimited", id="min-bw-unlimited"),
 ]
 
 # Each case edits GOOD into a scenario that must fail validation with a
@@ -150,6 +162,7 @@ BAD_VALUES = [
     pytest.param("240p", "c=3", id="tier-label-chunk-marker"),
     pytest.param("240p", "24/0p", id="tier-label-slash"),
     *REMOVED_KEYS,
+    *LINE_ERRORS,
 ]
 
 
@@ -162,9 +175,25 @@ def test_validate_rejects_bad_value(tmp_path, capsys, old, new):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
-    # run rejects it too, while building and before any event runs.
-    with pytest.raises(InvalidConfig):
-        ScenarioRun(parse_scenario(GOOD.replace(old, new)))
+    # run rejects it too: parsing, naming the line at fault, or else while
+    # building and before any event runs.
+    try:
+        scenario = parse_scenario(GOOD.replace(old, new))
+    except InvalidConfig as exc:
+        assert re.match(r"line \d+: ", str(exc)), str(exc)
+    else:
+        with pytest.raises(InvalidConfig):
+            ScenarioRun(scenario)
+
+
+@pytest.mark.parametrize("old,new", LINE_ERRORS)
+def test_validate_names_the_offending_line(tmp_path, capsys, old, new):
+    # The edit's last line is the one at fault.
+    line = GOOD[: GOOD.index(old)].count("\n") + 1 + new.count("\n")
+    scn = tmp_path / "bad.scn"
+    scn.write_text(GOOD.replace(old, new))
+    assert main(["validate", str(scn)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: line {line}: ")
 
 
 def test_validate_names_unknown_key(tmp_path, capsys):
@@ -198,7 +227,8 @@ def test_validate_prewarm_capacity_boundary_agrees_with_run(tmp_path, capsys):
         # prewarm_cache draws the same line on the real packets: build a
         # scenario validated at the full size with the store cut to this one.
         scenario = parse_scenario(warm)
-        next(n for n in scenario.nodes if n.node_id == "gw").cs_bytes = capacity
+        gw = next(node for node in scenario.nodes if node.args == ["gw"])
+        gw.kw["add_forwarder"]["cs_capacity_bytes"] = capacity
         if ok:
             ScenarioRun(scenario)
         else:

@@ -136,10 +136,8 @@ def test_selection_scale_invariant():
 
 def test_select_updates_current_index():
     abr = AbrController(PAPER_TIERS)
-    abr.select(7_000_000)
-    assert abr.current == 4
-    abr.select(1_000_000)
-    assert abr.current == 1  # 0.9 <= 0.95
+    assert abr.select(7_000_000) is abr.tiers[4]
+    assert abr.select(1_000_000) is abr.tiers[1]  # 0.9 <= 0.95
 
 
 # -- file fetch over a scripted loopback -------------------------------------------
@@ -147,7 +145,8 @@ def test_select_updates_current_index():
 
 class Loopback:
     """Transport that answers interests from a repository after a fixed
-    one-way delay; can drop selected transmissions."""
+    one-way delay; can drop selected transmissions. ``peak_in_flight`` is
+    the most interests answered and not yet delivered at once."""
 
     def __init__(self, repo: Repository, rtt_s: float = 0.05, drop=None):
         self.engine = EventEngine()
@@ -157,6 +156,7 @@ class Loopback:
         self.fetch: FileFetch | None = None
         self.sent: list[tuple[float, Interest]] = []
         self.sends_by_name: dict[str, int] = {}
+        self.in_flight = self.peak_in_flight = 0
 
     def send_interest(self, interest):
         self.sent.append((self.engine.now, interest))
@@ -165,10 +165,16 @@ class Loopback:
         if self.drop(interest, nth):
             return
         response = self.repo.resolve(interest)
+        self.in_flight += 1
+        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        self.engine.schedule_in(self.rtt_s, self._deliver, (response,))
+
+    def _deliver(self, response):
+        self.in_flight -= 1
         if isinstance(response, Data):
-            self.engine.schedule_in(self.rtt_s, lambda: self.fetch.handle_data(response, False))
+            self.fetch.handle_data(response, False)
         else:
-            self.engine.schedule_in(self.rtt_s, lambda: self.fetch.handle_nack(response))
+            self.fetch.handle_nack(response)
 
     def run_fetch(self, base, engine_cfg, key, fetch_cls=FileFetch):
         result = {}
@@ -207,7 +213,7 @@ def test_window_never_exceeded(key):
     net = Loopback(repo)
     result = net.run_fetch(name_parse("/f"), FetchEngine(window=4), key)
     assert result["payload"] == b"\x05" * 10_000
-    assert net.fetch.max_in_flight <= 4
+    assert net.peak_in_flight == 4
 
 
 def test_lost_data_rtt_measured_from_retransmission(key):
@@ -324,7 +330,6 @@ class PerInterestTimers(FileFetch):
         self.events.schedule(
             now + self.engine.rto_ms / 1000.0, self._timeout, None, (chunk, serial)
         )
-        self.max_in_flight = max(self.max_in_flight, len(self._outstanding))
 
     def _timeout(self, chunk, serial):
         if self._done or self._outstanding.get(chunk) != serial:

@@ -145,13 +145,19 @@ def test_multi_video_session_picks_each_videos_own_tiers():
 
 @pytest.fixture
 def fetches(monkeypatch):
-    """Every ``FileFetch`` built while the test runs, in order."""
+    """Every ``FileFetch`` built while the test runs, in order; each one's
+    ``peak`` is the most requests it had outstanding at once."""
     made = []
 
     class RecordingFetch(consumer.FileFetch):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.peak = 0
             made.append(self)
+
+        def _send(self, chunk):
+            super()._send(chunk)
+            self.peak = max(self.peak, len(self._outstanding))
 
     monkeypatch.setattr(consumer, "FileFetch", RecordingFetch)
     return made
@@ -162,7 +168,8 @@ def test_in_flight_bound_holds_through_network(fetches):
     report = run.run()
     assert report.sessions[0].aborted is None
     assert len(fetches) > 1
-    assert all(f.max_in_flight <= 3 for f in fetches)
+    assert all(f.peak <= 3 for f in fetches)
+    assert max(f.peak for f in fetches) == 3
 
 
 def test_resource_request_stops_when_its_fetch_ends(fetches):

@@ -564,9 +564,9 @@ def test_validate_sizes_prewarm_sets_as_prewarm_cache_loads_them(lines):
             caps = {**need, node: capacity}
             edited = text.replace("CS_GW2", str(caps["gw2"])).replace("CS_GW", str(caps["gw"]))
             scenario = parse_scenario(big)
-            for spec in scenario.nodes:
-                if spec.node_id in caps:
-                    spec.cs_bytes = caps[spec.node_id]
+            for entry in scenario.nodes:
+                if entry.args[0] in caps:
+                    entry.kw["add_forwarder"]["cs_capacity_bytes"] = caps[entry.args[0]]
             if ok:
                 ScenarioRun(parse_scenario(edited))
                 ScenarioRun(scenario)

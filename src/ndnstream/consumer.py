@@ -21,7 +21,15 @@ from .errors import (
 )
 from .metrics import FileRecord
 from .names import Name, chunk_name, name_parse
-from .packets import Data, Interest, KeyMaterial, Nack, NackReason, verify_data
+from .packets import (
+    Data,
+    Interest,
+    KeyMaterial,
+    Nack,
+    NackReason,
+    chunk_interest,
+    verify_data,
+)
 from .producer import Representation
 
 if TYPE_CHECKING:
@@ -177,6 +185,7 @@ class FileFetch:
         self.transport = transport
         self.events = transport.engine
         self.engine = engine
+        self._rto_s = engine.rto_ms / 1000.0
         self.base = base
         self.key = key
         self.rng = rng
@@ -199,9 +208,13 @@ class FileFetch:
         self._send(None)
 
     def _send(self, chunk: int | None) -> None:
-        now = self.events.now
-        name = self.base if chunk is None else chunk_name(self.base, self.version, chunk)
-        interest = Interest(name, chunk is None, self.rng.getrandbits(32))
+        events = self.events
+        now = events.now
+        if chunk is None:
+            interest = Interest(self.base, True, self.rng.getrandbits(32))
+        else:
+            name = chunk_name(self.base, self.version, chunk)
+            interest = chunk_interest(name, self.rng.getrandbits(32))
         timing = self.timings.get(chunk)
         if timing is None:
             self.timings[chunk] = ChunkTiming(chunk, now, now)
@@ -209,8 +222,8 @@ class FileFetch:
             timing.last_sent = now
             timing.retx_count += 1
         self.transport.send_interest(interest)
-        deadline = now + self.engine.rto_ms / 1000.0
-        ticket = self.events.ticket()
+        deadline = now + self._rto_s
+        ticket = events.ticket()
         self._outstanding[chunk] = (deadline, ticket)
         if self._timer_ticket is None:
             self._arm(deadline, ticket)
@@ -241,13 +254,14 @@ class FileFetch:
             self._timer_ticket = None
 
     def _fill_window(self) -> None:
-        assert self.final_chunk is not None
-        while len(self._outstanding) < self.engine.window and self._next_chunk <= self.final_chunk:
+        outstanding, contents = self._outstanding, self.contents
+        window, final_chunk = self.engine.window, self.final_chunk
+        chunk = self._next_chunk
+        while len(outstanding) < window and chunk <= final_chunk:
+            self._next_chunk = chunk + 1
+            if chunk not in contents:
+                self._send(chunk)
             chunk = self._next_chunk
-            self._next_chunk += 1
-            if chunk in self.contents:
-                continue
-            self._send(chunk)
 
     # -- receiving -------------------------------------------------------
 

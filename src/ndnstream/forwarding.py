@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidTopology, UnknownFace
 from .names import Name, chunk_name, name_is_prefix_of
-from .packets import Data, Interest, Nack, NackReason, Packet
+from .packets import Data, Interest, Nack, NackReason, Packet, chunk_interest
 from .wire import encoded_size
 
 INTERNAL_FACE = 0
@@ -196,7 +196,7 @@ class ContentStore:
         return evicted
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeStats:
     interests_in: int = 0
     interests_out: int = 0
@@ -274,19 +274,20 @@ class ForwarderNode:
     def on_interest(self, from_face: int, interest: Interest, now: float) -> list[Action]:
         if from_face not in self.faces:
             raise UnknownFace(f"{self.node_id}: no face {from_face}")
-        self.stats.interests_in += 1
+        stats = self.stats
+        stats.interests_in += 1
         existing = self.pit.get(interest.name)
         if existing is not None and interest.nonce in existing.seen_nonces:
             return []  # looped interest
 
         cached = self.cs.lookup(interest, now)
         if cached is not None:
-            self.stats.cs_hits += 1
-            self.stats.data_out += 1
+            stats.cs_hits += 1
+            stats.data_out += 1
             if self.prefetch_depth:
                 return [(from_face, cached), *self._prefetch(cached, now)]
             return [(from_face, cached)]
-        self.stats.cs_misses += 1
+        stats.cs_misses += 1
 
         if existing is not None:
             retransmission = from_face in existing.downstream
@@ -300,12 +301,12 @@ class ForwarderNode:
             upstream = self.next_hop(interest.name, exclude=from_face)
             if upstream is None:
                 return []
-            self.stats.interests_out += 1
+            stats.interests_out += 1
             return [(upstream, interest)]
 
         upstream = self.next_hop(interest.name, exclude=from_face)
         if upstream is None:
-            self.stats.nacks_out += 1
+            stats.nacks_out += 1
             return [(from_face, Nack(interest.name, NackReason.NO_ROUTE))]
         self.pit[interest.name] = PitEntry(
             downstream={from_face},
@@ -313,7 +314,7 @@ class ForwarderNode:
             expiry=now + interest.lifetime_ms / 1000.0,
             can_be_prefix=interest.can_be_prefix,
         )
-        self.stats.interests_out += 1
+        stats.interests_out += 1
         return [(upstream, interest)]
 
     def on_data(self, from_face: int, data: Data, now: float) -> list[Action]:
@@ -388,7 +389,7 @@ class ForwarderNode:
                 continue
             if not plan:
                 covered = chunk - 1
-            plan.append(Interest(name=full, can_be_prefix=False, nonce=self._rng.getrandbits(32)))
+            plan.append(chunk_interest(full, self._rng.getrandbits(32)))
         if not reused or covered != hi:
             self._frontier[base] = (version, lo, covered, losses)
         return plan

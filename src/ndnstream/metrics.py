@@ -22,40 +22,35 @@ if TYPE_CHECKING:
 
 
 def _completed_rtts_ms(timings: list[ChunkTiming]) -> list[float]:
-    return [t.rtt_ms for t in timings if t.received is not None]
-
-
-def compute_file_rtt(timings: list[ChunkTiming]) -> float:
-    """Mean per-chunk RTT in milliseconds over completed chunks."""
-    rtts = _completed_rtts_ms(timings)
+    rtts = [t.rtt_ms for t in timings if t.received is not None]
     if not rtts:
         raise NoCompletedChunks("no completed chunks")
-    return sum(rtts) / len(rtts)
+    return rtts
 
 
-def compute_jitter(timings: list[ChunkTiming]) -> float:
-    """Mean absolute difference of consecutive RTTs in milliseconds; zero
-    for a single chunk."""
-    rtts = _completed_rtts_ms(timings)
-    if not rtts:
-        raise NoCompletedChunks("no completed chunks")
+def _jitter_ms(rtts: list[float]) -> float:
     if len(rtts) == 1:
         return 0.0
     diffs = [abs(b - a) for a, b in zip(rtts, rtts[1:])]
     return sum(diffs) / len(diffs)
 
 
+def compute_file_rtt(timings: list[ChunkTiming]) -> float:
+    """Mean per-chunk RTT in milliseconds over completed chunks."""
+    rtts = _completed_rtts_ms(timings)
+    return sum(rtts) / len(rtts)
+
+
+def compute_jitter(timings: list[ChunkTiming]) -> float:
+    """Mean absolute difference of consecutive RTTs in milliseconds; zero
+    for a single chunk."""
+    return _jitter_ms(_completed_rtts_ms(timings))
+
+
 @dataclass
 class CdfSeries:
     values: list[float]
     fractions: list[float]
-
-    def quantile(self, q: float) -> float:
-        """Smallest value whose cumulative fraction reaches q."""
-        for value, fraction in zip(self.values, self.fractions):
-            if fraction >= q:
-                return value
-        return self.values[-1]
 
 
 def compute_cdf(values: list[float]) -> CdfSeries:
@@ -97,8 +92,9 @@ class FileRecord:
         completed = [t for t in self.timings if t.received is not None]
         self.chunk_count = len(completed)
         self.retx_total = sum(t.retx_count for t in completed)
-        self.avg_rtt_ms = compute_file_rtt(self.timings)
-        self.jitter_ms = compute_jitter(self.timings)
+        rtts = _completed_rtts_ms(completed)
+        self.avg_rtt_ms = sum(rtts) / len(rtts)
+        self.jitter_ms = _jitter_ms(rtts)
         self.cache_fraction = sum(t.from_cache_hint for t in completed) / len(completed)
 
 

@@ -7,7 +7,7 @@ delivery, a delayed send) schedules the bound method and its arguments.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from ..errors import SchedulingInPast
@@ -43,7 +43,7 @@ class EventEngine:
         if seq is None:
             self._seq += 1
             seq = self._seq
-        heapq.heappush(self._heap, (at, seq, action, args))
+        heappush(self._heap, (at, seq, action, args))
         return seq
 
     def ticket(self) -> int:
@@ -61,27 +61,11 @@ class EventEngine:
 
     def advance(self) -> bool:
         """Execute the next event; False if none remain."""
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             return False
-        at, _seq, action, args = heapq.heappop(self._heap)
+        at, _seq, action, args = heappop(heap)
         self.now = at
         self.executed += 1
         action(*args)
         return True
-
-    def run(self, until: float | None = None) -> int:
-        """Drain the queue, optionally stopping after ``until``.
-
-        Returns the number of events executed by this call.
-        """
-        count = 0
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                break
-            self.advance()
-            count += 1
-        if until is not None and self.now < until and (
-            not self._heap or self._heap[0][0] > until
-        ):
-            self.now = until
-        return count

@@ -33,7 +33,8 @@ its keys. Each key names the parameter of the call that builds the entry,
 and the builder passes a line's keywords on with ``**``, so a key left
 out keeps that call's own default. An id is declared once: a second node,
 video, tier of one video, session or ``[fch]`` line with the same id fails
-at its own line. Every error that parsing raises starts with ``line N:``.
+at its own line, as does a second ``scenario``, ``seed`` or ``horizon``
+line. Every error that parsing raises starts with ``line N:``.
 
 Parsing checks what the text alone shows. A run is built in two phases:
 ``build_network`` adds the nodes, links and routes, checks that every
@@ -41,7 +42,8 @@ consumer reaches each video's own server through each of its gateways,
 and applies the throttles; ``ScenarioRun`` then packages and publishes
 the videos, prewarms the caches and sets up the sessions. The CLI's
 ``validate`` builds a ``ScenarioRun`` and runs no event, so it rejects
-exactly what a run rejects while building.
+exactly what a run rejects while building. A config error raised while
+building one line's entry starts with that line's ``line N:`` too.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from __future__ import annotations
 import math
 import random
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Any, NamedTuple
 
@@ -132,7 +135,7 @@ class Scenario:
     routes: list[Entry] = field(default_factory=list)
     videos: dict[str, VideoSpec] = field(default_factory=dict)  # by id, in file order
     sessions: dict[str, SessionSpec] = field(default_factory=dict)  # by id, in file order
-    fch: dict[str, list[str]] = field(default_factory=dict)
+    fch: list[Entry] = field(default_factory=list)
     prewarm: list[Entry] = field(default_factory=list)
     throttles: list[Entry] = field(default_factory=list)
 
@@ -207,6 +210,14 @@ def _safe_component(text: str, what: str) -> str:
     return text
 
 
+def _height(text: str) -> int:
+    """A tier height in pixels: 0 stands for ``DEFAULT_HEIGHT``."""
+    height = int(text)
+    if height < 0:
+        raise ValueError(f"height must be >= 0, got {text!r}")
+    return height or DEFAULT_HEIGHT
+
+
 def _parse_switch(text: str) -> bool:
     if text not in ("on", "off"):
         raise ValueError(f"expected on or off, got {text!r}")
@@ -279,7 +290,7 @@ _KINDS: dict[str | None, dict[str | None, _Kind]] = {
             ("video", str),
             ("label", lambda text: _safe_component(text, "tier label")),
         ), {"Representation": {
-            "height": ("height", lambda text: int(text) or DEFAULT_HEIGHT),
+            "height": ("height", _height),
             "min-bw": ("bitrate_bps", lambda text: int(parse_bandwidth(text) or 0)),
         }}, required=("min-bw",), unique=True),
     },
@@ -346,7 +357,11 @@ def _parse_entry(
     if len(tokens) < leading:
         raise ValueError(f"{kind.name} needs {', '.join(name for name, _ in kind.leading)}")
     args = [parse(token) for (_, parse), token in zip(kind.leading, tokens)]
-    if kind.unique:
+    if section is None:  # a directive is given once
+        if (None, word) in ids:
+            raise ValueError(f"a second {word} line")
+        ids.add((None, word))
+    elif kind.unique:
         ident = (section, *args)
         if ident in ids:
             raise ValueError(f"duplicate {kind.name} {' '.join(ident[1:])!r}")
@@ -405,10 +420,7 @@ def _store(scenario: Scenario, section: str | None, kind: _Kind, entry: Entry) -
             engine=FetchEngine(**kw["FetchEngine"]),
             estimator=kw["BandwidthEstimator"],
         )
-    elif kind.name == "fch entry":
-        consumer, gateways = args
-        scenario.fch[consumer] = gateways
-    else:  # nodes, links, routes, prewarm, throttles: built in file order
+    else:  # nodes, links, routes, fch, prewarm, throttles: built in file order
         getattr(scenario, section).append(entry)
 
 
@@ -453,40 +465,56 @@ def _validate(scenario: Scenario) -> None:
         last_at[src, dst] = at_s
 
 
+@contextmanager
+def _at_line(line: int) -> Iterator[None]:
+    """Start a config error raised while building one line's entry with
+    ``line N:``, keeping its type and its text."""
+    try:
+        yield
+    except InvalidConfig as exc:
+        raise type(exc)(f"line {line}: {exc}") from exc
+
+
 def build_network(scenario: Scenario) -> NetworkSim:
     """Build a scenario's network without its content: nodes, links and
     routes, and throttles applied or scheduled. Each producer gets an
     empty repository. Every consumer must reach each video's own server
     through each of its gateways, for the video's base name and for every
     route prefix under it (``NetworkSim.validate_reachability``). Raises
-    InvalidTopology where the topology is at fault."""
+    InvalidTopology where the topology is at fault, naming the line at
+    fault where one entry is."""
     sim = NetworkSim(scenario.seed)
     for node in scenario.nodes:
         (node_id,) = node.args
-        if node.kind == "forwarder":
-            sim.add_forwarder(node_id, **node.kw["add_forwarder"])
-        elif node.kind == "producer":
-            key = KeyMaterial(
-                key_id=f"{node_id}-key",
-                secret=derive_seed(scenario.seed, f"key:{node_id}").to_bytes(8, "big"),
-            )
-            sim.add_producer(node_id, Repository(key, **node.kw["Repository"]))
-        else:
-            sim.add_consumer(node_id)
+        with _at_line(node.line):
+            if node.kind == "forwarder":
+                sim.add_forwarder(node_id, **node.kw["add_forwarder"])
+            elif node.kind == "producer":
+                key = KeyMaterial(
+                    key_id=f"{node_id}-key",
+                    secret=derive_seed(scenario.seed, f"key:{node_id}").to_bytes(8, "big"),
+                )
+                sim.add_producer(node_id, Repository(key, **node.kw["Repository"]))
+            else:
+                sim.add_consumer(node_id)
     for link in scenario.links:
-        sim.add_link(*link.args, **link.kw["add_link"])
+        with _at_line(link.line):
+            sim.add_link(*link.args, **link.kw["add_link"])
     for route in scenario.routes:
-        sim.add_route(*route.args, **route.kw["add_route"])
+        with _at_line(route.line):
+            sim.add_route(*route.args, **route.kw["add_route"])
     videos = scenario.videos
     for video_id, video in videos.items():
         if not isinstance(sim.hosts.get(video.server), ProducerHost):
-            raise InvalidTopology(f"video {video_id!r} needs a producer server")
-    for node_id, gateways in scenario.fch.items():
-        sim.set_gateways(node_id, gateways)
+            raise InvalidTopology(f"line {video.line}: video {video_id!r} needs a producer server")
+    for fch in scenario.fch:
+        with _at_line(fch.line):
+            sim.set_gateways(*fch.args)
     sim.validate_reachability([(v.prefix.append(vid), v.server) for vid, v in videos.items()])
     for throttle in scenario.throttles:
         src, dst = throttle.args
-        link = sim.link_between(src, dst)
+        with _at_line(throttle.line):
+            link = sim.link_between(src, dst)
         values = throttle.kw["throttle"]
         args = (src, dst, values["bandwidth_bps"])
         if values["at_s"] <= 0:
@@ -547,15 +575,17 @@ class ScenarioRun:
             if isinstance(host, ProducerHost)
         }
         for video_id, video in scenario.videos.items():
-            catalog = package_video(video_id, representations=video.tiers, **video.package)
-            self.catalogs[video_id] = catalog
             repo = self.repos[video.server]
-            publish(repo, catalog, video.prefix, **video.publish)
+            with _at_line(video.line):
+                catalog = package_video(video_id, representations=video.tiers, **video.package)
+                publish(repo, catalog, video.prefix, **video.publish)
+            self.catalogs[video_id] = catalog
             self.fetch_table[video_id] = (video.prefix, repo.key)
-        for _line, _kind, (node_id, video_id, label, fraction), _kw in scenario.prewarm:
+        for line, _kind, (node_id, video_id, label, fraction), _kw in scenario.prewarm:
             video = scenario.videos[video_id]
             repo, catalog = self.repos[video.server], self.catalogs[video_id]
-            prewarm_cache(sim, node_id, repo, video.prefix, catalog, label, fraction)
+            with _at_line(line):
+                prewarm_cache(sim, node_id, repo, video.prefix, catalog, label, fraction)
         for session_id, spec in scenario.sessions.items():
             self._setup_session(session_id, spec)
 
@@ -602,10 +632,10 @@ class ScenarioRun:
         """Run until every session has ended or the events run out, sweeping
         the PITs meanwhile; stop before the first event past the horizon."""
         engine, horizon = self.sim.engine, self.scenario.horizon_s
-        heap = engine._heap
+        heap, advance = engine._heap, engine.advance
         engine.schedule_in(PIT_SWEEP_INTERVAL_S, self.sim.sweep_pits)
         while heap and self.live_sessions and heap[0][0] <= horizon:
-            engine.advance()
+            advance()
         return self.report()
 
     def report(self) -> MetricsReport:

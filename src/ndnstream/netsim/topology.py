@@ -339,11 +339,22 @@ class NetworkSim:
     # -- traffic -------------------------------------------------------------
 
     def send(self, src: str, face: int, packet: Packet, from_producer: bool) -> None:
+        """Send ``packet`` from ``src`` on ``face``: the link charges it its
+        encoded size and schedules its arrival on the peer's face, with
+        ``from_producer``, or drops it at a full queue. Interests and data
+        packets carry their size (``_wire_size``, see ``packets``); only a
+        nack is sized by ``encoded_size``. ``data_tap``, when set, may
+        replace each data packet before it is sized."""
         link, peer, peer_host, from_face = self.hosts[src].face_link[face]
-        if self.data_tap is not None and isinstance(packet, Data):
-            packet = self.data_tap(packet, src, peer)
+        kind = packet.__class__
+        if kind is Nack:
+            size = encoded_size(packet)
+        else:
+            if kind is Data and self.data_tap is not None:
+                packet = self.data_tap(packet, src, peer)
+            size = packet._wire_size
         engine = self.engine
-        arrival = link.transmit(src, peer, encoded_size(packet), engine.now)
+        arrival = link.transmit(src, peer, size, engine.now)
         if arrival is None:
             return
         engine.schedule(arrival, peer_host.receive, None, (from_face, packet, from_producer))

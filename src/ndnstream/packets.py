@@ -24,6 +24,15 @@ every chunk sent or published. ``dataclasses.replace``, ``repr`` and
 equality work as for any dataclass, and assigning a field raises
 ``FrozenInstanceError``.
 
+``chunk_interest`` is the one trusted builder: it stores an exact
+interest's slots and size directly, with no check. Only the simulator's
+own chunk requests use it, ``FileFetch``'s and ``prefetch_plan``'s, each
+with a nonce from ``getrandbits(32)`` and the default lifetime, so both
+checks it skips hold by construction; it gives what ``Interest(name,
+False, nonce)`` gives. Every other interest (discovery, probes, a
+caller's own) goes through the public constructor, which keeps its
+checks because its nonce and lifetime may come from anywhere.
+
 Interest and data packets keep their encoded size in ``_wire_size``,
 computed in closed form when the packet is built: from the name's TLV
 length and the lifetime's varint size for an interest, and by
@@ -122,6 +131,24 @@ class Interest:
 
 
 _i_name, _i_can_be_prefix, _i_nonce, _i_lifetime_ms, _i_size = _slot_setters(Interest)
+
+# A chunk interest's size besides its name's TLV length and value: the 13
+# bytes of ``Interest.__init__`` plus the default lifetime's varint.
+_CHUNK_INTEREST_FIXED = 13 + _varint_size(DEFAULT_INTEREST_LIFETIME_MS)
+
+
+def chunk_interest(name: Name, nonce: int) -> Interest:
+    """``Interest(name, False, nonce)``, built and sized without its checks:
+    only for the simulator's own chunk requests, whose ``nonce`` comes from
+    ``getrandbits(32)`` (see the module docstring)."""
+    interest = _new(Interest)
+    _i_name(interest, name)
+    _i_can_be_prefix(interest, False)
+    _i_nonce(interest, nonce)
+    _i_lifetime_ms(interest, DEFAULT_INTEREST_LIFETIME_MS)
+    tlv_len = name._tlv_len
+    _i_size(interest, _CHUNK_INTEREST_FIXED + _varint_size(tlv_len) + tlv_len)
+    return interest
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -9,8 +9,7 @@ The experiments only depend on sizes and timing, never on real media.
 A published file is chunked, named and signed in one pass: the name head
 (base components and version marker, with its TLV form), the keyed hash
 state and the 16-byte tag trailer are built once per file, and each chunk
-is built and signed once. Chunks are kept in an in-memory map; an
-optional flat-file dump uses the same TLV records as the wire.
+is built and signed once. Chunks are kept in an in-memory map.
 """
 
 from __future__ import annotations
@@ -23,8 +22,9 @@ import numpy as np
 
 from .errors import InvalidConfig, UnknownRepresentation, VersionRegression
 from .names import Name, VersionedChunkName, chunk_name, name_parse
-# sign_data is not used here; it stays importable as producer.sign_data
-# because bench/tracing.py patches it at that address.
+# sign_data and verify_data are not used here; they stay importable as
+# producer.sign_data and producer.verify_data because bench/tracing.py
+# patches them at those addresses.
 from .packets import (  # noqa: F401
     DEFAULT_FRESHNESS_MS,
     Data,
@@ -36,7 +36,6 @@ from .packets import (  # noqa: F401
     sign_file,
     verify_data,
 )
-from .wire import decode_packet, encode_packet
 
 DEFAULT_CHUNK_SIZE = 8000
 DEFAULT_VERSION = 1
@@ -215,36 +214,6 @@ class Repository:
             version = self.latest[interest.name]
             data = self.store[chunk_name(interest.name, version, 0)]
         return data if data is not None else Nack(interest.name, NackReason.NO_CONTENT)
-
-    def dump(self, path) -> int:
-        """Write every stored chunk as a length-prefixed wire record."""
-        count = 0
-        with open(path, "wb") as fh:
-            for data in self.store.values():
-                raw = encode_packet(data)
-                fh.write(len(raw).to_bytes(4, "big"))
-                fh.write(raw)
-                count += 1
-        return count
-
-    def load(self, path) -> int:
-        """Read a dump file back; verifies every record under the repo key."""
-        count = 0
-        with open(path, "rb") as fh:
-            while True:
-                head = fh.read(4)
-                if not head:
-                    break
-                raw = fh.read(int.from_bytes(head, "big"))
-                packet = decode_packet(raw)
-                if not isinstance(packet, Data) or not verify_data(packet, self.key):
-                    raise InvalidConfig("dump record failed verification")
-                self.store[packet.name.full()] = packet
-                base, version = packet.name.base, packet.name.version
-                if self.latest.get(base, -1) < version:
-                    self.latest[base] = version
-                count += 1
-        return count
 
 
 def representation_files(prefix: Name, catalog: VideoCatalog, label: str) -> list[Name]:

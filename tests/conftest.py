@@ -27,6 +27,13 @@ def examples(count: int) -> int:
     return count * EXPLORE_FACTOR if PROFILE == "explore" else count
 
 
+def run_engine(engine, until: float | None = None) -> None:
+    """Run ``engine``'s events in order until none is left or, with
+    ``until``, the next one is due after it."""
+    while engine.pending() and (until is None or engine._heap[0][0] <= until):
+        engine.advance()
+
+
 @pytest.fixture
 def key():
     return KeyMaterial("test-key", b"\x01\x02secret")

@@ -72,6 +72,35 @@ LINE_ERRORS = [
     pytest.param("producer srv", "producer srv\nconsumer srv", id="node-duplicate"),
     pytest.param("cs=8MB", "cs=unlimited", id="cs-unlimited"),
     pytest.param("min-bw=0.6Mbps", "min-bw=unlimited", id="min-bw-unlimited"),
+    pytest.param("seed 2", "seed 2\nseed 9", id="seed-repeated"),
+    pytest.param("seed 2", "seed 2\nscenario again", id="scenario-repeated"),
+    pytest.param("seed 2", "seed 2\nhorizon 60\nhorizon 90", id="horizon-repeated"),
+    pytest.param("height=240", "height=-5", id="height-negative"),
+]
+
+# Errors building finds, each in one line's entry: the message names that
+# line, then says what it said before.
+BUILD_ERRORS = [
+    pytest.param(
+        "c1 gw prop-ms=5", "c1 ghost prop-ms=5", "link references unknown node ghost",
+        id="link-unknown-node",
+    ),
+    pytest.param(
+        "producer srv", "producer srv\nproducer p2\n[routes]\ngw /r p2", "gw has no link to p2",
+        id="route-via-unlinked-node",
+    ),
+    pytest.param(SESSION, SESSION + "\n[fch]\nc1 srv", "fch: c1 has no link to srv",
+                 id="fch-gateway-unlinked"),
+    pytest.param(
+        SESSION, SESSION + "\n[throttles]\nc1 srv at-s=1 bw=1Mbps", "no link between c1 and srv",
+        id="throttle-unlinked",
+    ),
+    pytest.param("server=srv", "server=gw", "video 'foo' needs a producer server",
+                 id="video-server-not-producer"),
+    pytest.param("duration-s=4", "duration-s=0", "durations must be positive",
+                 id="video-duration-zero"),
+    pytest.param("cs=8MB", "cs=1KB\n[prewarm]\ngw foo 240p 1.0\n[nodes]",
+                 "gw: content store too small for prewarm set", id="prewarm-over-capacity"),
 ]
 
 # Each case edits GOOD into a scenario that must fail validation with a
@@ -194,6 +223,18 @@ def test_validate_names_the_offending_line(tmp_path, capsys, old, new):
     scn.write_text(GOOD.replace(old, new))
     assert main(["validate", str(scn)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: line {line}: ")
+
+
+@pytest.mark.parametrize("old,new,message", BUILD_ERRORS)
+def test_validate_names_the_line_of_a_build_error(tmp_path, capsys, old, new, message):
+    # The edit's last line that is no section header is the one at fault.
+    edit = new.split("\n")
+    last = max(k for k, text in enumerate(edit) if not text.startswith("["))
+    line = GOOD[: GOOD.index(old)].count("\n") + 1 + last
+    scn = tmp_path / "bad.scn"
+    scn.write_text(GOOD.replace(old, new))
+    assert main(["validate", str(scn)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: line {line}: {message}")
 
 
 def test_validate_names_unknown_key(tmp_path, capsys):

@@ -26,7 +26,7 @@ from ndnstream.producer import (
     package_video,
 )
 
-from conftest import examples
+from conftest import examples, run_engine
 
 PAPER_TIERS = [
     Representation("240p", 240, 600_000),
@@ -193,7 +193,7 @@ class Loopback:
             self, engine_cfg, base, key, random.Random(1), on_complete, on_error
         )
         self.fetch.start()
-        self.engine.run()
+        run_engine(self.engine)
         return result
 
 

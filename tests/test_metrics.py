@@ -92,11 +92,6 @@ def test_cdf_nondecreasing_terminal_one():
     assert cdf.fractions[-1] == pytest.approx(1.0)
 
 
-def test_cdf_quantile():
-    cdf = compute_cdf(list(range(1, 101)))
-    assert cdf.quantile(0.9) == 90
-
-
 def test_cdf_empty_rejected():
     with pytest.raises(EmptyInput):
         compute_cdf([])

@@ -26,6 +26,8 @@ from ndnstream.netsim.topology import NetworkSim
 from ndnstream.packets import Interest
 from ndnstream.producer import Repository, Representation, package_video, publish
 
+from conftest import run_engine
+
 
 # -- engine -------------------------------------------------------------------
 
@@ -35,7 +37,7 @@ def test_same_timestamp_preserves_schedule_order():
     order = []
     engine.schedule(1.0, lambda: order.append("x"))
     engine.schedule(1.0, lambda: order.append("y"))
-    engine.run()
+    run_engine(engine)
     assert order == ["x", "y"]
 
 
@@ -44,14 +46,14 @@ def test_schedule_at_current_time_runs_before_later():
     order = []
     engine.schedule(5.0, lambda: order.append("later"))
     engine.schedule(0.0, lambda: order.append("now"))
-    engine.run()
+    run_engine(engine)
     assert order == ["now", "later"]
 
 
 def test_scheduling_in_past_rejected():
     engine = EventEngine()
     engine.schedule(1.0, lambda: None)
-    engine.run()
+    run_engine(engine)
     with pytest.raises(SchedulingInPast):
         engine.schedule(0.5, lambda: None)
 
@@ -63,7 +65,7 @@ def test_randomized_insertion_matches_sort_oracle():
     stamps = [rng.uniform(0, 100) for _ in range(1000)]
     for i, at in enumerate(stamps):
         engine.schedule(at, lambda i=i: executed.append(i))
-    engine.run()
+    run_engine(engine)
     expected = [i for _at, i in sorted(zip(stamps, range(len(stamps))), key=lambda p: (p[0], p[1]))]
     assert executed == expected
 
@@ -89,7 +91,7 @@ def test_events_with_arguments_and_tickets_run_in_at_seq_order():
         assert engine.schedule(at, executed.append, seq, (i,)) == seq
         expected.append((at, seq, i))
     assert engine.pending() == 400
-    engine.run()
+    run_engine(engine)
     assert executed == [i for _at, _seq, i in sorted(expected)]
 
 
@@ -97,7 +99,7 @@ def test_schedule_in_passes_arguments_and_rejects_the_past():
     engine = EventEngine()
     got = []
     engine.schedule(1.0, lambda: engine.schedule_in(0.5, got.append, ("late",)))
-    engine.run()
+    run_engine(engine)
     assert got == ["late"] and engine.now == 1.5
     with pytest.raises(SchedulingInPast):
         engine.schedule(1.0, got.append, None, ("never",))
@@ -436,7 +438,7 @@ def test_second_link_between_one_pair_rejected():
 
 def test_fch_returns_configured_candidates():
     scenario = parse_scenario(MINIMAL + "\n[fch]\nc1 gw\n")
-    assert scenario.fch == {"c1": ["gw"]}
+    assert [fch.args for fch in scenario.fch] == [["c1", ["gw"]]]
 
 
 def test_fch_unknown_consumer():
@@ -589,7 +591,7 @@ srv gw at-s=1 bw=5Mbps
     run = ScenarioRun(parse_scenario(text))
     link = run.sim.link_between("gw", "srv")
     assert link.direction("srv", "gw").bandwidth_bps == 20e6  # at-s=0 applies at build
-    run.sim.engine.run(until=2.0)
+    run_engine(run.sim.engine, until=2.0)
     assert link.direction("srv", "gw").bandwidth_bps == 5e6
 
 
@@ -611,7 +613,7 @@ def test_all_probes_failed(key, monkeypatch):
     # probe a name nobody serves: the producer nacks, probes never complete
     host.attach(np("/void/probe"), lambda: None)
     with pytest.raises(AllProbesFailed):
-        sim.engine.run()
+        run_engine(sim.engine)
     assert sim.engine.now == 0.5
 
 

@@ -7,7 +7,17 @@ from hypothesis import example, given, settings, strategies as st
 from ndnstream import names, packets
 from ndnstream.errors import MalformedName
 from ndnstream.names import Name, VersionedChunkName, _encode_name, name_parse
-from ndnstream.packets import Data, Interest, KeyMaterial, sign_data, sign_file, verify_data
+from ndnstream.packets import (
+    Data,
+    Interest,
+    KeyMaterial,
+    Nack,
+    NackReason,
+    chunk_interest,
+    sign_data,
+    sign_file,
+    verify_data,
+)
 from ndnstream.wire import decode_packet, encode_packet, encoded_size
 
 from conftest import examples
@@ -194,6 +204,30 @@ def test_tag_covers_tlv_name_content_and_trailer(key, monkeypatch):
     signed = sign_data(data, key)
     assert signed.integrity_tag == h.digest()
     assert verify_data(signed, key)
+
+
+# Names whose TLV length falls on either side of 0x80, where its varint
+# grows a byte: one component of 120-130 bytes spans 122-133.
+_SIZED_NAMES = st.one_of(
+    st.lists(st.binary(min_size=1, max_size=8), max_size=4),
+    st.lists(st.binary(min_size=120, max_size=130), min_size=1, max_size=1),
+    st.lists(st.binary(min_size=1, max_size=200), max_size=3),
+).map(lambda components: Name(tuple(components)))
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(
+    name=_SIZED_NAMES,
+    nonce=st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+)
+@example(name=Name((b"x" * 125,)), nonce=0)  # TLV length 127
+@example(name=Name((b"x" * 126,)), nonce=2**32 - 1)  # TLV length 128
+def test_chunk_interest_equals_the_checked_constructor(name, nonce):
+    built, checked = chunk_interest(name, nonce), Interest(name, False, nonce)
+    assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
+    assert built._wire_size == checked._wire_size == len(encode_packet(built))
+    nack = Nack(name, NackReason.NO_ROUTE)
+    assert encoded_size(nack) == len(encode_packet(nack))
 
 
 FILE_KEY = KeyMaterial("file-key", b"one-pass")

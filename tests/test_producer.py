@@ -210,19 +210,6 @@ def test_server_stats_constant_delay(key):
     assert repo.interests == 20
 
 
-def test_repository_dump_load_round_trip(tmp_path, key):
-    repo = Repository(key)
-    catalog = package_video("foo", 4.0, 4.0, PAPER_TIERS[:2])
-    publish(repo, catalog, "/p", chunk_size=2048)
-    path = tmp_path / "repo.bin"
-    written = repo.dump(path)
-    clone = Repository(key)
-    loaded = clone.load(path)
-    assert written == loaded == len(repo.store)
-    assert clone.store == repo.store
-    assert clone.latest == repo.latest
-
-
 def test_representation_files_playback_order():
     catalog = package_video("foo", 6.0, 2.0, PAPER_TIERS[:1])
     files = representation_files(name_parse("/p"), catalog, "240p")

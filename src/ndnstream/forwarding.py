@@ -196,7 +196,7 @@ class ContentStore:
         return evicted
 
 
-@dataclass(slots=True)
+@dataclass
 class NodeStats:
     interests_in: int = 0
     interests_out: int = 0

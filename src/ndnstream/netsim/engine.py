@@ -7,7 +7,7 @@ delivery, a delayed send) schedules the bound method and its arguments.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+import heapq
 from typing import Any, Callable
 
 from ..errors import SchedulingInPast
@@ -43,7 +43,7 @@ class EventEngine:
         if seq is None:
             self._seq += 1
             seq = self._seq
-        heappush(self._heap, (at, seq, action, args))
+        heapq.heappush(self._heap, (at, seq, action, args))
         return seq
 
     def ticket(self) -> int:
@@ -61,10 +61,9 @@ class EventEngine:
 
     def advance(self) -> bool:
         """Execute the next event; False if none remain."""
-        heap = self._heap
-        if not heap:
+        if not self._heap:
             return False
-        at, _seq, action, args = heappop(heap)
+        at, _seq, action, args = heapq.heappop(self._heap)
         self.now = at
         self.executed += 1
         action(*args)

@@ -632,10 +632,10 @@ class ScenarioRun:
         """Run until every session has ended or the events run out, sweeping
         the PITs meanwhile; stop before the first event past the horizon."""
         engine, horizon = self.sim.engine, self.scenario.horizon_s
-        heap, advance = engine._heap, engine.advance
+        heap = engine._heap
         engine.schedule_in(PIT_SWEEP_INTERVAL_S, self.sim.sweep_pits)
         while heap and self.live_sessions and heap[0][0] <= horizon:
-            advance()
+            engine.advance()
         return self.report()
 
     def report(self) -> MetricsReport:

@@ -486,17 +486,16 @@ def build_network(scenario: Scenario) -> NetworkSim:
     sim = NetworkSim(scenario.seed)
     for node in scenario.nodes:
         (node_id,) = node.args
-        with _at_line(node.line):
-            if node.kind == "forwarder":
-                sim.add_forwarder(node_id, **node.kw["add_forwarder"])
-            elif node.kind == "producer":
-                key = KeyMaterial(
-                    key_id=f"{node_id}-key",
-                    secret=derive_seed(scenario.seed, f"key:{node_id}").to_bytes(8, "big"),
-                )
-                sim.add_producer(node_id, Repository(key, **node.kw["Repository"]))
-            else:
-                sim.add_consumer(node_id)
+        if node.kind == "forwarder":
+            sim.add_forwarder(node_id, **node.kw["add_forwarder"])
+        elif node.kind == "producer":
+            key = KeyMaterial(
+                key_id=f"{node_id}-key",
+                secret=derive_seed(scenario.seed, f"key:{node_id}").to_bytes(8, "big"),
+            )
+            sim.add_producer(node_id, Repository(key, **node.kw["Repository"]))
+        else:
+            sim.add_consumer(node_id)
     for link in scenario.links:
         with _at_line(link.line):
             sim.add_link(*link.args, **link.kw["add_link"])
@@ -575,11 +574,11 @@ class ScenarioRun:
             if isinstance(host, ProducerHost)
         }
         for video_id, video in scenario.videos.items():
-            repo = self.repos[video.server]
             with _at_line(video.line):
                 catalog = package_video(video_id, representations=video.tiers, **video.package)
+                self.catalogs[video_id] = catalog
+                repo = self.repos[video.server]
                 publish(repo, catalog, video.prefix, **video.publish)
-            self.catalogs[video_id] = catalog
             self.fetch_table[video_id] = (video.prefix, repo.key)
         for line, _kind, (node_id, video_id, label, fraction), _kw in scenario.prewarm:
             video = scenario.videos[video_id]

@@ -17,10 +17,10 @@ lo, hi, losses)``: chunks ``lo..hi`` of that version were each covered
 while ``cs.drops + _pit_losses`` was ``losses``. A slot loses cover only
 through a CS drop, a PIT removal whose chunk the CS did not keep, or its
 cached copy going stale. The first two move the count; the third fails
-``all_fresh``, as a stale packet stays stale until dropped. So while the
-count holds and the base's cached chunks are all fresh (or none is
-cached), a plan whose window starts in ``lo..hi + 1`` tests only the
-slots past ``hi``.
+the store's ``all_fresh``, as a stale packet stays stale until dropped.
+So while the count holds and the store's bound shows no entry can be
+stale (or the base has no cached chunk), a plan whose window starts in
+``lo..hi + 1`` tests only the slots past ``hi``.
 
 The FIB maps a prefix to its next hops, (face, cost) pairs in ascending
 cost, one per cost. An interest goes to the cheapest next hop of its
@@ -46,7 +46,9 @@ from dataclasses import dataclass
 from .errors import InvalidTopology, UnknownFace
 from .names import Name, chunk_name, name_is_prefix_of
 from .packets import Data, Interest, Nack, NackReason, Packet, chunk_interest
-from .wire import encoded_size
+# encoded_size is not used here; it stays importable as
+# forwarding.encoded_size because bench/tracing.py patches it there.
+from .wire import encoded_size  # noqa: F401
 
 INTERNAL_FACE = 0
 
@@ -64,11 +66,7 @@ class PitEntry:
 @dataclass(slots=True)
 class _CsEntry:
     data: Data
-    size: int
     inserted: float
-
-
-_NO_BOUND = (float("inf"), float("inf"))  # the bound of a base with no entries
 
 
 def _first_of_newest(slots: dict[tuple[int, int], Name]) -> tuple[int, int]:
@@ -84,21 +82,21 @@ class ContentStore:
     (version, chunk), so a discovery interest finds its file's chunks and
     the prefetcher tests a chunk slot without building or scanning names.
 
-    ``_bounds`` keeps, per base, a lower bound on the insert times and on
-    the freshness of that base's entries: ``insert`` lowers it, ``_drop``
-    leaves it (still a lower bound) and deletes it with the base's last
-    entry, and a staleness scan sets it exactly from the entries it keeps.
-    While ``(now - earliest) * 1000.0 <= least`` no entry of the base can
-    be stale, since float subtraction and multiplication are monotone, so
-    discovery and prefetch planning skip the per-entry staleness test.
+    ``earliest`` and ``least`` bound from below the insert time and the
+    freshness of every entry the store has held: ``insert`` lowers them
+    and nothing raises them. While ``(now - earliest) * 1000.0 <= least``
+    no entry can be stale, since float subtraction and multiplication are
+    monotone, so discovery and prefetch planning skip the per-entry
+    staleness test. Once more time has passed since the first insert than
+    the least freshness ever stored, they test each entry.
     """
 
     def __init__(self, capacity_bytes: int):
         self.capacity_bytes = capacity_bytes
         self.entries: OrderedDict[Name, _CsEntry] = OrderedDict()
         self.by_base: dict[Name, dict[tuple[int, int], Name]] = {}
-        # base -> (earliest insert time, least freshness_ms) of its entries
-        self._bounds: dict[Name, tuple[float, int]] = {}
+        self.earliest = float("inf")  # no entry was inserted before this
+        self.least = float("inf")  # no entry has a lower freshness_ms
         self.used_bytes = 0
         self.drops = 0  # entries removed: evicted, stale or replaced
 
@@ -108,39 +106,37 @@ class ContentStore:
     def _stale(self, entry: _CsEntry, now: float) -> bool:
         return (now - entry.inserted) * 1000.0 > entry.data.freshness_ms
 
-    def all_fresh(self, base: Name, now: float) -> bool:
-        """True if the store holds some chunk of ``base`` and none of them
-        can be stale at ``now``."""
-        bound = self._bounds.get(base)
-        return bound is not None and (now - bound[0]) * 1000.0 <= bound[1]
+    def all_fresh(self, now: float) -> bool:
+        """True if no entry can be stale at ``now``."""
+        return (now - self.earliest) * 1000.0 <= self.least
 
     def _drop(self, full_name: Name) -> None:
         self.drops += 1
         entry = self.entries.pop(full_name)
-        self.used_bytes -= entry.size
+        self.used_bytes -= entry.data._wire_size
         vc = entry.data.name
         chunks = self.by_base[vc.base]
         del chunks[vc.version, vc.chunk]
         if not chunks:
             del self.by_base[vc.base]
-            del self._bounds[vc.base]
 
     def lookup(self, interest: Interest, now: float) -> Data | None:
         """The fresh packet named exactly, else, for a CanBePrefix interest
         on a file base, that file's lowest fresh chunk of its highest fresh
-        version. Stale entries met on the way are dropped; when the base's
+        version. Stale entries met on the way are dropped; when the store's
         bound shows none can be stale, the file's entries are not visited."""
         full_name = interest.name
         if interest.can_be_prefix and full_name not in self.entries:
             chunks = self.by_base.get(full_name)
             if chunks is None:
                 return None
-            if self.all_fresh(full_name, now):
-                full_name = chunks[_first_of_newest(chunks)]
-            else:
-                full_name = self._fresh_scan(full_name, chunks, now)
-                if full_name is None:
+            if not self.all_fresh(now):
+                for cached in list(chunks.values()):
+                    if self._stale(self.entries[cached], now):
+                        self._drop(cached)  # deletes it from ``chunks``
+                if not chunks:
                     return None
+            full_name = chunks[_first_of_newest(chunks)]
         entry = self.entries.get(full_name)
         if entry is None:
             return None
@@ -150,43 +146,23 @@ class ContentStore:
         self.entries.move_to_end(full_name)
         return entry.data
 
-    def _fresh_scan(
-        self, base: Name, chunks: dict[tuple[int, int], Name], now: float
-    ) -> Name | None:
-        """Drop the base's stale entries, set its bound from the rest and
-        return the full name of its lowest chunk of the highest version
-        left, or None if none is left."""
-        for cached in list(chunks.values()):
-            if self._stale(self.entries[cached], now):
-                self._drop(cached)  # deletes it from ``chunks``
-        if not chunks:
-            return None
-        kept = [self.entries[cached] for cached in chunks.values()]
-        self._bounds[base] = (
-            min(entry.inserted for entry in kept),
-            min(entry.data.freshness_ms for entry in kept),
-        )
-        return chunks[_first_of_newest(chunks)]
-
     def insert(self, data: Data, now: float) -> list[Name]:
         """Store a packet, evicting least-recently-accessed entries as needed.
 
         A packet larger than the whole store is not cached (no-op). Returns
         the full names evicted to make room.
         """
-        size = encoded_size(data)
+        size = data._wire_size
         if size > self.capacity_bytes:
             return []
         full_name = data.name.full()
         if full_name in self.entries:
             self._drop(full_name)
-        self.entries[full_name] = _CsEntry(data, size, now)
+        self.entries[full_name] = _CsEntry(data, now)
         vc = data.name
-        base = vc.base
-        self.by_base.setdefault(base, {})[vc.version, vc.chunk] = full_name
-        earliest, least = self._bounds.get(base, _NO_BOUND)
-        if now < earliest or data.freshness_ms < least:
-            self._bounds[base] = (min(earliest, now), min(least, data.freshness_ms))
+        self.by_base.setdefault(vc.base, {})[vc.version, vc.chunk] = full_name
+        self.earliest = min(self.earliest, now)
+        self.least = min(self.least, data.freshness_ms)
         self.used_bytes += size
         evicted: list[Name] = []
         while self.used_bytes > self.capacity_bytes:
@@ -212,7 +188,10 @@ class NodeStats:
 class ForwarderNode:
     """NDN forwarder with PIT aggregation, LPM forwarding and opportunistic caching.
     A positive ``prefetch_depth`` also prefetches up to that many chunks past
-    each data packet it sends downstream; 0 forwards by best route alone."""
+    each data packet it answers from the CS or takes for a PIT entry, its own
+    prefetches included: once one chunk of a file passes, the node pulls in
+    the rest of the file, each plan reaching that many chunks past the chunk
+    that triggered it. 0 forwards by best route alone."""
 
     def __init__(
         self,
@@ -358,7 +337,7 @@ class ForwarderNode:
         """Interests for the next chunks of the trigger's file, skipping
         anything already cached or pending. Slots the base's frontier shows
         covered are not tested; any other slot fresh in the CS (with no
-        staleness test while the base's bound shows every entry fresh) is
+        staleness test while the store's bound shows every entry fresh) is
         skipped, and the rest are tested in the PIT. The plan then records
         the covered run up to its first planned slot as the frontier, the
         only state it writes."""
@@ -368,7 +347,7 @@ class ForwarderNode:
         base, version = vc.base, vc.version
         cs = self.cs
         held = cs.by_base.get(base, {})
-        all_fresh = not held or cs.all_fresh(base, now)
+        all_fresh = not held or cs.all_fresh(now)
         cs_entries, stale, pit = cs.entries, cs._stale, self.pit
         losses = cs.drops + self._pit_losses
         first = vc.chunk + 1

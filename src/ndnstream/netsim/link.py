@@ -40,9 +40,11 @@ class _Direction:
 class Link:
     """FIFO per direction. A packet sent at ``now`` starts serializing when
     the direction goes idle and arrives one propagation delay after the
-    last bit leaves. Bandwidth changes apply to packets sent afterwards;
-    anything already queued keeps its committed timing, and counts toward
-    the tail-drop backlog with the bytes it has left at its own rate.
+    last bit leaves; with no bandwidth it serializes in no time, but still
+    waits for the direction to go idle. Bandwidth changes apply to packets
+    sent afterwards; anything already queued keeps its committed timing,
+    and counts toward the tail-drop backlog with the bytes it has left at
+    its own rate.
     """
 
     def __init__(
@@ -69,14 +71,14 @@ class Link:
     def transmit(self, src: str, dst: str, size_bytes: int, now: float) -> float | None:
         """Arrival time at ``dst``, or None on tail-drop."""
         d = self._dir[(src, dst)]
+        start = d.busy_until if d.busy_until > now else now
         if d.bandwidth_bps is None:
-            return now + d.propagation_s
+            return start + d.propagation_s  # behind what is still serializing
         if d.queue_limit_bytes is not None:
             # Tail drop once the untransmitted backlog exceeds the limit.
             if d.backlog_bytes(now) > d.queue_limit_bytes:
                 d.drops += 1
                 return None
-        start = d.busy_until if d.busy_until > now else now
         serialization = size_bytes * 8.0 / d.bandwidth_bps
         d.busy_until = start + serialization
         if d.queue_limit_bytes is not None:

@@ -60,7 +60,7 @@ from ..consumer import BandwidthEstimator, FetchEngine, PlayerSession, resource_
 from ..errors import CapacityExceeded, InvalidConfig, InvalidRequest, InvalidTopology, MalformedName
 from ..metrics import CacheStats, MetricsReport, ServerSummary, SessionMetrics
 from ..names import Name, name_parse
-from ..packets import KeyMaterial
+from ..packets import KeyMaterial, _check_freshness
 from ..producer import (
     Representation,
     Repository,
@@ -195,6 +195,13 @@ def _non_negative(text: str, kind: Callable[[str], float] = float) -> float:
     return value
 
 
+def _freshness_ms(text: str) -> int:
+    """A data packet's freshness: whole ms in the range its packets carry."""
+    freshness_ms = int(text)
+    _check_freshness(freshness_ms)
+    return freshness_ms
+
+
 def _horizon(text: str) -> float:
     horizon = float(text)
     if not horizon >= 0:  # NaN too; inf runs until the sessions end
@@ -283,7 +290,7 @@ _KINDS: dict[str | None, dict[str | None, _Kind]] = {
             },
             "publish": {
                 "chunk-bytes": ("chunk_size", int),
-                "freshness-ms": ("freshness_ms", lambda text: _non_negative(text, int)),
+                "freshness-ms": ("freshness_ms", _freshness_ms),
             },
         }, required=("server", "prefix", "duration-s"), unique=True),
         "tier": _Kind("tier", (

@@ -76,6 +76,9 @@ LINE_ERRORS = [
     pytest.param("seed 2", "seed 2\nscenario again", id="scenario-repeated"),
     pytest.param("seed 2", "seed 2\nhorizon 60\nhorizon 90", id="horizon-repeated"),
     pytest.param("height=240", "height=-5", id="height-negative"),
+    pytest.param(
+        "segment-s=2", "segment-s=2 freshness-ms=18446744073709551616", id="freshness-2-64"
+    ),
 ]
 
 # Errors building finds, each in one line's entry: the message names that

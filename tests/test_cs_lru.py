@@ -2,12 +2,14 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from ndnstream.forwarding import ContentStore
 from ndnstream.names import name_parse
 from ndnstream.packets import Interest
 from ndnstream.wire import encoded_size
 
-from conftest import make_data
+from conftest import examples, make_data
 
 
 class ShadowLru:
@@ -244,13 +246,67 @@ def test_one_file_discovery_matches_brute_force_under_mixed_freshness(key):
         run_one_file_churn(seed, ops=1500, capacity=1200, key=key)
 
 
+# (time step, op, base, version, chunk, freshness_ms and payload bytes of an insert)
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.004, 0.015, 0.03, 0.05]),
+        st.sampled_from(["insert", "exact", "prefix"]),
+        st.integers(0, 2),
+        st.integers(1, 2),
+        st.integers(0, 3),
+        st.sampled_from([30, 40, 3_600_000]),
+        st.integers(0, 120),
+    ),
+    min_size=30,
+    max_size=80,
+)
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(ops=_OPS)
+def test_store_wide_bound_holds_under_random_ops(ops):
+    """Inserts of 30 ms, 40 ms or 1 h freshness into a store of about five
+    packets (so they evict and replace), exact and CanBePrefix lookups, and
+    time moving forward. After every op the store-wide bound is at or below
+    every entry's insert time and freshness, so ``all_fresh`` never vouches
+    for a stale entry; the bytes add up, the base index mirrors the entries,
+    and every answer and the LRU order match the brute-force model."""
+    cs = ContentStore(600)
+    model = FreshnessModel(600)
+    now = 0.0
+    for step, op, b, version, chunk, freshness_ms, payload in ops:
+        now += step
+        base = f"/s/{b}"
+        if op == "insert":
+            data = make_data(
+                base, version=version, chunk=chunk, final=3, content=bytes(payload),
+                freshness_ms=freshness_ms,
+            )
+            cs.insert(data, now)
+            model.insert(data, now)
+        elif op == "exact":
+            full = make_data(base, version=version, chunk=chunk, final=3).name.full()
+            assert cs.lookup(Interest(full), now) is model.lookup(full, now)
+        else:
+            got = cs.lookup(Interest(name_parse(base), can_be_prefix=True), now)
+            assert got is model.discover(name_parse(base), now)
+        held = list(cs.entries.values())
+        if cs.all_fresh(now):
+            assert not any(cs._stale(entry, now) for entry in held)
+        assert all(cs.earliest <= entry.inserted for entry in held)
+        assert all(cs.least <= entry.data.freshness_ms for entry in held)
+        assert cs.used_bytes == sum(entry.data._wire_size for entry in held)
+        _assert_index_matches(cs)
+        assert list(cs.entries) == list(model.entries)
+
+
 def test_discovery_inside_the_freshness_bound_visits_no_entry(key, monkeypatch):
     cs = ContentStore(1 << 20)
     for chunk in (2, 0, 1):
         cs.insert(make_data("/f", chunk=chunk, final=2, freshness_ms=40, key=key), 0.0)
     base = name_parse("/f")
     assert (0.04 - 0.0) * 1000.0 == 40  # the last instant every entry is fresh
-    assert cs.all_fresh(base, 0.04) and not cs.all_fresh(base, 0.0401)
+    assert cs.all_fresh(0.04) and not cs.all_fresh(0.0401)
     stale_tests = []
     stale = ContentStore._stale
     monkeypatch.setattr(

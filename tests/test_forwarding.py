@@ -162,7 +162,7 @@ def test_cs_occupancy_never_exceeds_capacity(key):
         data = make_data(f"/f{rng.randrange(40)}", content=bytes(rng.randrange(200)), key=key)
         cs.insert(data, float(i))
         assert cs.used_bytes <= 5000
-        assert cs.used_bytes == sum(e.size for e in cs.entries.values())
+        assert cs.used_bytes == sum(e.data._wire_size for e in cs.entries.values())
 
 
 # -- on_interest ---------------------------------------------------------------
@@ -402,6 +402,28 @@ def test_prefetch_data_cached_but_not_forwarded(key):
     follow = node.on_data(3, chunk1, 0.6)
     assert all(not isinstance(p, Data) for _, p in follow)
     assert node.cs.lookup(Interest(chunk1.name.full()), 0.7) == chunk1
+
+
+def test_prefetched_data_triggers_the_prefetcher_again(key):
+    # Every data packet that satisfies a PIT entry triggers a plan, the
+    # node's own prefetches included, so one consumer interest pulls in the
+    # rest of the file; the depth bounds only how far each plan looks ahead.
+    node = make_node(prefetch_depth=2)
+    node.add_route(name_parse("/f"), 3)
+    node.on_interest(1, chunk_interest("/f/v=1/c=0", nonce=1), 0.0)
+    chunks = [make_data("/f", version=1, chunk=c, final=5, key=key) for c in range(6)]
+    by_name = {data.name.full(): data for data in chunks}
+    arriving, prefetched = [chunks[0]], []
+    now = 0.0
+    while arriving:
+        now += 0.1
+        for face, packet in node.on_data(3, arriving.pop(0), now):
+            if isinstance(packet, Interest):
+                assert face == 3
+                prefetched.append(packet.name)
+                arriving.append(by_name[packet.name])
+    assert prefetched == [data.name.full() for data in chunks[1:]]
+    assert node.stats.prefetch_sent == 5 and node.pit == {}
 
 
 @settings(max_examples=examples(40), deadline=None)

@@ -563,7 +563,7 @@ def test_prefetch_churn_scenario_loses_cover_and_skips_covered_slots():
         nonlocal started_past_first
         vc = trigger.name
         frontier = node._frontier.get(vc.base)
-        fresh = vc.base not in node.cs.by_base or node.cs.all_fresh(vc.base, now)
+        fresh = vc.base not in node.cs.by_base or node.cs.all_fresh(now)
         started_past_first += (
             fresh
             and frontier is not None

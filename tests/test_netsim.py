@@ -163,6 +163,19 @@ def test_bandwidth_change_spares_in_flight():
     assert second == pytest.approx(0.008 + 0.008)
 
 
+def test_throttle_to_unlimited_keeps_fifo():
+    # Unlimited bandwidth means no serialization time, not a jump ahead of
+    # packets the direction is still sending at the old rate.
+    link = Link("a", "b", propagation_ms=10, bandwidth_bps=1_000_000)
+    first = link.transmit("a", "b", 12_500, 0.0)
+    second = link.transmit("a", "b", 12_500, 0.0)
+    assert (first, second) == (pytest.approx(0.11), pytest.approx(0.21))
+    link.set_bandwidth("a", "b", None)
+    third = link.transmit("a", "b", 100, 0.05)
+    assert third == pytest.approx(0.21)  # leaves right after the second
+    assert link.transmit("a", "b", 100, 0.5) == pytest.approx(0.51)
+
+
 # -- scenario parsing ------------------------------------------------------------
 
 

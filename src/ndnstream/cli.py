@@ -46,8 +46,11 @@ def main(argv: list[str] | None = None) -> int:
             scenario = load_scenario(args.scenario)
             if args.command == "run" and args.seed is not None:
                 scenario.seed = args.seed
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing or a directory; the message names the path
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.scenario} is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)

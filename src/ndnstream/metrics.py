@@ -21,30 +21,41 @@ if TYPE_CHECKING:
     from .consumer import ChunkTiming, PlayerSession
 
 
-def _completed_rtts_ms(timings: list[ChunkTiming]) -> list[float]:
-    rtts = [t.rtt_ms for t in timings if t.received is not None]
-    if not rtts:
+def _summary(timings: list[ChunkTiming]) -> tuple[int, int, float, float, float]:
+    """A file's chunk summary in one left-to-right pass over its completed
+    chunks: their count, retransmissions, mean RTT and jitter in
+    milliseconds, and the share served from a cache. Each sum adds its
+    terms in chunk order from zero, as ``sum`` does, so a summary is
+    bit-for-bit that of separate passes."""
+    count = retx = hits = 0
+    rtt_sum = diff_sum = 0.0
+    last = None
+    for t in timings:
+        rtt = t.rtt_ms
+        if rtt is None:
+            continue
+        count += 1
+        retx += t.retx_count
+        hits += t.from_cache_hint
+        rtt_sum += rtt
+        if last is not None:
+            diff_sum += abs(rtt - last)
+        last = rtt
+    if not count:
         raise NoCompletedChunks("no completed chunks")
-    return rtts
-
-
-def _jitter_ms(rtts: list[float]) -> float:
-    if len(rtts) == 1:
-        return 0.0
-    diffs = [abs(b - a) for a, b in zip(rtts, rtts[1:])]
-    return sum(diffs) / len(diffs)
+    jitter = diff_sum / (count - 1) if count > 1 else 0.0
+    return count, retx, rtt_sum / count, jitter, hits / count
 
 
 def compute_file_rtt(timings: list[ChunkTiming]) -> float:
     """Mean per-chunk RTT in milliseconds over completed chunks."""
-    rtts = _completed_rtts_ms(timings)
-    return sum(rtts) / len(rtts)
+    return _summary(timings)[2]
 
 
 def compute_jitter(timings: list[ChunkTiming]) -> float:
     """Mean absolute difference of consecutive RTTs in milliseconds; zero
     for a single chunk."""
-    return _jitter_ms(_completed_rtts_ms(timings))
+    return _summary(timings)[3]
 
 
 @dataclass
@@ -71,7 +82,9 @@ def cache_hit_ratio(hits: int, misses: int) -> float:
 @dataclass
 class FileRecord:
     """One completed file retrieval: what the player fetched, when, and the
-    summary of its chunk timings, which the report carries in their place."""
+    summary of its chunk timings, which the report carries in their place.
+    The five summary fields come from one pass over the timings, the one
+    that ``compute_file_rtt`` and ``compute_jitter`` make too."""
 
     name: str
     role: str  # master-playlist | media-playlist | segment
@@ -89,13 +102,13 @@ class FileRecord:
     cache_fraction: float = field(init=False)
 
     def __post_init__(self) -> None:
-        completed = [t for t in self.timings if t.received is not None]
-        self.chunk_count = len(completed)
-        self.retx_total = sum(t.retx_count for t in completed)
-        rtts = _completed_rtts_ms(completed)
-        self.avg_rtt_ms = sum(rtts) / len(rtts)
-        self.jitter_ms = _jitter_ms(rtts)
-        self.cache_fraction = sum(t.from_cache_hint for t in completed) / len(completed)
+        (
+            self.chunk_count,
+            self.retx_total,
+            self.avg_rtt_ms,
+            self.jitter_ms,
+            self.cache_fraction,
+        ) = _summary(self.timings)
 
 
 @dataclass

@@ -45,6 +45,11 @@ class Link:
     sent afterwards; anything already queued keeps its committed timing,
     and counts toward the tail-drop backlog with the bytes it has left at
     its own rate.
+
+    Each direction is keyed by its sending node, since the receiving one is
+    the other end: the ``dst`` the methods take names that end and is not
+    looked up. A link from a node to itself has one direction, which both
+    of its faces share.
     """
 
     def __init__(
@@ -58,35 +63,39 @@ class Link:
         self.a = a
         self.b = b
         self._dir = {
-            (a, b): _Direction(propagation_ms, bandwidth_bps, queue_limit_bytes),
-            (b, a): _Direction(propagation_ms, bandwidth_bps, queue_limit_bytes),
+            a: _Direction(propagation_ms, bandwidth_bps, queue_limit_bytes),
+            b: _Direction(propagation_ms, bandwidth_bps, queue_limit_bytes),
         }
 
     def direction(self, src: str, dst: str) -> _Direction:
-        return self._dir[(src, dst)]
+        return self._dir[src]
 
     def set_bandwidth(self, src: str, dst: str, bandwidth_bps: float | None) -> None:
-        self._dir[(src, dst)].bandwidth_bps = bandwidth_bps
+        self._dir[src].bandwidth_bps = bandwidth_bps
 
     def transmit(self, src: str, dst: str, size_bytes: int, now: float) -> float | None:
         """Arrival time at ``dst``, or None on tail-drop."""
-        d = self._dir[(src, dst)]
-        start = d.busy_until if d.busy_until > now else now
-        if d.bandwidth_bps is None:
+        d = self._dir[src]
+        busy_until = d.busy_until
+        start = busy_until if busy_until > now else now
+        rate = d.bandwidth_bps
+        if rate is None:
             return start + d.propagation_s  # behind what is still serializing
-        if d.queue_limit_bytes is not None:
-            # Tail drop once the untransmitted backlog exceeds the limit.
-            if d.backlog_bytes(now) > d.queue_limit_bytes:
-                d.drops += 1
-                return None
-        serialization = size_bytes * 8.0 / d.bandwidth_bps
-        d.busy_until = start + serialization
-        if d.queue_limit_bytes is not None:
-            d.queued.append((d.busy_until, size_bytes, d.bandwidth_bps / 8.0))
+        limit = d.queue_limit_bytes
+        # Tail drop once the untransmitted backlog exceeds the limit.
+        if limit is not None and d.backlog_bytes(now) > limit:
+            d.drops += 1
+            return None
+        busy_until = start + size_bytes * 8.0 / rate
+        d.busy_until = busy_until
+        if limit is not None:
+            d.queued.append((busy_until, size_bytes, rate / 8.0))
             d.queued_bytes += size_bytes
-        return d.busy_until + d.propagation_s
+        return busy_until + d.propagation_s
 
     def drop_counts(self) -> dict[str, int]:
+        """Drops per direction, keyed ``"<src>-><dst>"`` in order of ``src``."""
         return {
-            f"{src}->{dst}": d.drops for (src, dst), d in sorted(self._dir.items())
+            f"{src}->{self.b if src == self.a else self.a}": d.drops
+            for src, d in sorted(self._dir.items())
         }

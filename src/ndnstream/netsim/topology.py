@@ -6,8 +6,8 @@ configurable processing delay, and consumers run player sessions. Each
 link endpoint gets a face id on its host; face 0 stays reserved for the
 forwarder-internal prefetch downstream. A face records everything a send
 on it needs, resolved once when the link is added: the link, the peer's
-id, the peer host and the peer's face for the same link, on which the
-packet arrives.
+id, the peer's bound ``receive`` and the peer's face for the same link,
+on which the packet arrives. So a send builds no bound method per packet.
 
 Deliveries carry a producer-origin flag so consumers can record, as
 simulation ground truth, whether a chunk was served from a cache.
@@ -42,18 +42,19 @@ def derive_seed(seed: int, tag: str) -> int:
 class _FacedHost:
     """Face bookkeeping shared by every host kind: one face per attached link.
 
-    ``face_link`` maps a face to (link, peer id, peer host, peer face), the
-    peer face being the one the peer receives on over the same link.
+    ``face_link`` maps a face to (link, peer id, peer receive, peer face):
+    the peer's ``receive`` is bound once, when the link is attached, and
+    the peer face is the one the peer receives on over the same link.
     """
 
     def __init__(self, sim: "NetworkSim", node_id: str):
         self.sim = sim
         self.node_id = node_id
-        self.face_link: dict[int, tuple[Link, str, Host, int]] = {}
+        self.face_link: dict[int, tuple[Link, str, Callable[[int, Packet, bool], None], int]] = {}
         self.peer_face: dict[str, int] = {}
 
     def attach_link(self, face: int, link: Link, peer: Host, peer_face: int) -> None:
-        self.face_link[face] = (link, peer.node_id, peer, peer_face)
+        self.face_link[face] = (link, peer.node_id, peer.receive, peer_face)
         self.peer_face[peer.node_id] = face
 
 
@@ -333,7 +334,8 @@ class NetworkSim:
             out = host.node.next_hop(name, exclude=face)
             if out is None:
                 return None
-            _link, _peer, host, face = host.face_link[out]
+            _link, peer, _receive, face = host.face_link[out]
+            host = self.hosts[peer]
         return host
 
     # -- traffic -------------------------------------------------------------
@@ -345,7 +347,7 @@ class NetworkSim:
         packets carry their size (``_wire_size``, see ``packets``); only a
         nack is sized by ``encoded_size``. ``data_tap``, when set, may
         replace each data packet before it is sized."""
-        link, peer, peer_host, from_face = self.hosts[src].face_link[face]
+        link, peer, receive, from_face = self.hosts[src].face_link[face]
         kind = packet.__class__
         if kind is Nack:
             size = encoded_size(packet)
@@ -357,7 +359,7 @@ class NetworkSim:
         arrival = link.transmit(src, peer, size, engine.now)
         if arrival is None:
             return
-        engine.schedule(arrival, peer_host.receive, None, (from_face, packet, from_producer))
+        engine.schedule(arrival, receive, None, (from_face, packet, from_producer))
 
     # -- housekeeping ----------------------------------------------------------
 

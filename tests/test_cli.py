@@ -301,8 +301,20 @@ def test_validate_accepts_a_tier_route_to_the_video_server(tmp_path, capsys):
     assert report.sessions[0].aborted is None and len(report.sessions[0].files) == 4
 
 
-def test_run_missing_file_is_config_error(tmp_path, capsys):
-    assert main(["run", str(tmp_path / "nope.scn"), "--out", str(tmp_path)]) == 1
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_run_missing_file_is_config_error(tmp_path, capsys, case):
+    # A path that cannot be read as scenario text is a config error with
+    # one line on stderr, not a traceback.
+    path = tmp_path / "scenario.scn"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"scenario x\n\xff\xfe\n")
+    for command in (["run", str(path), "--out", str(tmp_path / "out")], ["validate", str(path)]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(path) in err
 
 
 def test_unreachable_prefix_is_runtime_config_error(tmp_path, capsys):

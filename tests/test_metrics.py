@@ -3,6 +3,7 @@ import random
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndnstream.consumer import ChunkTiming
 from ndnstream.errors import EmptyInput, NoCompletedChunks, NoLookups
@@ -19,6 +20,8 @@ from ndnstream.metrics import (
     compute_jitter,
     export_report,
 )
+
+from conftest import examples
 
 
 def timings_from_rtts(rtts_ms, start=0.0):
@@ -71,6 +74,61 @@ def test_jitter_and_rtt_brute_force_oracle():
         if len(rtts) > 1:
             expected = sum(abs(b - a) for a, b in zip(rtts, rtts[1:])) / (len(rtts) - 1)
             assert compute_jitter(timings) == pytest.approx(expected)
+
+
+# One chunk's timing: its first send, the wait to its last send (zero
+# unless retransmitted), its RTT or None when unanswered, and its cache hint.
+_CHUNK = st.tuples(
+    st.floats(0.0, 100.0),
+    st.integers(0, 3),
+    st.floats(0.0, 2.0),
+    st.one_of(st.none(), st.floats(0.0, 2.0)),
+    st.booleans(),
+)
+
+
+def _timing(chunk, drawn):
+    first, retx, wait, rtt_s, hint = drawn
+    last = first + wait if retx else first
+    received = None if rtt_s is None else last + rtt_s
+    return ChunkTiming(chunk, first, last, received, retx, hint)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(st.lists(_CHUNK, max_size=40))
+def test_file_record_summary_equals_separate_passes(drawn):
+    # The one-pass summary equals, bit for bit, the five fields computed
+    # one at a time over the completed chunks, each sum from zero in order.
+    timings = [_timing(chunk, d) for chunk, d in enumerate(drawn)]
+    completed = [t for t in timings if t.received is not None]
+
+    def record():
+        return FileRecord("f", "segment", "v", "240p", 0, 0.0, 1.0, 10, timings)
+
+    if not completed:
+        with pytest.raises(NoCompletedChunks):
+            record()
+        return
+    rtts = [(t.received - t.last_sent) * 1000.0 for t in completed]
+    diffs = [abs(b - a) for a, b in zip(rtts, rtts[1:])]
+    expected = (
+        len(completed),
+        sum(t.retx_count for t in completed),
+        (sum(rtts) / len(rtts)).hex(),
+        (sum(diffs) / len(diffs) if diffs else 0.0).hex(),
+        (sum(t.from_cache_hint for t in completed) / len(completed)).hex(),
+    )
+    got = record()
+    summary = (
+        got.chunk_count,
+        got.retx_total,
+        got.avg_rtt_ms.hex(),
+        got.jitter_ms.hex(),
+        got.cache_fraction.hex(),
+    )
+    assert summary == expected
+    assert compute_file_rtt(timings).hex() == expected[2]
+    assert compute_jitter(timings).hex() == expected[3]
 
 
 def test_cdf_single_value():

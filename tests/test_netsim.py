@@ -163,6 +163,35 @@ def test_bandwidth_change_spares_in_flight():
     assert second == pytest.approx(0.008 + 0.008)
 
 
+@pytest.mark.parametrize("a,b", [("a", "b"), ("b", "a"), ("n", "n")])
+def test_link_directions_behave_as_keyed_by_both_ends(a, b):
+    # Each direction belongs to its sending end. So a transmit from one end
+    # moves only direction(src, dst), as with a separate link per
+    # (src, dst) pair; the two ends of a link from a node to itself share
+    # the one direction there is.
+    options = dict(propagation_ms=1, bandwidth_bps=8_000_000, queue_limit_bytes=3000)
+    link = Link(a, b, **options)
+    ends = [(a, b), (b, a)]
+    reference = {pair: Link(*pair, **options) for pair in ends}
+    assert (link.direction(a, b) is link.direction(b, a)) == (a == b)
+    rng = random.Random(3)
+    now = 0.0
+    for _ in range(200):
+        now += rng.choice([0.0, 0.0002, 0.001])
+        src, dst = rng.choice(ends)
+        size = rng.randint(100, 1500)
+        expected = reference[src, dst].transmit(src, dst, size, now)
+        assert link.transmit(src, dst, size, now) == expected
+        for pair in ends:
+            assert link.direction(*pair).busy_until == reference[pair].direction(*pair).busy_until
+    drops = {
+        f"{src}->{dst}": reference[src, dst].direction(src, dst).drops for src, dst in sorted(ends)
+    }
+    assert link.drop_counts() == drops
+    assert list(link.drop_counts()) == (["n->n"] if a == b else ["a->b", "b->a"])
+    assert sum(drops.values()) > 0
+
+
 def test_throttle_to_unlimited_keeps_fifo():
     # Unlimited bandwidth means no serialization time, not a jump ahead of
     # packets the direction is still sending at the old rate.
@@ -332,19 +361,20 @@ def test_unreachable_prefix_detected(key):
 
 @pytest.mark.parametrize("scn", ["golden.scn", "fanout.scn", "lossy.scn"])
 def test_every_face_resolves_back_to_its_sender(scn):
-    # A send reads link, peer and the peer's receiving face from one face
-    # entry; a wrong back-face would deliver on the wrong face.
+    # A send reads link, peer, the peer's receive and its receiving face
+    # from one face entry; a wrong back-face would deliver on the wrong face.
     run = ScenarioRun(load_scenario(Path(__file__).parent / "data" / scn))
     hosts = run.sim.hosts
     ends = []
     for node_id, host in hosts.items():
         assert set(host.face_link) == set(range(1, len(host.face_link) + 1))
-        for face, (link, peer, peer_host, peer_face) in host.face_link.items():
-            assert peer_host is hosts[peer]
+        for face, (link, peer, receive, peer_face) in host.face_link.items():
+            peer_host = hosts[peer]
+            assert receive.__self__ is peer_host and receive == peer_host.receive
             assert {link.a, link.b} == {node_id, peer}
-            back_link, back_peer, back_host, back_face = peer_host.face_link[peer_face]
+            back_link, back_peer, back_receive, back_face = peer_host.face_link[peer_face]
             assert back_link is link
-            assert back_peer == node_id and back_host is host and back_face == face
+            assert back_peer == node_id and back_receive.__self__ is host and back_face == face
             ends.append(link)
     # Every link has exactly its two ends.
     assert sorted(map(id, ends)) == sorted(map(id, run.sim.links * 2))

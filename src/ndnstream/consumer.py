@@ -426,7 +426,6 @@ class PlayerSession:
         self.buffer_s = 0.0  # media buffered and not yet played
 
         self._video_index = -1
-        self._segments: list[tuple[float, str]] = []
         self._segment_index = 0
         self._media_playlists: dict[str, list[tuple[float, str]]] = {}
         self._tier_label: str | None = None
@@ -449,7 +448,6 @@ class PlayerSession:
             self._end_session()
             return
         self._playing = False
-        self._segments = []
         self._segment_index = 0
         self._media_playlists = {}
         self._fetch("playlist.m3u8", "master-playlist", self._on_master)
@@ -496,17 +494,10 @@ class PlayerSession:
                 self.estimator_trace.append((finished, estimate))
             done(chunks)
 
-        fetch = FileFetch(
-            self.transport,
-            self.engine,
-            base,
-            key,
-            self.rng,
-            on_complete,
-            self._abort,
+        self.active_fetch = FileFetch(
+            self.transport, self.engine, base, key, self.rng, on_complete, self._abort
         )
-        self.active_fetch = fetch
-        fetch.start()
+        self.active_fetch.start()
 
     # -- playlist handling ---------------------------------------------------
 
@@ -523,7 +514,7 @@ class PlayerSession:
         self.abr = AbrController(tiers)
         lowest = self.abr.tiers[0].label
         self._tier_label = lowest
-        self._fetch_media_playlist(lowest, self._start_segments)
+        self._fetch_media_playlist(lowest, self._fetch_next_segment)
 
     def _fetch_media_playlist(self, label: str, then: Callable[[], None]) -> None:
         def on_playlist(chunks: list[bytes]) -> None:
@@ -532,22 +523,20 @@ class PlayerSession:
 
         self._fetch(f"{label}/playlist.m3u8", "media-playlist", on_playlist)
 
-    def _start_segments(self) -> None:
-        self._segments = self._media_playlists[self._tier_label]
-        self._segment_index = 0
-        self._fetch_next_segment()
+    def _all_fetched(self) -> bool:
+        """Whether the video's segments are all in, by the playing tier's playlist."""
+        playing = self._media_playlists.get(self._tier_label)
+        return playing is not None and self._segment_index >= len(playing)
 
     # -- segment loop --------------------------------------------------------
 
     def _fetch_next_segment(self) -> None:
-        if self.ended_at is not None:
-            return
-        if self._segment_index >= len(self._segments):
+        if self.ended_at is not None or self._all_fetched():
             return  # remaining playback drains; video advances on empty
         self._sync_playback()
-        seg_duration = self._segments[self._segment_index][0]
         if self._playing:
-            headroom = BUFFER_CAPACITY_S - seg_duration
+            playing = self._media_playlists[self._tier_label]
+            headroom = BUFFER_CAPACITY_S - playing[self._segment_index][0]
             if self.buffer_s > headroom + 1e-9:
                 # wait for playback to drain enough room; the floor keeps
                 # float residue from rescheduling the same instant forever
@@ -581,9 +570,7 @@ class PlayerSession:
     def _after_buffer_grew(self) -> None:
         now = self.events.now
         if not self._playing:
-            threshold_met = self.buffer_s >= STARTUP_THRESHOLD_S
-            downloaded_all = bool(self._segments) and self._segment_index >= len(self._segments)
-            if threshold_met or downloaded_all:
+            if self.buffer_s >= STARTUP_THRESHOLD_S or self._all_fetched():
                 if self.startup_delay_s is None:
                     self.startup_delay_s = now - self.started_at
                 if self._rebuffer_start is not None:
@@ -619,7 +606,7 @@ class PlayerSession:
             return
         self.buffer_s = 0.0
         self._playing = False
-        if self._segments and self._segment_index >= len(self._segments):
+        if self._all_fetched():
             self._next_video()
             return
         self._rebuffer_start = self.events.now

@@ -189,12 +189,6 @@ class MetricsReport:
     server: dict[str, ServerSummary]
     link_drops: dict[str, int]
 
-    def all_files(self) -> list[FileRecord]:
-        out: list[FileRecord] = []
-        for session in self.sessions:
-            out.extend(session.files)
-        return out
-
     def to_json(self) -> str:
         return json.dumps(_plain(self), indent=2, sort_keys=True)
 
@@ -226,67 +220,55 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _table(header: list[str], rows) -> str:
+    """A CSV table: the header line, then a line per row of ``_fmt`` cells."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+# rtt_per_file.csv's columns after the session: header name -> FileRecord field.
+_FILE_COLUMNS = {
+    "file": "name", "role": "role", "video": "video_id", "tier": "tier",
+    "segment": "segment_index", "start_s": "started", "end_s": "finished",
+    "bytes": "content_bytes", "chunks": "chunk_count", "retx": "retx_total",
+    "avg_rtt_ms": "avg_rtt_ms", "jitter_ms": "jitter_ms", "cache_fraction": "cache_fraction",
+}
+
+
 def export_report(report: MetricsReport, directory: str | os.PathLike) -> list[str]:
-    """Write report.json plus flat CSVs for external plotting."""
+    """Write report.json plus flat CSVs for external plotting: each
+    session's rows in session order, every cell formatted by ``_fmt``."""
+    sessions = report.sessions
+    rtts = [f.avg_rtt_ms for s in sessions for f in s.files]
+    cdf = compute_cdf(rtts) if rtts else CdfSeries([], [])
+    tables = {
+        "quality_timeline.csv": _table(
+            ["session", "t_s", "tier"],
+            ((s.session_id, t, label) for s in sessions for t, label in s.quality_timeline),
+        ),
+        "estimator_trace.csv": _table(
+            ["session", "t_s", "estimate_bps"],
+            ((s.session_id, t, est) for s in sessions for t, est in s.estimator_trace),
+        ),
+        "rtt_per_file.csv": _table(
+            ["session", *_FILE_COLUMNS],
+            (
+                [s.session_id, *(getattr(f, name) for name in _FILE_COLUMNS.values())]
+                for s in sessions
+                for f in s.files
+            ),
+        ),
+        "rtt_cdf.csv": _table(["avg_rtt_ms", "fraction"], zip(cdf.values, cdf.fractions)),
+    }
     try:
         os.makedirs(directory, exist_ok=True)
         written = []
-
-        def emit(filename: str, text: str) -> None:
+        for filename, text in {"report.json": report.to_json() + "\n", **tables}.items():
             path = os.path.join(directory, filename)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             written.append(path)
-
-        emit("report.json", report.to_json() + "\n")
-
-        lines = ["session,t_s,tier"]
-        for s in report.sessions:
-            for t, label in s.quality_timeline:
-                lines.append(f"{s.session_id},{_fmt(t)},{label}")
-        emit("quality_timeline.csv", "\n".join(lines) + "\n")
-
-        lines = ["session,t_s,estimate_bps"]
-        for s in report.sessions:
-            for t, est in s.estimator_trace:
-                lines.append(f"{s.session_id},{_fmt(t)},{_fmt(est)}")
-        emit("estimator_trace.csv", "\n".join(lines) + "\n")
-
-        lines = [
-            "session,file,role,video,tier,segment,start_s,end_s,bytes,"
-            "chunks,retx,avg_rtt_ms,jitter_ms,cache_fraction"
-        ]
-        for s in report.sessions:
-            for f in s.files:
-                lines.append(
-                    ",".join(
-                        [
-                            s.session_id,
-                            f.name,
-                            f.role,
-                            f.video_id,
-                            _fmt(f.tier),
-                            _fmt(f.segment_index),
-                            _fmt(f.started),
-                            _fmt(f.finished),
-                            str(f.content_bytes),
-                            str(f.chunk_count),
-                            str(f.retx_total),
-                            _fmt(f.avg_rtt_ms),
-                            _fmt(f.jitter_ms),
-                            _fmt(f.cache_fraction),
-                        ]
-                    )
-                )
-        emit("rtt_per_file.csv", "\n".join(lines) + "\n")
-
-        lines = ["avg_rtt_ms,fraction"]
-        rtts = [f.avg_rtt_ms for f in report.all_files()]
-        if rtts:
-            cdf = compute_cdf(rtts)
-            for value, fraction in zip(cdf.values, cdf.fractions):
-                lines.append(f"{_fmt(value)},{_fmt(fraction)}")
-        emit("rtt_cdf.csv", "\n".join(lines) + "\n")
         return written
     except OSError as exc:
         raise IoFailure(str(exc)) from exc

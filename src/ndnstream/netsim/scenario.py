@@ -210,8 +210,9 @@ def _horizon(text: str) -> float:
 
 
 def _safe_component(text: str, what: str) -> str:
-    """A video id or tier label: one name component that the consumer can
-    parse back out of playlists and paths, and no version or chunk marker."""
+    """A video id, tier label or session id: one name component that the
+    consumer can parse back out of playlists and paths, with no version or
+    chunk marker, and so one cell of the report's CSV tables."""
     if not all("!" <= ch <= "~" and ch not in '/%,"' for ch in text) or text[:2] in ("v=", "c="):
         raise ValueError(f"{what} {text!r} is not one safe name component")
     return text
@@ -301,7 +302,9 @@ _KINDS: dict[str | None, dict[str | None, _Kind]] = {
             "min-bw": ("bitrate_bps", lambda text: int(parse_bandwidth(text) or 0)),
         }}, required=("min-bw",), unique=True),
     },
-    "sessions": {"session": _Kind("session", _ID, {
+    "sessions": {"session": _Kind("session", (
+        ("id", lambda text: _safe_component(text, "session id")),
+    ), {
         "session": {
             "consumer": ("consumer", str),
             "videos": ("videos", lambda text: text.split(",")),

@@ -79,6 +79,7 @@ LINE_ERRORS = [
     pytest.param(
         "segment-s=2", "segment-s=2 freshness-ms=18446744073709551616", id="freshness-2-64"
     ),
+    pytest.param(SESSION, "session s,1 consumer=c1 videos=foo", id="session-id-comma"),
 ]
 
 # Errors building finds, each in one line's entry: the message names that

@@ -278,3 +278,19 @@ def test_golden_report_bytes_stable(tmp_path):
     scenario = parse_scenario((data_dir / "golden.scn").read_text())
     report = run_scenario(scenario)
     assert report.to_json() + "\n" == (data_dir / "golden_report.json").read_text()
+
+
+@pytest.mark.parametrize("scn", ["golden", "fch_shared"])
+def test_export_csv_bytes_pinned(tmp_path, scn):
+    """The committed CSVs pin each table's header, cell format and row
+    order; fch_shared's three sessions pin the order across sessions."""
+    import pathlib
+
+    from ndnstream.netsim.scenario import parse_scenario, run_scenario
+
+    data_dir = pathlib.Path(__file__).parent / "data"
+    report = run_scenario(parse_scenario((data_dir / f"{scn}.scn").read_text()))
+    export_report(report, tmp_path)
+    pinned = data_dir / f"{scn}_csv"
+    for table in ("quality_timeline.csv", "estimator_trace.csv", "rtt_per_file.csv", "rtt_cdf.csv"):
+        assert (tmp_path / table).read_bytes() == (pinned / table).read_bytes(), table

@@ -377,6 +377,10 @@ class PlayerSession:
     carries over from one video to the next: a session needs an estimator
     of its own.
 
+    One rule, ``_pick_tier``, picks every tier, a video's first included;
+    a tier's media playlist is fetched once per video, when first played.
+    ``quality_timeline`` gets an entry per video start and per tier change.
+
     ``buffer_s`` is the media downloaded and not yet played. Playback
     drains one second of it per simulated second once it reaches
     ``STARTUP_THRESHOLD_S`` (or the video's last segment is in); the buffer
@@ -450,6 +454,7 @@ class PlayerSession:
         self._playing = False
         self._segment_index = 0
         self._media_playlists = {}
+        self._tier_label = None
         self._fetch("playlist.m3u8", "master-playlist", self._on_master)
 
     def _end_session(self) -> None:
@@ -512,9 +517,13 @@ class PlayerSession:
         ]
         # Each video has its own tiers; the estimator carries over.
         self.abr = AbrController(tiers)
-        lowest = self.abr.tiers[0].label
-        self._tier_label = lowest
-        self._fetch_media_playlist(lowest, self._fetch_next_segment)
+        self._fetch_media_playlist(self._pick_tier(), self._fetch_next_segment)
+
+    def _pick_tier(self) -> str:
+        """The ABR's pick for the estimate, or the lowest tier before any sample."""
+        if self.estimator.has_estimate:
+            return self.abr.select(self.estimator.estimate_bps()).label
+        return self.abr.tiers[0].label
 
     def _fetch_media_playlist(self, label: str, then: Callable[[], None]) -> None:
         def on_playlist(chunks: list[bytes]) -> None:
@@ -524,7 +533,8 @@ class PlayerSession:
         self._fetch(f"{label}/playlist.m3u8", "media-playlist", on_playlist)
 
     def _all_fetched(self) -> bool:
-        """Whether the video's segments are all in, by the playing tier's playlist."""
+        """Whether the video's segments are all in, by the playing tier's playlist:
+        none before the video's first segment, nor while a new tier's is on its way."""
         playing = self._media_playlists.get(self._tier_label)
         return playing is not None and self._segment_index >= len(playing)
 
@@ -543,10 +553,8 @@ class PlayerSession:
                 wait = max(self.buffer_s - headroom, 1e-6)
                 self.events.schedule_in(wait, self._fetch_next_segment)
                 return
-        label = self._tier_label
-        if self.abr is not None and self.estimator.has_estimate:
-            label = self.abr.select(self.estimator.estimate_bps()).label
-        if label != self._tier_label or not self.quality_timeline:
+        label = self._pick_tier()
+        if label != self._tier_label:
             self.quality_timeline.append((self.events.now, label))
         self._tier_label = label
         if label not in self._media_playlists:

@@ -85,3 +85,21 @@ def make_data(name_text: str, version=1, chunk=0, content=b"", final=None, key=N
     if key is not None:
         data = sign_data(data, key)
     return data
+
+
+def unplayed_media_playlists(report: dict) -> list[tuple[str, str, str]]:
+    """Each (session, video, tier) of a ``report.json`` whose media playlist
+    a session that did not abort fetched, though none of that session's
+    segments plays that tier of that video. The tier is the playlist path's
+    component before ``playlist.m3u8``."""
+    unplayed = []
+    for session in report["sessions"]:
+        if session["aborted"]:
+            continue
+        files = session["files"]
+        played = {(f["video_id"], f["tier"]) for f in files if f["role"] == "segment"}
+        for f in files:
+            tier = f["name"].split("/")[-2]
+            if f["role"] == "media-playlist" and (f["video_id"], tier) not in played:
+                unplayed.append((session["session_id"], f["video_id"], tier))
+    return unplayed

@@ -33,7 +33,7 @@ from ndnstream.packets import Data, Interest, KeyMaterial
 from ndnstream.producer import Repository
 from ndnstream.wire import decode_packet, encode_packet, encoded_size
 
-from conftest import make_data, random_packet
+from conftest import make_data, random_packet, unplayed_media_playlists
 
 TIER_MIN_BW = {
     "240p": 0.6e6,
@@ -466,6 +466,17 @@ def test_criterion_9_prefetch_churn_event_count(data_scenario_runs):
     _text, events = data_scenario_runs["prefetch_churn.scn"]
     assert events == PREFETCH_CHURN_EVENTS
     _announce(9, f"prefetch_churn.scn ran its pinned {PREFETCH_CHURN_EVENTS} events")
+
+
+def test_data_scenarios_fetch_only_media_playlists_they_play(data_scenario_runs):
+    # A player picks each video's first tier by the same rule as every
+    # later one, so it fetches no media playlist of a tier it never plays.
+    unplayed = {
+        name: found
+        for name, (text, _events) in data_scenario_runs.items()
+        if (found := unplayed_media_playlists(json.loads(text)))
+    }
+    assert not unplayed, unplayed
 
 
 # -- criterion 10: micro-oracles ----------------------------------------------------------------

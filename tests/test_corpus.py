@@ -17,6 +17,7 @@ import pytest
 from ndnstream.netsim.scenario import ScenarioRun, parse_scenario
 from ndnstream.netsim.topology import PIT_SWEEP_INTERVAL_S, ForwarderHost
 
+from conftest import unplayed_media_playlists
 from scenario_corpus import generate
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -72,6 +73,15 @@ def test_corpus_runs_end_with_consistent_stores_and_pits(corpus_runs):
                 assert cs.least <= entry.data.freshness_ms, where
             for name, pit_entry in host.node.pit.items():
                 assert pit_entry.expiry >= end - PIT_SWEEP_INTERVAL_S, (where, name)
+
+
+def test_corpus_sessions_fetch_only_media_playlists_they_play(corpus_runs):
+    unplayed = {
+        seed: found
+        for seed, (_run, report) in corpus_runs.items()
+        if (found := unplayed_media_playlists(json.loads(report.to_json())))
+    }
+    assert not unplayed, unplayed
 
 
 @pytest.mark.parametrize("seed", [22, 27])

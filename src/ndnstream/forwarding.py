@@ -53,6 +53,7 @@ from .wire import encoded_size  # noqa: F401
 INTERNAL_FACE = 0
 
 Action = tuple[int, Packet]  # (face, packet to send on it)
+_NO_CHUNKS: dict[tuple[int, int], Name] = {}  # read-only: a base with no cached chunk
 
 
 @dataclass(slots=True)
@@ -160,9 +161,14 @@ class ContentStore:
             self._drop(full_name)
         self.entries[full_name] = _CsEntry(data, now)
         vc = data.name
-        self.by_base.setdefault(vc.base, {})[vc.version, vc.chunk] = full_name
-        self.earliest = min(self.earliest, now)
-        self.least = min(self.least, data.freshness_ms)
+        chunks = self.by_base.get(vc.base)
+        if chunks is None:
+            chunks = self.by_base[vc.base] = {}
+        chunks[vc.version, vc.chunk] = full_name
+        if now < self.earliest:
+            self.earliest = now
+        if data.freshness_ms < self.least:
+            self.least = data.freshness_ms
         self.used_bytes += size
         evicted: list[Name] = []
         while self.used_bytes > self.capacity_bytes:
@@ -340,20 +346,24 @@ class ForwarderNode:
         staleness test while the store's bound shows every entry fresh) is
         skipped, and the rest are tested in the PIT. The plan then records
         the covered run up to its first planned slot as the frontier, the
-        only state it writes."""
+        only state it writes. While the store's bound holds, a window the
+        frontier covers costs one frontier lookup and tests, draws and writes nothing."""
         if not self.prefetch_depth:
             return []
         vc = trigger.name
         base, version = vc.base, vc.version
         cs = self.cs
-        held = cs.by_base.get(base, {})
-        all_fresh = not held or cs.all_fresh(now)
-        cs_entries, stale, pit = cs.entries, cs._stale, self.pit
         losses = cs.drops + self._pit_losses
         first = vc.chunk + 1
         last = min(vc.chunk + self.prefetch_depth, trigger.final_chunk)
         f_version, lo, hi, f_losses = self._frontier.get(base, (None, 0, -1, None))
-        reused = all_fresh and f_version == version and f_losses == losses and lo <= first <= hi + 1
+        frontier_holds = f_version == version and f_losses == losses and lo <= first <= hi + 1
+        if frontier_holds and last <= hi and cs.all_fresh(now):
+            return []
+        held = cs.by_base.get(base, _NO_CHUNKS)
+        all_fresh = not held or cs.all_fresh(now)
+        cs_entries, stale, pit = cs.entries, cs._stale, self.pit
+        reused = all_fresh and frontier_holds
         if not reused:
             lo, hi = first, vc.chunk
         covered = max(hi, last)
@@ -374,8 +384,11 @@ class ForwarderNode:
         return plan
 
     def _prefetch(self, trigger: Data, now: float) -> list[Action]:
+        plan = self.prefetch_plan(trigger, now)
+        if not plan:
+            return []
         actions: list[Action] = []
-        for interest in self.prefetch_plan(trigger, now):
+        for interest in plan:
             upstream = self.next_hop(interest.name, exclude=INTERNAL_FACE)
             if upstream is None:
                 continue

@@ -10,6 +10,7 @@ identical bytes.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -221,10 +222,12 @@ def _fmt(value) -> str:
 
 
 def _table(header: list[str], rows) -> str:
-    """A CSV table: the header line, then a line per row of ``_fmt`` cells."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    """A CSV table: the header line, then a line per row of ``_fmt`` cells,
+    a cell holding a comma or a double quote quoted as in RFC 4180."""
+    import csv  # not at the top: a run that exports no table need not load it
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *(map(_fmt, row) for row in rows)])
+    return out.getvalue()
 
 
 # rtt_per_file.csv's columns after the session: header name -> FileRecord field.

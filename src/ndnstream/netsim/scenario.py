@@ -48,6 +48,7 @@ building one line's entry starts with that line's ``line N:`` too.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import re
@@ -485,6 +486,18 @@ def _at_line(line: int) -> Iterator[None]:
         raise type(exc)(f"line {line}: {exc}") from exc
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; restore the caller's setting on any exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def build_network(scenario: Scenario) -> NetworkSim:
     """Build a scenario's network without its content: nodes, links and
     routes, and throttles applied or scheduled. Each producer gets an
@@ -569,34 +582,39 @@ def prewarm_cache(
 class ScenarioRun:
     """A built scenario: the simulator plus everything needed for reporting.
     ``fetch_table`` maps each published video's id to its prefix and its
-    server's key, with which sessions and resource requests fetch it."""
+    server's key, with which sessions and resource requests fetch it.
+
+    Building and running each pause Python's cyclic garbage collector, whose
+    passes walk the whole set-up heap yet free nothing (``gc.collect()`` finds
+    no garbage after either), then restore the caller's setting on any exit."""
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.sim = sim = build_network(scenario)
-        self.sessions: list[PlayerSession] = []
-        self.live_sessions = 0  # sessions built and not yet ended
-        self.catalogs: dict[str, VideoCatalog] = {}
-        self.fetch_table: dict[str, tuple[Name, KeyMaterial]] = {}
-        self.repos: dict[str, Repository] = {
-            node_id: host.repo
-            for node_id, host in sim.hosts.items()
-            if isinstance(host, ProducerHost)
-        }
-        for video_id, video in scenario.videos.items():
-            with _at_line(video.line):
-                catalog = package_video(video_id, representations=video.tiers, **video.package)
-                self.catalogs[video_id] = catalog
-                repo = self.repos[video.server]
-                publish(repo, catalog, video.prefix, **video.publish)
-            self.fetch_table[video_id] = (video.prefix, repo.key)
-        for line, _kind, (node_id, video_id, label, fraction), _kw in scenario.prewarm:
-            video = scenario.videos[video_id]
-            repo, catalog = self.repos[video.server], self.catalogs[video_id]
-            with _at_line(line):
-                prewarm_cache(sim, node_id, repo, video.prefix, catalog, label, fraction)
-        for session_id, spec in scenario.sessions.items():
-            self._setup_session(session_id, spec)
+        with _collector_paused():
+            self.scenario = scenario
+            self.sim = sim = build_network(scenario)
+            self.sessions: list[PlayerSession] = []
+            self.live_sessions = 0  # sessions built and not yet ended
+            self.catalogs: dict[str, VideoCatalog] = {}
+            self.fetch_table: dict[str, tuple[Name, KeyMaterial]] = {}
+            self.repos: dict[str, Repository] = {
+                node_id: host.repo
+                for node_id, host in sim.hosts.items()
+                if isinstance(host, ProducerHost)
+            }
+            for video_id, video in scenario.videos.items():
+                with _at_line(video.line):
+                    catalog = package_video(video_id, representations=video.tiers, **video.package)
+                    self.catalogs[video_id] = catalog
+                    repo = self.repos[video.server]
+                    publish(repo, catalog, video.prefix, **video.publish)
+                self.fetch_table[video_id] = (video.prefix, repo.key)
+            for line, _kind, (node_id, video_id, label, fraction), _kw in scenario.prewarm:
+                video = scenario.videos[video_id]
+                repo, catalog = self.repos[video.server], self.catalogs[video_id]
+                with _at_line(line):
+                    prewarm_cache(sim, node_id, repo, video.prefix, catalog, label, fraction)
+            for session_id, spec in scenario.sessions.items():
+                self._setup_session(session_id, spec)
 
     def _setup_session(self, session_id: str, spec: SessionSpec) -> None:
         sim = self.sim
@@ -642,10 +660,11 @@ class ScenarioRun:
         the PITs meanwhile; stop before the first event past the horizon."""
         engine, horizon = self.sim.engine, self.scenario.horizon_s
         heap = engine._heap
-        engine.schedule_in(PIT_SWEEP_INTERVAL_S, self.sim.sweep_pits)
-        while heap and self.live_sessions and heap[0][0] <= horizon:
-            engine.advance()
-        return self.report()
+        with _collector_paused():
+            engine.schedule_in(PIT_SWEEP_INTERVAL_S, self.sim.sweep_pits)
+            while heap and self.live_sessions and heap[0][0] <= horizon:
+                engine.advance()
+            return self.report()
 
     def report(self) -> MetricsReport:
         sim = self.sim

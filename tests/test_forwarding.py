@@ -426,6 +426,30 @@ def test_prefetched_data_triggers_the_prefetcher_again(key):
     assert node.stats.prefetch_sent == 5 and node.pit == {}
 
 
+class _CountingGets(dict):
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+@pytest.mark.parametrize("chunk, final", [(0, 10), (1, 4), (3, 4), (4, 4)])
+def test_prefetch_plan_in_a_covered_window_costs_one_frontier_lookup(key, chunk, final):
+    node = make_node(prefetch_depth=4)
+    node.add_route(name_parse("/f"), 3)
+    for c in range(1, 6):
+        node.cs.insert(make_data("/f", version=1, chunk=c, final=10, key=key), 0.0)
+    node.prefetch_plan(make_data("/f", version=1, chunk=0, final=10, key=key), 0.1)
+    assert node._frontier[name_parse("/f")][1:3] == (1, 4)
+    rng, frontier = node._rng.getstate(), dict(node._frontier)
+    node.cs.by_base = _CountingGets(node.cs.by_base)
+    trigger = make_data("/f", version=1, chunk=chunk, final=final, key=key)
+    assert node.prefetch_plan(trigger, 0.2) == []
+    assert node._rng.getstate() == rng and node._frontier == frontier
+    assert node.cs.by_base.gets == 0
+
+
 @settings(max_examples=examples(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(2, 10), cs_bytes=st.integers(1500, 6000))
 def test_prefetch_frontier_walk_matches_brute_force(seed, depth, cs_bytes):

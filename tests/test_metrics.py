@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 from dataclasses import fields
@@ -248,9 +249,8 @@ def test_report_json_parses_back(tmp_path):
     assert payload["seed"] == 2
     assert len(payload["sessions"]) == 1
     session = payload["sessions"][0]
-    assert session["rebuffer_count"] == len(
-        [1 for _ in session.get("rebuffer_events", [])]
-    ) or session["rebuffer_count"] >= 0
+    assert session["rebuffer_count"] == len(session["rebuffer_events"])
+    assert session["rebuffer_count"] == report.sessions[0].rebuffer_count
     assert payload["cache"]["gw"]["cs_hits"] == 0
 
 
@@ -278,6 +278,35 @@ def test_golden_report_bytes_stable(tmp_path):
     scenario = parse_scenario((data_dir / "golden.scn").read_text())
     report = run_scenario(scenario)
     assert report.to_json() + "\n" == (data_dir / "golden_report.json").read_text()
+
+
+def _golden_with_prefix(prefix):
+    import pathlib
+
+    from ndnstream.netsim.scenario import parse_scenario, run_scenario
+
+    text = (pathlib.Path(__file__).parent / "data" / "golden.scn").read_text()
+    return run_scenario(parse_scenario(text.replace("/p ", f"{prefix} ")))
+
+
+def test_rtt_per_file_csv_quotes_a_name_with_a_comma(tmp_path):
+    report = _golden_with_prefix("/p,q")
+    export_report(report, tmp_path)
+    with open(tmp_path / "rtt_per_file.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 14
+    records = report.sessions[0].files
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert len(row) == len(header)
+        assert row[header.index("file")] == record.name
+        assert record.name.startswith("/p,q/")
+
+
+def test_rtt_per_file_csv_doubles_a_quote_in_a_name(tmp_path):
+    export_report(_golden_with_prefix('/p"q'), tmp_path)
+    first_row = (tmp_path / "rtt_per_file.csv").read_text().splitlines()[1]
+    assert first_row.split(",")[1] == '"/p""q/foo/playlist.m3u8"'
 
 
 @pytest.mark.parametrize("scn", ["golden", "fch_shared"])

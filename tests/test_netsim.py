@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from pathlib import Path
@@ -324,6 +325,54 @@ def test_no_event_runs_past_the_horizon():
     run.run()
     assert run.sim.engine.now <= 0.05
     assert run.sim.engine._heap[0][0] > 0.05  # the run stopped, not ran dry
+
+
+# -- the cyclic garbage collector -------------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Restore the collector's setting after a test that changes it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_the_collector_is_paused_while_a_run_plays(collector):
+    gc.enable()
+    run = ScenarioRun(parse_scenario(MINIMAL))
+    seen = []
+    run.sim.engine.schedule(0.01, lambda: seen.append(gc.isenabled()))
+    run.run()
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_and_run_restore_the_callers_collector_setting(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    run = ScenarioRun(parse_scenario(MINIMAL))
+    assert gc.isenabled() is enabled
+    run.run()
+    assert gc.isenabled() is enabled
+    bad = MINIMAL.replace("c1 gw prop-ms=5 bw=50Mbps", "c1 ghost prop-ms=5 bw=50Mbps")
+    with pytest.raises(InvalidTopology, match="ghost"):
+        ScenarioRun(parse_scenario(bad))
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parent / "data").glob("*.scn")), ids=lambda p: p.stem
+)
+def test_build_and_run_leave_no_cyclic_garbage(collector, path):
+    """Pausing the collector is safe only while a run makes no reference
+    cycle: one left behind per packet would grow memory all run long."""
+    scenario = parse_scenario(path.read_text())
+    gc.disable()
+    gc.collect()
+    run = ScenarioRun(scenario)
+    assert gc.collect() == 0
+    run.run()
+    assert gc.collect() == 0
 
 
 # -- topology --------------------------------------------------------------------
